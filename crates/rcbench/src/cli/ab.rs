@@ -2,10 +2,10 @@
 //! k policy arms and prints a structural diff of their metrics dumps.
 //!
 //! ```sh
-//! cargo run --release -p rcbench --bin rcbench -- ab --scenario span --arms decay,edf --check
-//! cargo run --release -p rcbench --bin rcbench -- ab --scenario span --arms decay,decay->edf@2s
-//! cargo run --release -p rcbench --bin rcbench -- ab --scenario qos --arms fifo,wfq
-//! cargo run --release -p rcbench --bin rcbench -- ab --scenario span --arms edf,edf --expect-identical
+//! cargo run --release -p rcbench -- ab --scenario span --arms decay,edf --check
+//! cargo run --release -p rcbench -- ab --scenario span --arms decay,decay->edf@2s
+//! cargo run --release -p rcbench -- ab --scenario qos --arms fifo,wfq
+//! cargo run --release -p rcbench -- ab --scenario span --arms edf,edf --expect-identical
 //! ```
 //!
 //! Every arm replays the *same* deterministic scenario — same virtual

@@ -1,72 +1,45 @@
-//! The unified `rcbench` command-line interface.
+//! The `rcbench` command-line interface.
 //!
-//! One binary, one subcommand per experiment. Scenarios registered in
-//! [`workload::ScenarioRegistry`] share a single generic driver
-//! ([`driver`]) with uniform flags (`--reduced`, `--check`, `--out`,
-//! `--ncpus`, `--seed`, `--clients`, `--nodes`), headline printing, and
-//! artifact validation/writing. Four subcommands keep bespoke drivers
-//! because their surface is not a plain scenario run: [`trace`] (named
-//! scenario under kernel-wide tracing), [`span`] (causal-span blame
-//! report), [`ab`] (same-seed policy A/B diff), and [`perf`] (simulator
-//! self-benchmark).
-//!
-//! The historical per-experiment binaries (`smp`, `qos`, `fault`, ...)
-//! remain as one-line shims over [`shim`] so existing invocations and CI
-//! steps keep working.
+//! One binary whose subcommands are the entries of one scenario table
+//! ([`registry::table`]) — the paper's figures and the subsystem
+//! scenarios alike — all run by one generic driver ([`driver`]) with
+//! per-entry flags, artifact validation and `--check`. The only bespoke
+//! subcommand is [`ab`], the same-seed policy A/B harness.
 
 mod ab;
-mod driver;
-mod perf;
+pub mod driver;
+mod figures;
+pub mod registry;
 mod span;
-mod trace;
 
 use std::process::ExitCode;
-
-use workload::ScenarioRegistry;
 
 /// Runs one subcommand with already-split arguments.
 pub fn dispatch(cmd: &str, args: &[String]) -> Result<(), String> {
     match cmd {
-        "trace" => trace::run(args),
-        "span" => span::run(args),
         "ab" => ab::run(args),
-        "perf" => perf::run(args),
         "help" | "--help" | "-h" => {
             print_help();
             Ok(())
         }
-        other => {
-            let registry = ScenarioRegistry::standard();
-            match registry.get(other) {
-                Some(spec) => driver::run(spec, args),
-                None => Err(format!(
-                    "unknown subcommand '{other}' (run `rcbench help` for the list)"
-                )),
-            }
-        }
+        other => match registry::lookup(other) {
+            Some(spec) => driver::run(&spec, args),
+            None => Err(format!(
+                "unknown subcommand '{other}' (run `rcbench help` for the list)"
+            )),
+        },
     }
 }
 
-/// Entry point for the thin per-experiment bin shims: forwards the
-/// process arguments to `cmd` and maps the result to an exit code.
-pub fn shim(cmd: &str) -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    run_command(cmd, &args)
-}
-
-/// Entry point for the `rcbench` multiplexer binary: the first argument
-/// selects the subcommand.
+/// Entry point of the `rcbench` binary: the first argument selects the
+/// subcommand.
 pub fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
         print_help();
         return ExitCode::FAILURE;
     };
-    run_command(&cmd, &args.collect::<Vec<_>>())
-}
-
-fn run_command(cmd: &str, args: &[String]) -> ExitCode {
-    match dispatch(cmd, args) {
+    match dispatch(&cmd, &args.collect::<Vec<_>>()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{cmd} run failed: {e}");
@@ -77,14 +50,15 @@ fn run_command(cmd: &str, args: &[String]) -> ExitCode {
 
 fn print_help() {
     println!("rcbench <subcommand> [flags]\n");
-    println!("registry scenarios (uniform flags: --reduced --check --out NAME");
-    println!("  --ncpus N --seed N --clients N --nodes N):");
-    for spec in ScenarioRegistry::standard().iter() {
-        println!("  {:<9} {}", spec.name, spec.about);
+    println!("scenarios (all take --reduced, an abbreviated run whose artifact");
+    println!("names end in _reduced; other flags as listed):");
+    for spec in registry::table() {
+        println!("  {:<16} {}", spec.name, spec.about);
+        if !spec.flags.is_empty() {
+            println!("  {:<16}   {}", "", spec.flags.join(" "));
+        }
     }
-    println!("\nbespoke subcommands:");
-    println!("  trace     run a named scenario traced (baseline | fig11 | fig14 | disk_tenants)");
-    println!("  span      causal-span tail-latency blame report (--reduced --check --out NAME)");
-    println!("  ab        same-seed policy A/B diff (--scenario span|qos --arms A,B ...)");
-    println!("  perf      simulator self-benchmark (--reduced --floor N --check)");
+    println!("\n  {:<16} same-seed policy A/B diff", "ab");
+    println!("                     --scenario span|qos --arms A,B --reduced --check");
+    println!("                     --expect-identical --out");
 }

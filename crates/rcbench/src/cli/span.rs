@@ -4,28 +4,25 @@
 //! tail's end-to-end latency partitioned across the nine-phase taxonomy.
 //!
 //! ```sh
-//! cargo run --release -p rcbench --bin rcbench -- span
-//! cargo run --release -p rcbench --bin rcbench -- span --reduced --out span_a
-//! cargo run --release -p rcbench --bin rcbench -- span --reduced --check
+//! cargo run --release -p rcbench -- span
+//! cargo run --release -p rcbench -- span --reduced --check
 //! ```
 //!
 //! Every run conservation-checks *all* captured ledgers — each span's
 //! phase durations must sum exactly to its end-to-end latency in integer
-//! nanoseconds — and asserts that the free tenant's deliberately
+//! nanoseconds — and fails unless the free tenant's deliberately
 //! unreachable 2 ms p99 objective is flagged by the online SLO monitor
-//! (the deterministic injected violation CI relies on). `--out NAME`
-//! overrides the artifact basename so CI can byte-diff two
-//! identically-seeded span-enabled runs; `--check` additionally asserts
+//! (the deterministic injected violation). `--check` additionally asserts
 //! coverage: every phase of the taxonomy (including reclaim stalls) was
 //! observed, most spans completed, and the ledger counters balance.
 
 use std::collections::BTreeMap;
 
 use rctrace::TraceConfig;
-use simcore::span::{Outcome, Phase, SpanBuffer, SpanLedger, NUM_PHASES};
+use simcore::span::{Outcome as SpanOutcome, Phase, SpanBuffer, SpanLedger, NUM_PHASES};
 use workload::scenarios::{run_span_tenants, SpanTenantsParams};
 
-use crate::json;
+use super::registry::{traced, Check, Outcome, ScenarioArgs};
 
 /// Nearest-rank quantile over an already-sorted slice.
 fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
@@ -53,12 +50,12 @@ fn check_conservation(spans: &SpanBuffer) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints one tenant's blame table and returns its per-phase totals over
-/// the whole run (for the coverage check).
-fn report_tenant(label: &str, ledgers: &[&SpanLedger]) -> [u64; NUM_PHASES] {
+/// Appends one tenant's blame table to `out` and returns its per-phase
+/// totals over the whole run (for the coverage check).
+fn report_tenant(label: &str, ledgers: &[&SpanLedger], out: &mut Vec<String>) -> [u64; NUM_PHASES] {
     let completed: Vec<&&SpanLedger> = ledgers
         .iter()
-        .filter(|l| l.outcome == Outcome::Completed)
+        .filter(|l| l.outcome == SpanOutcome::Completed)
         .collect();
     let mut e2e: Vec<u64> = completed
         .iter()
@@ -90,13 +87,13 @@ fn report_tenant(label: &str, ledgers: &[&SpanLedger]) -> [u64; NUM_PHASES] {
         }
     }
 
-    println!(
+    out.push(format!(
         "tenant {label}: {} spans ({} completed), p50 {:.2} ms, p99 {:.2} ms",
         ledgers.len(),
         completed.len(),
         nearest_rank(&e2e, 0.50) as f64 / 1e6,
         p99 as f64 / 1e6,
-    );
+    ));
     if slow_total > 0 {
         let mut shares: Vec<(Phase, u64)> = Phase::ALL
             .iter()
@@ -104,14 +101,14 @@ fn report_tenant(label: &str, ledgers: &[&SpanLedger]) -> [u64; NUM_PHASES] {
             .filter(|&(_, ns)| ns > 0)
             .collect();
         shares.sort_by_key(|&(p, ns)| (std::cmp::Reverse(ns), p.index()));
-        println!("  p99 blame ({slow_n} requests):");
+        out.push(format!("  p99 blame ({slow_n} requests):"));
         for (p, ns) in shares {
-            println!(
+            out.push(format!(
                 "    {:<13} {:>6.1}%  {:>10.2} ms",
                 p.label(),
                 100.0 * ns as f64 / slow_total as f64,
                 ns as f64 / 1e6,
-            );
+            ));
         }
         let blame_sum: u64 = slow_phases.iter().sum();
         assert_eq!(
@@ -122,24 +119,27 @@ fn report_tenant(label: &str, ledgers: &[&SpanLedger]) -> [u64; NUM_PHASES] {
     run_phases
 }
 
-fn run_inner(reduced: bool, check: bool, out: Option<String>) -> Result<(), String> {
-    rctrace::start(TraceConfig {
+pub fn run(args: &ScenarioArgs) -> Result<Outcome, String> {
+    let config = TraceConfig {
         spans: true,
         ..TraceConfig::default()
+    };
+    let mut session = None;
+    let r = traced(&mut session, config, || {
+        run_span_tenants(SpanTenantsParams {
+            clients: if args.reduced { (4, 8) } else { (6, 12) },
+            secs: if args.reduced { 4 } else { 8 },
+            ..SpanTenantsParams::default()
+        })
     });
-    let r = run_span_tenants(SpanTenantsParams {
-        clients: if reduced { (4, 8) } else { (6, 12) },
-        secs: if reduced { 4 } else { 8 },
-        ..SpanTenantsParams::default()
-    });
-    let session = rctrace::finish().ok_or("no trace session captured")?;
+    let session = session.ok_or("no trace session captured")?;
     let spans = session.spans.as_ref().ok_or("session captured no spans")?;
     if spans.ledgers.is_empty() {
         return Err("no span ledgers captured".into());
     }
     check_conservation(spans)?;
 
-    println!(
+    let mut headline = vec![format!(
         "span_tenants: paid {:.0} req/s p99 {:.2} ms | free {:.0} req/s p99 {:.2} ms | \
          {} reclaims | {} spans minted, {} finished, {} evicted",
         r.throughputs[0],
@@ -150,7 +150,7 @@ fn run_inner(reduced: bool, check: bool, out: Option<String>) -> Result<(), Stri
         spans.minted,
         spans.finished,
         spans.dropped,
-    );
+    )];
 
     // Tenant labels come from the registered SLOs: the scenario resolved
     // each tenant's container id by name, so the monitor state is the
@@ -168,7 +168,7 @@ fn run_inner(reduced: bool, check: bool, out: Option<String>) -> Result<(), Stri
     let mut run_phases = [0u64; NUM_PHASES];
     for (&c, ledgers) in &by_container {
         let label = names.get(&c).copied().unwrap_or("?");
-        let t = report_tenant(label, ledgers);
+        let t = report_tenant(label, ledgers, &mut headline);
         for (acc, ns) in run_phases.iter_mut().zip(t) {
             *acc += ns;
         }
@@ -178,7 +178,7 @@ fn run_inner(reduced: bool, check: bool, out: Option<String>) -> Result<(), Stri
     // unreachable behind a saturated disk, so the online monitor must
     // have flagged it — deterministically, on every run.
     for s in &session.metrics.slos {
-        println!(
+        headline.push(format!(
             "slo {}: p{:.0} <= {:.1} ms -> {} of {} over threshold, {} violations [{}]",
             s.spec.label,
             s.spec.quantile * 100.0,
@@ -187,7 +187,7 @@ fn run_inner(reduced: bool, check: bool, out: Option<String>) -> Result<(), Stri
             s.total,
             s.violations,
             if s.violations == 0 { "met" } else { "VIOLATED" },
-        );
+        ));
     }
     let free = session
         .metrics
@@ -199,82 +199,40 @@ fn run_inner(reduced: bool, check: bool, out: Option<String>) -> Result<(), Stri
         return Err("injected SLO violation not flagged".into());
     }
 
-    let chrome = rctrace::chrome_trace_json(&session);
-    let metrics = rctrace::metrics_json(&session);
+    let completed = spans
+        .ledgers
+        .iter()
+        .filter(|l| l.outcome == SpanOutcome::Completed)
+        .count();
+    let mut checks = vec![Check::new(
+        "balanced",
+        spans.minted == spans.finished,
+        format!(
+            "ledger counters unbalanced: {} minted vs {} finished",
+            spans.minted, spans.finished
+        ),
+    )];
+    for p in Phase::ALL {
+        checks.push(Check::new(
+            "coverage",
+            run_phases[p.index()] > 0,
+            format!("phase {} never observed in any span", p.label()),
+        ));
+    }
+    checks.push(Check::new(
+        "completion",
+        completed * 2 >= spans.ledgers.len(),
+        format!(
+            "only {completed} of {} spans completed",
+            spans.ledgers.len()
+        ),
+    ));
 
-    // Round-trip both artifacts and verify the span-specific sections
-    // made it into each before anything touches disk.
-    let parsed = json::parse(&chrome).map_err(|e| format!("chrome trace not valid JSON: {e}"))?;
-    let n_events = parsed
-        .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .map(|a| a.len())
-        .ok_or("chrome trace missing traceEvents array")?;
-    if !chrome.contains("\"request\"") {
-        return Err("chrome trace contains no request-span events".into());
-    }
-    if !chrome.contains("SLO violation") {
-        return Err("chrome trace contains no SLO-violation instants".into());
-    }
-    let parsed = json::parse(&metrics).map_err(|e| format!("metrics dump not valid JSON: {e}"))?;
-    if parsed.get("spans").is_none() {
-        return Err("metrics dump missing spans section".into());
-    }
-    if parsed.get("slo").is_none() {
-        return Err("metrics dump missing slo section".into());
-    }
-
-    let base_name = out.unwrap_or_else(|| "span".to_string());
-    std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
-    let trace_path = format!("results/{base_name}.json");
-    let metrics_path = format!("results/{base_name}_metrics.json");
-    std::fs::write(&trace_path, &chrome).map_err(|e| e.to_string())?;
-    std::fs::write(&metrics_path, &metrics).map_err(|e| e.to_string())?;
-    println!("{trace_path}: {n_events} events; {metrics_path} written");
-
-    if check {
-        if spans.minted != spans.finished {
-            return Err(format!(
-                "ledger counters unbalanced: {} minted vs {} finished",
-                spans.minted, spans.finished
-            ));
-        }
-        for p in Phase::ALL {
-            if run_phases[p.index()] == 0 {
-                return Err(format!("phase {} never observed in any span", p.label()));
-            }
-        }
-        let completed = spans
-            .ledgers
-            .iter()
-            .filter(|l| l.outcome == Outcome::Completed)
-            .count();
-        if completed * 2 < spans.ledgers.len() {
-            return Err(format!(
-                "only {completed} of {} spans completed",
-                spans.ledgers.len()
-            ));
-        }
-        println!("check ok: full phase coverage with balanced ledgers");
-    }
-    Ok(())
-}
-
-pub fn run(argv: &[String]) -> Result<(), String> {
-    let mut reduced = false;
-    let mut check = false;
-    let mut out = None;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--reduced" => reduced = true,
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(name) => out = Some(name.clone()),
-                None => return Err("--out requires a name".into()),
-            },
-            other => return Err(format!("unexpected argument '{other}'")),
-        }
-    }
-    run_inner(reduced, check, out)
+    Ok(Outcome {
+        headline,
+        checks,
+        check_ok: "full phase coverage with balanced ledgers",
+        session: Some(session),
+        ..Outcome::default()
+    })
 }

@@ -713,21 +713,6 @@ impl Parser<'_> {
     }
 }
 
-/// Writes a serialized value to `results/<name>.json` if `results/`
-/// exists.
-pub fn emit<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("results");
-    if !dir.is_dir() {
-        return;
-    }
-    match to_string(value) {
-        Ok(json) => {
-            let _ = std::fs::write(dir.join(format!("{name}.json")), json);
-        }
-        Err(e) => eprintln!("json emit failed for {name}: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,20 +1,15 @@
-//! Shared report formatting for the benchmark binaries, plus the
-//! unified [`cli`] every experiment runs behind.
+//! The `rcbench` harness: one binary ([`cli`]) whose subcommands
+//! regenerate every table and figure of the paper's evaluation and run
+//! the subsystem scenarios, plus the report formatting they share.
 //!
-//! Every `rcbench` binary regenerates one table or figure from the paper's
-//! evaluation and prints it as an aligned text table with the paper's
-//! reported values alongside, then appends the same text to
-//! `results/<name>.txt` when a `results/` directory exists.
-//!
-//! The `rcbench` multiplexer binary dispatches subcommands through
-//! [`cli::dispatch`]; the historical per-experiment binaries are
-//! one-line shims over [`cli::shim`].
+//! A figure entry prints an aligned text table ([`Report`]) with the
+//! paper's reported values alongside and writes the same text to
+//! `results/<name>.txt`.
 
 pub mod cli;
 pub mod json;
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// A simple aligned text table.
 #[derive(Debug, Default)]
@@ -51,17 +46,6 @@ impl Report {
             let _ = writeln!(out, "{l}");
         }
         out
-    }
-
-    /// Prints to stdout and, if `results/` exists, writes
-    /// `results/<name>.txt`.
-    pub fn emit(&self, name: &str) {
-        let text = self.render();
-        println!("{text}");
-        let dir = Path::new("results");
-        if dir.is_dir() {
-            let _ = std::fs::write(dir.join(format!("{name}.txt")), &text);
-        }
     }
 }
 

@@ -16,21 +16,16 @@
 //!   paper's evaluation — §5.3 baseline throughput, Figure 11 prioritized
 //!   clients, Figures 12/13 CGI control, Figure 14 SYN-flood immunity, and
 //!   the §5.8 virtual-server isolation experiment — each returning a
-//!   structured result the benches print and the integration tests assert
-//!   against.
-//! - [`registry`]: the named-scenario table behind the unified `rcbench`
-//!   CLI — uniform arguments, structured outcomes, and per-run
-//!   self-checks.
+//!   structured result the `rcbench` entries print and the integration
+//!   tests assert against.
 
 pub mod clients;
 pub mod composite;
 pub mod metrics;
-pub mod registry;
 pub mod scenarios;
 pub mod synflood;
 
 pub use clients::{ClientSpec, HttpClients};
 pub use composite::CompositeWorld;
 pub use metrics::ClientMetrics;
-pub use registry::{Check, Outcome, ScenarioArgs, ScenarioRegistry, ScenarioSpec};
 pub use synflood::SynFlood;

@@ -57,9 +57,6 @@ pub struct BaselineResult {
     pub completed: u64,
     /// Fraction of CPU busy during the run.
     pub busy_fraction: f64,
-    /// Kernel events delivered over the whole run — the numerator of the
-    /// simulator's events-per-second self-benchmark (`rcbench --bin perf`).
-    pub sim_events: u64,
 }
 
 /// Runs the baseline-throughput experiment.
@@ -116,7 +113,6 @@ pub fn run_baseline(params: BaselineParams) -> BaselineResult {
         cpu_per_request_us,
         completed: clients.metrics.class(0).completed,
         busy_fraction,
-        sim_events: k.stats().sim_events,
     }
 }
 

@@ -134,9 +134,6 @@ pub struct MemhogTenantsResult {
     pub hog: HogSnapshot,
     /// Kernel memory counters from the shared run.
     pub mem: MemCounters,
-    /// Kernel events processed across both runs, for the simulator
-    /// self-benchmark.
-    pub sim_events: u64,
 }
 
 #[derive(Debug, Default)]
@@ -196,7 +193,6 @@ struct RunOutcome {
     tenant: TenantSnapshot,
     hog: HogSnapshot,
     mem: MemCounters,
-    sim_events: u64,
 }
 
 fn run_once(params: &MemhogTenantsParams, with_hog: bool) -> RunOutcome {
@@ -315,7 +311,6 @@ fn run_once(params: &MemhogTenantsParams, with_hog: bool) -> RunOutcome {
             reads: h.reads,
         },
         mem,
-        sim_events: k.stats().sim_events,
     }
 }
 
@@ -328,7 +323,6 @@ pub fn run_memhog_tenants(params: MemhogTenantsParams) -> MemhogTenantsResult {
         shared: shared.tenant,
         hog: shared.hog,
         mem: shared.mem,
-        sim_events: solo.sim_events + shared.sim_events,
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Every driver builds a kernel + server + client world, runs it for a
 //! warmup period and a measurement window, and returns a structured
-//! result. The `rcbench` binaries print these as the paper's tables and
+//! result. The `rcbench` entries print these as the paper's tables and
 //! figures; the workspace integration tests assert the qualitative shapes
 //! at reduced scale.
 

@@ -79,8 +79,6 @@ pub struct QosTenantsResult {
     pub throughputs: Vec<f64>,
     /// Mean response time per tenant in ms: [gold, blast].
     pub latencies_ms: Vec<f64>,
-    /// Kernel events processed, for the simulator self-benchmark.
-    pub sim_events: u64,
 }
 
 /// Runs the two-tenant link experiment and reports the wire-time split.
@@ -186,7 +184,6 @@ pub fn run_qos_tenants(params: QosTenantsParams) -> QosTenantsResult {
         latencies_ms: (0..tenants.len())
             .map(|g| world.tenants[g].metrics.mean_latency_ms(0))
             .collect(),
-        sim_events: k.stats().sim_events,
     }
 }
 

@@ -77,8 +77,6 @@ pub struct SmpTenantsResult {
     /// Per-CPU busy fraction (charged + interrupt + overhead over
     /// elapsed), one entry per CPU.
     pub busy_fraction: Vec<f64>,
-    /// Kernel events processed, for the simulator self-benchmark.
-    pub sim_events: u64,
 }
 
 /// Per-tenant client sets, routed by tenant address block (tenant `t`
@@ -230,7 +228,6 @@ pub fn run_smp_tenants(params: SmpTenantsParams) -> SmpTenantsResult {
                 busy.ratio(c.total())
             })
             .collect(),
-        sim_events: k.stats().sim_events,
     }
 }
 

@@ -12,7 +12,7 @@
 //! monitor: the paid tenant's objective is generous and met; the free
 //! tenant's is deliberately far below what a saturated disk can deliver,
 //! so the run *deterministically* flags SLO violations — the injected
-//! signal the span smoke tests and the `rcbench --bin span` blame report
+//! signal the span tests and the `rcbench span` blame report
 //! assert on.
 
 use httpsim::stats::shared_stats;
@@ -104,9 +104,6 @@ pub struct SpanTenantsResult {
     pub reclaims: u64,
     /// Virtual end time of the run, in nanoseconds.
     pub end_ns: u64,
-    /// Kernel events delivered over the whole run (feeds the perf
-    /// self-benchmark).
-    pub sim_events: u64,
 }
 
 /// Tenant display names, in tenant order. The SLO registration resolves
@@ -278,7 +275,6 @@ pub fn run_span_tenants(params: SpanTenantsParams) -> SpanTenantsResult {
             .collect(),
         reclaims,
         end_ns: end.as_nanos(),
-        sim_events: k.stats().sim_events,
     }
 }
 

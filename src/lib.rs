@@ -86,5 +86,5 @@ pub mod prelude {
         ClusterTenantsParams, ClusterTenantsResult, DiskTenantsParams, Fig11Params, Fig11System,
         Fig12Params, Fig12System, Fig14Params, QosTenantsParams, SmpTenantsParams, VsParams,
     };
-    pub use workload::{ClientSpec, HttpClients, ScenarioArgs, ScenarioRegistry, SynFlood};
+    pub use workload::{ClientSpec, HttpClients, SynFlood};
 }

@@ -159,14 +159,12 @@ fn run_qos_arm(qdisc: QdiscKind, reduced: bool) -> Result<ArmResult, String> {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_inner(
     scenario: &str,
     arm_specs: &[String],
     reduced: bool,
     check: bool,
     expect_identical: bool,
-    out: Option<String>,
 ) -> Result<(), String> {
     if arm_specs.len() < 2 {
         return Err("need at least two arms (--arms A,B)".into());
@@ -209,10 +207,9 @@ fn run_inner(
         results.push(r);
     }
 
-    let base = out.unwrap_or_else(|| format!("ab_{scenario}"));
     std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
     for (i, r) in results.iter().enumerate() {
-        let path = format!("results/{base}_{i}_{}_metrics.json", slug(&r.label));
+        let path = format!("results/ab_{scenario}_{i}_{}_metrics.json", slug(&r.label));
         std::fs::write(&path, &r.metrics).map_err(|e| e.to_string())?;
         println!("  wrote {path}");
     }
@@ -306,7 +303,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let mut reduced = false;
     let mut check = false;
     let mut expect_identical = false;
-    let mut out = None;
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -321,15 +317,11 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 Some(list) => arm_specs.extend(list.split(',').map(str::to_string)),
                 None => return Err("--arms requires a comma-separated list".into()),
             },
-            "--out" => match it.next() {
-                Some(name) => out = Some(name.clone()),
-                None => return Err("--out requires a name".into()),
-            },
             other => return Err(format!("unexpected argument '{other}'")),
         }
     }
     if arm_specs.is_empty() {
         arm_specs = vec!["decay".to_string(), "edf".to_string()];
     }
-    run_inner(&scenario, &arm_specs, reduced, check, expect_identical, out)
+    run_inner(&scenario, &arm_specs, reduced, check, expect_identical)
 }

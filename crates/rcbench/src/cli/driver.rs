@@ -13,6 +13,8 @@
 
 use std::str::FromStr;
 
+use workload::scenarios::cluster_tenants::MAX_CLIENTS_PER_TENANT;
+
 use super::registry::{Check, Outcome, ScenarioArgs, ScenarioSpec, Trace, TraceKind};
 use crate::json;
 
@@ -48,8 +50,9 @@ pub(crate) fn run(spec: &ScenarioSpec, argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `argv` against the flags `spec` reads. Any other flag, and any
-/// zero count, is an error that names the flag.
+/// Parses `argv` against the flags `spec` reads. Any other flag, any
+/// zero count, and more clients than a tenant has unique addresses for
+/// are errors that name the flag.
 fn parse(spec: &ScenarioSpec, argv: &[String]) -> Result<Invocation, String> {
     let mut inv = Invocation::default();
     let mut it = argv.iter();
@@ -62,7 +65,13 @@ fn parse(spec: &ScenarioSpec, argv: &[String]) -> Result<Invocation, String> {
             "--check" => inv.check = true,
             "--seed" => inv.args.seed = Some(number(&mut it, flag)?),
             "--ncpus" => inv.args.ncpus = Some(count(&mut it, flag)?),
-            "--clients" => inv.args.clients = Some(count(&mut it, flag)?),
+            "--clients" => {
+                let n = count(&mut it, flag)?;
+                if n > MAX_CLIENTS_PER_TENANT {
+                    return Err(format!("{flag} must be at most {MAX_CLIENTS_PER_TENANT}"));
+                }
+                inv.args.clients = Some(n);
+            }
             "--nodes" => inv.args.nodes = Some(count(&mut it, flag)?),
             other => return Err(format!("unknown flag {other}")),
         }
@@ -228,6 +237,11 @@ mod tests {
         assert!(err.contains("--ncpus"), "{err}");
         let err = parse_args("cluster", &["--clients", "0"]).unwrap_err();
         assert!(err.contains("--clients"), "{err}");
+        // Past 2^24 a tenant's client addresses would repeat.
+        let err = parse_args("cluster", &["--clients", "16777217"]).unwrap_err();
+        assert!(err.contains("--clients"), "{err}");
+        let inv = parse_args("cluster", &["--clients", "16777216"]).unwrap();
+        assert_eq!(inv.args.clients, Some(1 << 24));
         let err = parse_args("cluster", &["--nodes", "0"]).unwrap_err();
         assert!(err.contains("--nodes"), "{err}");
         let inv = parse_args("smp", &["--ncpus", "2", "--check"]).unwrap();

@@ -60,5 +60,5 @@ fn print_help() {
     }
     println!("\n  {:<16} same-seed policy A/B diff", "ab");
     println!("                     --scenario span|qos --arms A,B --reduced --check");
-    println!("                     --expect-identical --out");
+    println!("                     --expect-identical");
 }

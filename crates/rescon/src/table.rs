@@ -106,10 +106,9 @@ impl Container {
 /// descriptors, and no threads with resource bindings, to the container, it
 /// is destroyed").
 ///
-/// In *strict* mode (the default) the table enforces the paper's prototype
-/// restrictions (§5.1): only fixed-share containers may have children, and
-/// threads may bind only to leaf containers. Disabling strict mode permits
-/// the general model of §4.
+/// The table enforces the paper's prototype restrictions (§5.1): only
+/// fixed-share containers may have children, and threads and sockets may
+/// bind only to leaf containers.
 ///
 /// # Examples
 ///
@@ -128,7 +127,6 @@ impl Container {
 pub struct ContainerTable {
     arena: Arena<Container>,
     root: ContainerId,
-    strict: bool,
     /// Orphans: live containers with `parent == None` other than the root.
     floating: Vec<ContainerId>,
     /// Total containers ever created (for stats/tests).
@@ -156,12 +154,6 @@ impl Default for ContainerTable {
 impl ContainerTable {
     /// Creates a table holding only the root (system) container.
     pub fn new() -> Self {
-        Self::with_strict(true)
-    }
-
-    /// Creates a table, choosing whether to enforce the prototype
-    /// restrictions of paper §5.1.
-    pub fn with_strict(strict: bool) -> Self {
         let mut arena = Arena::new();
         let root = arena.insert(Container {
             parent: None,
@@ -181,7 +173,6 @@ impl ContainerTable {
         ContainerTable {
             arena,
             root,
-            strict,
             floating: Vec::new(),
             created_count: 1,
             destroyed_count: 0,
@@ -194,11 +185,6 @@ impl ContainerTable {
     /// Returns the root (system) container.
     pub fn root(&self) -> ContainerId {
         self.root
-    }
-
-    /// Returns `true` if prototype restrictions are enforced.
-    pub fn is_strict(&self) -> bool {
-        self.strict
     }
 
     /// Returns the number of live containers.
@@ -306,7 +292,7 @@ impl ContainerTable {
 
     fn check_can_parent(&self, parent: ContainerId) -> Result<()> {
         let p = self.get(parent)?;
-        if self.strict && p.attrs.policy.share().is_none() {
+        if p.attrs.policy.share().is_none() {
             return Err(RcError::ParentNotFixedShare);
         }
         Ok(())
@@ -485,7 +471,7 @@ impl ContainerTable {
     pub fn set_attrs(&mut self, id: ContainerId, attrs: Attributes) -> Result<()> {
         attrs.validate()?;
         let c = self.get(id)?;
-        if self.strict && !c.children.is_empty() && attrs.policy.share().is_none() {
+        if !c.children.is_empty() && attrs.policy.share().is_none() {
             return Err(RcError::ParentNotFixedShare);
         }
         if let Some(share) = attrs.policy.share() {
@@ -820,12 +806,11 @@ impl ContainerTable {
 
     /// Records that a thread set its resource binding to this container.
     ///
-    /// In strict mode the container must be a leaf (§5.1: "threads can only
-    /// be bound to leaf-level containers").
+    /// The container must be a leaf (§5.1: "threads can only be bound to
+    /// leaf-level containers").
     pub fn bind_thread(&mut self, id: ContainerId) -> Result<()> {
-        let strict = self.strict;
         let c = self.get_mut(id)?;
-        if strict && !c.children.is_empty() {
+        if !c.children.is_empty() {
             return Err(RcError::NotALeaf);
         }
         c.thread_bindings += 1;
@@ -844,9 +829,8 @@ impl ContainerTable {
     /// Records that a socket or file descriptor was bound to this container
     /// (§4.6 "Binding a socket or file to a container").
     pub fn bind_socket(&mut self, id: ContainerId) -> Result<()> {
-        let strict = self.strict;
         let c = self.get_mut(id)?;
-        if strict && !c.children.is_empty() {
+        if !c.children.is_empty() {
             return Err(RcError::NotALeaf);
         }
         c.socket_bindings += 1;
@@ -1022,14 +1006,6 @@ mod tests {
         let ts = t.create(None, Attributes::time_shared(5)).unwrap();
         let err = t.create(Some(ts), Attributes::time_shared(5)).unwrap_err();
         assert_eq!(err, RcError::ParentNotFixedShare);
-    }
-
-    #[test]
-    fn general_mode_allows_timeshare_parent() {
-        let mut t = ContainerTable::with_strict(false);
-        let ts = t.create(None, Attributes::time_shared(5)).unwrap();
-        assert!(t.create(Some(ts), Attributes::time_shared(5)).is_ok());
-        t.check_invariants();
     }
 
     #[test]

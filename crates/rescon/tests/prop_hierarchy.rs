@@ -74,7 +74,7 @@ proptest! {
             match op {
                 Op::CreateTs { parent_sel, priority } => {
                     let parent = pick(&ids, parent_sel);
-                    // May fail (time-share parent in strict mode): both fine.
+                    // May fail (time-share parent, §5.1): both fine.
                     let _ = t.create(parent, Attributes::time_shared(priority));
                 }
                 Op::CreateFs { parent_sel, share_pct } => {

@@ -214,22 +214,13 @@ impl MultiLevelScheduler {
             .sum()
     }
 
-    /// Gathers the runnable tasks whose binding touches `c` or (for
-    /// time-shared subtrees in the general model) any descendant.
-    fn gather_pool_tasks(&self, table: &ContainerTable, c: ContainerId, out: &mut Vec<TaskId>) {
+    /// Gathers the runnable tasks whose binding touches `c`. A time-shared
+    /// container has no children (§5.1), so these are all its pool work.
+    fn gather_pool_tasks(&self, c: ContainerId, out: &mut Vec<TaskId>) {
         if let Some(list) = self.container_tasks.get(&c) {
             for &t in list {
                 if self.tasks.get(&t).map(|x| x.runnable).unwrap_or(false) && !out.contains(&t) {
                     out.push(t);
-                }
-            }
-        }
-        // General-model (non-strict) time-shared subtrees fold into the
-        // nearest fixed-share pool.
-        if let Ok(children) = table.children(c) {
-            for &ch in children.to_vec().iter() {
-                if matches!(table.policy(ch), Ok(SchedPolicy::TimeShared { .. })) {
-                    self.gather_pool_tasks(table, ch, out);
                 }
             }
         }
@@ -318,13 +309,7 @@ impl MultiLevelScheduler {
         let mut pool: Vec<TaskId> = Vec::new();
 
         // Tasks bound directly to this node join its pool.
-        if let Some(list) = self.container_tasks.get(&node) {
-            for &t in list {
-                if self.tasks.get(&t).map(|x| x.runnable).unwrap_or(false) && !pool.contains(&t) {
-                    pool.push(t);
-                }
-            }
-        }
+        self.gather_pool_tasks(node, &mut pool);
         for ch in children {
             match table.policy(ch) {
                 Ok(SchedPolicy::FixedShare { share }) => {
@@ -334,7 +319,7 @@ impl MultiLevelScheduler {
                     }
                 }
                 Ok(SchedPolicy::TimeShared { .. }) => {
-                    self.gather_pool_tasks(table, ch, &mut pool);
+                    self.gather_pool_tasks(ch, &mut pool);
                 }
                 Err(_) => {}
             }
@@ -506,24 +491,21 @@ impl CoreScheduler for MultiLevelScheduler {
                     *pass += dt_sec / share.max(1e-6);
                 }
                 Ok(SchedPolicy::TimeShared { .. }) => {
-                    // Time-shared work charges the pool of its nearest
-                    // fixed-share ancestor (strict mode: the direct parent).
-                    let is_parent_pool =
-                        !matches!(table.policy(parent), Ok(SchedPolicy::TimeShared { .. }));
-                    if is_parent_pool {
-                        let children = table
-                            .children(parent)
-                            .map(|c| c.to_vec())
-                            .unwrap_or_default();
-                        let fs_sum: f64 = children
-                            .iter()
-                            .filter_map(|&c| table.policy(c).ok().and_then(|p| p.share()))
-                            .sum();
-                        let pool_share = (1.0 - fs_sum).max(0.0);
-                        if pool_share > 0.0 {
-                            let pass = self.pool_passes.entry(parent).or_insert(0.0);
-                            *pass += dt_sec / pool_share;
-                        }
+                    // Time-shared work charges its parent's pool: the parent
+                    // is fixed-share (§5.1), and floating containers charge
+                    // the root.
+                    let children = table
+                        .children(parent)
+                        .map(|c| c.to_vec())
+                        .unwrap_or_default();
+                    let fs_sum: f64 = children
+                        .iter()
+                        .filter_map(|&c| table.policy(c).ok().and_then(|p| p.share()))
+                        .sum();
+                    let pool_share = (1.0 - fs_sum).max(0.0);
+                    if pool_share > 0.0 {
+                        let pass = self.pool_passes.entry(parent).or_insert(0.0);
+                        *pass += dt_sec / pool_share;
                     }
                 }
                 Err(_) => {}

@@ -69,24 +69,11 @@ impl LinkParams {
         }
     }
 
-    /// A 100 Mbit/s WFQ link — a convenient default for experiments.
-    pub fn mbit100() -> Self {
-        LinkParams::new(100_000_000, QdiscKind::Wfq)
-    }
-
     /// Time `wire_bytes` occupy the wire at this line rate, rounded up.
     pub fn wire_time(&self, wire_bytes: u64) -> Nanos {
         let bits = (wire_bytes as u128) * 8 * 1_000_000_000;
         let ns = bits.div_ceil(self.bandwidth_bps as u128);
         Nanos::from_nanos(ns as u64)
-    }
-
-    /// Builds the discipline this parameter set asks for.
-    pub fn build_sched(&self) -> Box<dyn LinkSched> {
-        match self.qdisc {
-            QdiscKind::Fifo => Box::new(FifoLink::new()),
-            QdiscKind::Wfq => Box::new(WfqLink::new()),
-        }
     }
 }
 

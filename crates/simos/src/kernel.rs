@@ -66,6 +66,18 @@ use crate::world::{World, WorldAction};
 pub use rcpolicy::CpuPolicyKind as SchedPolicyKind;
 pub use rcpolicy::DiskPolicyKind as DiskSchedKind;
 
+/// Per-principal cap on unprocessed received packets (lazy disciplines);
+/// beyond it packets are dropped at interrupt level ("excess traffic is
+/// discarded early").
+const PENDING_CAP: usize = 256;
+
+/// Interval of the container-aware load balancer, armed only on
+/// multiprocessor configurations.
+const BALANCE_INTERVAL: Nanos = Nanos::from_millis(5);
+
+/// Entries idle longer than this are pruned from scheduler bindings.
+const PRUNE_AGE: Nanos = Nanos::from_millis(500);
+
 /// Network-plane configuration: processing discipline, listener queue
 /// depths, admission budgets, socket buffering, and the optional finite
 /// transmit link.
@@ -77,10 +89,6 @@ pub struct NetConfig {
     pub syn_backlog: usize,
     /// Accept-queue depth of new listeners.
     pub accept_backlog: usize,
-    /// Per-principal cap on unprocessed received packets (lazy
-    /// disciplines); beyond it packets are dropped at interrupt level
-    /// ("excess traffic is discarded early").
-    pub pending_cap: usize,
     /// Half-open connection timeout.
     pub syn_timeout: Nanos,
     /// Socket-buffer bytes charged to a connection's container while the
@@ -110,7 +118,6 @@ impl Default for NetConfig {
             discipline: NetDiscipline::Interrupt,
             syn_backlog: 1024,
             accept_backlog: 128,
-            pending_cap: 256,
             syn_timeout: Nanos::from_secs(5),
             sockbuf_bytes: 16 * 1024,
             syn_budget: 0,
@@ -144,21 +151,16 @@ impl Default for DiskConfig {
 }
 
 /// CPU-plane configuration: scheduling policy, processor count, and the
-/// periodic maintenance intervals tied to the scheduler.
+/// binding-prune interval.
 #[derive(Clone, Debug)]
 pub struct SchedConfig {
     /// CPU scheduler.
     pub policy: SchedPolicyKind,
     /// Number of simulated CPUs (clamped to at least 1 at boot).
     pub ncpus: u32,
-    /// Interval of the container-aware load balancer. Only armed on
-    /// multiprocessor configurations (`ncpus > 1`); zero disables it.
-    pub balance_interval: Nanos,
     /// How often the kernel prunes thread scheduler bindings (§4.3);
     /// zero disables pruning.
     pub prune_interval: Nanos,
-    /// Entries idle longer than this are pruned from scheduler bindings.
-    pub prune_age: Nanos,
 }
 
 impl Default for SchedConfig {
@@ -166,9 +168,7 @@ impl Default for SchedConfig {
         SchedConfig {
             policy: SchedPolicyKind::DecayUsage,
             ncpus: 1,
-            balance_interval: Nanos::from_millis(5),
             prune_interval: Nanos::ZERO,
-            prune_age: Nanos::from_millis(500),
         }
     }
 }
@@ -184,7 +184,7 @@ pub struct KernelConfig {
     pub net: NetConfig,
     /// Disk-plane knobs (cost model, ordering, buffer cache).
     pub disk: DiskConfig,
-    /// CPU-plane knobs (policy, ncpus, maintenance intervals).
+    /// CPU-plane knobs (policy, ncpus, prune interval).
     pub sched: SchedConfig,
     /// Per-operation CPU costs.
     pub cost: CostModel,
@@ -240,53 +240,11 @@ impl KernelConfig {
         cfg
     }
 
-    /// Replaces the whole network-plane sub-config (builder style).
-    pub fn with_net(mut self, net: NetConfig) -> Self {
-        self.net = net;
-        self
-    }
-
-    /// Replaces the whole disk-plane sub-config (builder style).
-    pub fn with_disk_config(mut self, disk: DiskConfig) -> Self {
-        self.disk = disk;
-        self
-    }
-
-    /// Replaces the whole CPU-plane sub-config (builder style).
-    pub fn with_sched_config(mut self, sched: SchedConfig) -> Self {
-        self.sched = sched;
-        self
-    }
-
-    /// Replaces the cost model (builder style).
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Replaces the CPU scheduling policy (builder style). Any policy in
     /// the [`rcpolicy`] registry is selectable, including the stride and
     /// lottery ablations and the deadline-driven EDF policy.
     pub fn with_scheduler(mut self, kind: SchedPolicyKind) -> Self {
         self.sched.policy = kind;
-        self
-    }
-
-    /// Replaces the disk request-ordering policy (builder style).
-    pub fn with_disk_sched(mut self, kind: DiskSchedKind) -> Self {
-        self.disk.sched = kind;
-        self
-    }
-
-    /// Replaces the disk cost model (builder style).
-    pub fn with_disk(mut self, disk: DiskParams) -> Self {
-        self.disk.params = disk;
-        self
-    }
-
-    /// Sets the buffer-cache capacity (builder style).
-    pub fn with_buffer_cache(mut self, bytes: u64) -> Self {
-        self.disk.buffer_cache_bytes = bytes;
         self
     }
 
@@ -601,9 +559,8 @@ impl Kernel {
             let t = k.cfg.sched.prune_interval;
             k.events.schedule(t, KernelEvent::Prune);
         }
-        if k.cfg.sched.ncpus > 1 && !k.cfg.sched.balance_interval.is_zero() {
-            let t = k.cfg.sched.balance_interval;
-            k.events.schedule(t, KernelEvent::Balance);
+        if k.cfg.sched.ncpus > 1 {
+            k.events.schedule(BALANCE_INTERVAL, KernelEvent::Balance);
         }
         k
     }
@@ -1214,7 +1171,7 @@ impl Kernel {
         let ncpus = self.cfg.sched.ncpus as usize;
         if ncpus > 1 {
             // Rank containers by entitlement lag over the last window.
-            let window = self.cfg.sched.balance_interval.as_secs_f64();
+            let window = BALANCE_INTERVAL.as_secs_f64();
             let mut ranked: Vec<(ContainerId, f64)> = Vec::new();
             for (id, _c) in self.containers.iter() {
                 let used = self.containers.subtree_cpu(id).unwrap_or(Nanos::ZERO);
@@ -1300,10 +1257,8 @@ impl Kernel {
                 }
             }
         }
-        self.events.schedule(
-            self.clock + self.cfg.sched.balance_interval,
-            KernelEvent::Balance,
-        );
+        self.events
+            .schedule(self.clock + BALANCE_INTERVAL, KernelEvent::Balance);
     }
 
     // ------------------------------------------------------------------
@@ -1657,8 +1612,9 @@ impl Kernel {
                     pkt.span = span::mint(self.clock, principal.as_u64(), Phase::SynWait);
                 }
                 let psp = pkt.span;
-                let cap = self.cfg.net.pending_cap;
-                let q = self.pending.or_insert(owner, PendingQueues::new(cap));
+                let q = self
+                    .pending
+                    .or_insert(owner, PendingQueues::new(PENDING_CAP));
                 if !q.push(principal, pkt) {
                     self.stats.early_drops += 1;
                     *self.drop_charges.entry(principal.as_u64()).or_insert(0) += 1;
@@ -2200,13 +2156,12 @@ impl Kernel {
 
     fn prune_bindings(&mut self) {
         let now = self.clock;
-        let age = self.cfg.sched.prune_age;
         let mut updates: Vec<(TaskId, Vec<ContainerId>)> = Vec::new();
         for (tid, th) in self.threads.iter_mut() {
             if th.kind != ThreadKind::App {
                 continue;
             }
-            let removed = th.sched_binding.prune(now, age);
+            let removed = th.sched_binding.prune(now, PRUNE_AGE);
             // The current resource binding always stays.
             th.sched_binding.touch(th.resource_binding, now);
             if removed > 0 {

@@ -399,7 +399,7 @@ mod tests {
 
     fn limited(parent: Option<ContainerId>, t: &mut ContainerTable, limit: u64) -> ContainerId {
         // Fixed-share so the helper can parent time-shared children (a
-        // time-shared parent refuses them in strict mode).
+        // time-shared parent refuses them, §5.1).
         t.create(parent, Attributes::fixed_share(0.2).with_mem_limit(limit))
             .unwrap()
     }

@@ -8,6 +8,8 @@
 //! technique of Banga & Druschel '97, used by the paper's measurement
 //! infrastructure).
 
+use std::collections::HashMap;
+
 use httpsim::{encode_request, ReqKind};
 use simcore::fault::{ClientFault, FaultCounts, FaultInjector, FaultPlan};
 use simcore::trace::{self, TraceEventKind};
@@ -20,7 +22,8 @@ use crate::metrics::ClientMetrics;
 /// Configuration of one client.
 #[derive(Clone, Debug)]
 pub struct ClientSpec {
-    /// The client's source address (must be unique within a world).
+    /// The client's source address: unique within an [`HttpClients`],
+    /// whose constructor panics on a duplicate.
     pub addr: IpAddr,
     /// Destination port.
     pub port: u16,
@@ -33,7 +36,9 @@ pub struct ClientSpec {
     /// larger than any cache, forcing steady misses on disk-backed
     /// servers.
     pub doc_cycle: u32,
-    /// Metrics class.
+    /// Metrics class. A multi-tenant scenario makes each tenant a class,
+    /// so one [`HttpClients`] drives every tenant and reports per-tenant
+    /// numbers.
     pub class: usize,
     /// Idle time between response and next request (0 = closed loop at
     /// full speed).
@@ -125,15 +130,16 @@ const TAGS_PER_CLIENT: u64 = 4;
 
 /// A set of closed-loop HTTP clients implementing [`World`].
 ///
-/// Tag space: client `i` uses tags `[i*4, i*4+4)`; keep that in mind when
-/// composing with other worlds (use [`crate::CompositeWorld`]).
+/// Tag space: client `i` uses tags `[i*4, i*4+4)`; a world that shares a
+/// kernel with the clients takes its tags from far above them (as
+/// [`crate::synflood::FloodedClients`] does).
 pub struct HttpClients {
     specs: Vec<ClientSpec>,
     states: Vec<ClientState>,
     /// Source address → client index. Response demux is one hash lookup,
     /// which is what keeps 100k-client cluster worlds off an O(n) scan
     /// per packet.
-    index: std::collections::HashMap<IpAddr, usize>,
+    index: HashMap<IpAddr, usize>,
     /// Client-side fault injector (slow / abandoning / malformed clients).
     injector: Option<FaultInjector>,
     /// Collected metrics (read after the run).
@@ -143,6 +149,11 @@ pub struct HttpClients {
 impl HttpClients {
     /// Creates the world; metrics are windowed to
     /// `[window_start, window_end]`.
+    ///
+    /// # Panics
+    ///
+    /// If two specs share an address: the earlier client would never see
+    /// a response.
     pub fn new(specs: Vec<ClientSpec>, window_start: Nanos, window_end: Nanos) -> Self {
         let n_classes = specs.iter().map(|s| s.class + 1).max().unwrap_or(1);
         let states = specs
@@ -157,7 +168,18 @@ impl HttpClients {
                 retries: 0,
             })
             .collect();
-        let index = specs.iter().enumerate().map(|(i, s)| (s.addr, i)).collect();
+        let index: HashMap<IpAddr, usize> =
+            specs.iter().enumerate().map(|(i, s)| (s.addr, i)).collect();
+        if index.len() != specs.len() {
+            // Each address kept its last client, so the first client whose
+            // entry names another is a duplicate.
+            let (_, dup) = specs
+                .iter()
+                .enumerate()
+                .find(|&(i, s)| index[&s.addr] != i)
+                .expect("a shorter index means a duplicate");
+            panic!("duplicate client address {}", dup.addr);
+        }
         HttpClients {
             specs,
             states,
@@ -187,11 +209,6 @@ impl HttpClients {
     /// Arms every client's start timer on the kernel.
     pub fn arm(&self, k: &mut simos::Kernel) {
         self.arm_with(|tag, at| k.arm_world_timer(tag, at));
-    }
-
-    /// Arms start timers with a composite-world tag offset.
-    pub fn arm_offset(&self, k: &mut simos::Kernel, offset: u64) {
-        self.arm_with(|tag, at| k.arm_world_timer(offset + tag, at));
     }
 
     /// Arms every client's start timer through an arbitrary timer sink —
@@ -507,6 +524,20 @@ mod tests {
             1,
         );
         assert!(c.metrics.class(0).completed > 500);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate client address 10.0.0.1")]
+    fn duplicate_addresses_are_rejected() {
+        HttpClients::new(
+            vec![
+                ClientSpec::staticloop(IpAddr::new(10, 0, 0, 1), 0),
+                ClientSpec::staticloop(IpAddr::new(10, 0, 0, 2), 0),
+                ClientSpec::staticloop(IpAddr::new(10, 0, 0, 1), 1),
+            ],
+            Nanos::ZERO,
+            Nanos::from_secs(1),
+        );
     }
 
     #[test]

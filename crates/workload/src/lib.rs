@@ -8,9 +8,8 @@
 //!   abandon-and-retry behaviour (Banga & Druschel '97) so that offered
 //!   load is sustained even when the server drops SYNs.
 //! - [`synflood`]: an open-loop SYN generator cycling through a source
-//!   address block — the "malicious clients" of §5.7.
-//! - [`composite`]: combine several worlds behind one kernel, routing
-//!   packets by source address and partitioning the timer tag space.
+//!   address block — the "malicious clients" of §5.7 — and the world
+//!   that runs it next to well-behaved clients.
 //! - [`metrics`]: per-class latency summaries and throughput counters.
 //! - [`scenarios`]: one self-contained driver per experiment in the
 //!   paper's evaluation — §5.3 baseline throughput, Figure 11 prioritized
@@ -20,12 +19,10 @@
 //!   tests assert against.
 
 pub mod clients;
-pub mod composite;
 pub mod metrics;
 pub mod scenarios;
 pub mod synflood;
 
 pub use clients::{ClientSpec, HttpClients};
-pub use composite::CompositeWorld;
 pub use metrics::ClientMetrics;
 pub use synflood::SynFlood;

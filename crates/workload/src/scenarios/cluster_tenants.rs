@@ -167,9 +167,11 @@ pub struct ClusterTenantsResult {
     pub dump: String,
 }
 
-/// Tenant `t`'s client address block: `(20+t).0.0.0/8`. A full /8 per
-/// tenant holds 16.7M unique client addresses — enough for the 1M-client
-/// nightly configuration.
+/// Most clients per tenant: tenant `t`'s client address block,
+/// `(20+t).0.0.0/8`, holds 2^24 unique addresses — enough for the
+/// 1M-client nightly configuration.
+pub const MAX_CLIENTS_PER_TENANT: usize = 1 << 24;
+
 fn tenant_prefix(t: usize) -> CidrFilter {
     CidrFilter::new(IpAddr::new(20 + t as u8, 0, 0, 0), 8)
 }

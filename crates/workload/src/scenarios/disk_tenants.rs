@@ -18,10 +18,9 @@ use httpsim::stats::shared_stats;
 use httpsim::{EventDrivenServer, FileBacking, ServerConfig};
 use rescon::{Attributes, ContainerId};
 use simcore::Nanos;
-use simdisk::DiskParams;
-use simnet::{IpAddr, Packet};
-use simos::{DiskSchedKind, Kernel, KernelConfig, World, WorldAction};
+use simos::{DiskSchedKind, Kernel, KernelConfig};
 
+use super::tenant_client;
 use crate::clients::{ClientSpec, HttpClients};
 
 /// Parameters of the two-tenant disk experiment.
@@ -85,59 +84,13 @@ pub struct DiskTenantsResult {
     pub latencies_ms: Vec<f64>,
 }
 
-/// Per-tenant client sets, routed by tenant address block (tenant `g`
-/// clients live in `10.{100+g}.x.x`). Shared with the link-bandwidth
-/// tenant experiment ([`super::qos_tenants`]).
-pub(crate) struct TenantWorld {
-    pub(crate) tenants: Vec<HttpClients>,
-}
-
-/// Timer-tag block per tenant.
-pub(crate) const TENANT_SHIFT: u32 = 32;
-
-impl World for TenantWorld {
-    fn on_packet(&mut self, pkt: Packet, now: Nanos, actions: &mut Vec<WorldAction>) {
-        let (_, b, _, _) = pkt.flow.src.octets();
-        let g = (b as usize).saturating_sub(100);
-        if let Some(c) = self.tenants.get_mut(g) {
-            let mut local = Vec::new();
-            c.on_packet(pkt, now, &mut local);
-            relabel(&mut local, g);
-            actions.extend(local);
-        }
-    }
-
-    fn on_timer(&mut self, tag: u64, now: Nanos, actions: &mut Vec<WorldAction>) {
-        let g = (tag >> TENANT_SHIFT) as usize;
-        if let Some(c) = self.tenants.get_mut(g) {
-            let mut local = Vec::new();
-            c.on_timer(tag & ((1 << TENANT_SHIFT) - 1), now, &mut local);
-            relabel(&mut local, g);
-            actions.extend(local);
-        }
-    }
-}
-
-fn relabel(actions: &mut [WorldAction], g: usize) {
-    for a in actions.iter_mut() {
-        if let WorldAction::SetTimer { tag, .. } = a {
-            *tag |= (g as u64) << TENANT_SHIFT;
-        }
-    }
-}
-
-/// Address of client `i` of tenant `g`.
-pub(crate) fn tenant_addr(g: usize, i: usize) -> IpAddr {
-    IpAddr::new(10, 100 + g as u8, (i / 250) as u8, (i % 250) as u8 + 1)
-}
-
 /// Runs the two-tenant disk experiment and reports the disk-time split.
 pub fn run_disk_tenants(params: DiskTenantsParams) -> DiskTenantsResult {
     let secs = params.secs.max(4);
     let end = Nanos::from_secs(secs);
     let warmup = Nanos::from_secs(2).min(end / 4);
 
-    let mut cfg = KernelConfig::resource_containers().with_disk(DiskParams::default());
+    let mut cfg = KernelConfig::resource_containers();
     cfg.disk.sched = params.sched;
     cfg.disk.buffer_cache_bytes = params.cache_bytes;
     let mut k = Kernel::new(cfg);
@@ -182,33 +135,20 @@ pub fn run_disk_tenants(params: DiskTenantsParams) -> DiskTenantsResult {
         );
     }
 
-    // Client sets: each client sweeps its own slice of the tenant's
-    // document space so no two clients share documents.
-    let mut world = TenantWorld {
-        tenants: Vec::new(),
-    };
+    // Clients: each sweeps its own slice of the tenant's document space
+    // so no two clients share documents.
     let n_clients = [params.hog_clients, params.victim_clients];
     let docs = [params.hog_docs, params.victim_docs];
-    for g in 0..tenants.len() {
-        let specs: Vec<ClientSpec> = (0..n_clients[g])
-            .map(|i| {
-                let mut s = ClientSpec::staticloop(tenant_addr(g, i), 0)
-                    .cycling_docs(docs[g])
-                    .starting_at(Nanos::from_micros(10 + 7 * i as u64));
-                s.doc = i as u32 * docs[g];
-                s.port = 8000 + g as u16;
-                s
+    let specs: Vec<ClientSpec> = (0..tenants.len())
+        .flat_map(|g| {
+            (0..n_clients[g]).map(move |i| ClientSpec {
+                doc: i as u32 * docs[g],
+                ..tenant_client(g, i).cycling_docs(docs[g])
             })
-            .collect();
-        let clients = HttpClients::new(specs, warmup, end);
-        for i in 0..clients.len() {
-            k.arm_world_timer(
-                ((g as u64) << TENANT_SHIFT) | (i as u64 * 4),
-                Nanos::from_micros(10 + 7 * i as u64),
-            );
-        }
-        world.tenants.push(clients);
-    }
+        })
+        .collect();
+    let mut world = HttpClients::new(specs, warmup, end);
+    world.arm(&mut k);
 
     // Warmup, snapshot per-tenant disk time, measure.
     k.run(&mut world, warmup);
@@ -233,10 +173,10 @@ pub fn run_disk_tenants(params: DiskTenantsParams) -> DiskTenantsResult {
         disk_fractions: deltas.iter().map(|&d| d.ratio(total)).collect(),
         utilization: busy.ratio(end - warmup),
         throughputs: (0..tenants.len())
-            .map(|g| world.tenants[g].metrics.throughput(0))
+            .map(|g| world.metrics.throughput(g))
             .collect(),
         latencies_ms: (0..tenants.len())
-            .map(|g| world.tenants[g].metrics.mean_latency_ms(0))
+            .map(|g| world.metrics.mean_latency_ms(g))
             .collect(),
     }
 }

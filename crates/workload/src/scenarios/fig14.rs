@@ -12,50 +12,14 @@ use httpsim::stats::shared_stats;
 use httpsim::{ClassSpec, EventDrivenServer, ServerConfig};
 use rescon::Attributes;
 use simcore::Nanos;
-use simnet::{CidrFilter, IpAddr, Packet};
-use simos::{Kernel, KernelConfig, World, WorldAction};
+use simnet::{CidrFilter, IpAddr};
+use simos::{Kernel, KernelConfig};
 
 use crate::clients::{ClientSpec, HttpClients};
-use crate::synflood::SynFlood;
+use crate::synflood::{FloodedClients, SynFlood};
 
 /// Base address of the attacker block (192.168/16).
 pub const ATTACK_BASE: IpAddr = IpAddr::new(192, 168, 0, 0);
-
-/// Timer tag reserved for the flooder (clients use `i * 4 + {0,1}`, so a
-/// high tag is safely out of their space).
-const FLOOD_TAG: u64 = 1 << 40;
-
-/// The combined world: well-behaved clients plus the attacker.
-struct FloodWorld {
-    clients: HttpClients,
-    flood: SynFlood,
-    attack_filter: CidrFilter,
-}
-
-impl World for FloodWorld {
-    fn on_packet(&mut self, pkt: Packet, now: Nanos, actions: &mut Vec<WorldAction>) {
-        if self.attack_filter.matches(pkt.flow.src) {
-            self.flood.on_packet(pkt, now, actions);
-        } else {
-            self.clients.on_packet(pkt, now, actions);
-        }
-    }
-
-    fn on_timer(&mut self, tag: u64, now: Nanos, actions: &mut Vec<WorldAction>) {
-        if tag >= FLOOD_TAG {
-            let mut local = Vec::new();
-            self.flood.on_timer(tag - FLOOD_TAG, now, &mut local);
-            for a in &mut local {
-                if let WorldAction::SetTimer { tag, .. } = a {
-                    *tag += FLOOD_TAG;
-                }
-            }
-            actions.extend(local);
-        } else {
-            self.clients.on_timer(tag, now, actions);
-        }
-    }
-}
 
 /// Parameters of one Figure 14 point.
 #[derive(Clone, Debug)]
@@ -154,18 +118,11 @@ pub fn run_fig14(params: Fig14Params) -> Fig14Result {
                 .starting_at(Nanos::from_micros(10 + 7 * i as u64))
         })
         .collect();
-    let clients = HttpClients::new(specs, warmup, end);
-    clients.arm(&mut k);
-    let flood = SynFlood::new(ATTACK_BASE, 1024, params.syn_rate, 80);
-    if params.syn_rate > 0.0 {
-        k.arm_world_timer(FLOOD_TAG, flood.start_at);
-    }
-
-    let mut world = FloodWorld {
-        clients,
-        flood,
-        attack_filter: CidrFilter::new(ATTACK_BASE, 16),
+    let mut world = FloodedClients {
+        clients: HttpClients::new(specs, warmup, end),
+        flood: SynFlood::new(ATTACK_BASE, 1024, params.syn_rate, 80),
     };
+    world.arm(&mut k);
     k.run(&mut world, end);
 
     let isolations = stats.borrow().isolations;

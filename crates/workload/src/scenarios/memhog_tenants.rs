@@ -27,10 +27,9 @@ use httpsim::{EventDrivenServer, FileBacking, ServerConfig};
 use rescon::Attributes;
 use sched::TaskId;
 use simcore::Nanos;
-use simdisk::DiskParams;
 use simos::{AppEvent, AppHandler, Kernel, KernelConfig, MemParams, SysCtx};
 
-use super::disk_tenants::{tenant_addr, TenantWorld, TENANT_SHIFT};
+use super::tenant_client;
 use crate::clients::{ClientSpec, HttpClients};
 
 /// Parameters of the two-tenant memory experiment.
@@ -200,9 +199,7 @@ fn run_once(params: &MemhogTenantsParams, with_hog: bool) -> RunOutcome {
     let end = Nanos::from_secs(secs);
     let warmup = Nanos::from_secs(2).min(end / 4);
 
-    let mut cfg = KernelConfig::resource_containers()
-        .with_disk(DiskParams::default())
-        .with_mem(MemParams::new());
+    let mut cfg = KernelConfig::resource_containers().with_mem(MemParams::new());
     cfg.disk.buffer_cache_bytes = params.cache_bytes;
     let mut k = Kernel::new(cfg);
 
@@ -261,31 +258,19 @@ fn run_once(params: &MemhogTenantsParams, with_hog: bool) -> RunOutcome {
 
     // Guaranteed-tenant clients: each sweeps a private slice of the
     // document space, sized so the union fits the buffer cache.
-    let specs: Vec<ClientSpec> = (0..params.g_clients)
-        .map(|i| {
-            let mut s = ClientSpec::staticloop(tenant_addr(0, i), 0)
-                .cycling_docs(params.g_docs)
-                .starting_at(Nanos::from_micros(10 + 7 * i as u64));
-            s.doc = i as u32 * params.g_docs;
-            s.port = 8000;
-            s
+    let specs = (0..params.g_clients)
+        .map(|i| ClientSpec {
+            doc: i as u32 * params.g_docs,
+            ..tenant_client(0, i).cycling_docs(params.g_docs)
         })
         .collect();
-    let clients = HttpClients::new(specs, warmup, end);
-    for i in 0..clients.len() {
-        k.arm_world_timer(i as u64 * 4, Nanos::from_micros(10 + 7 * i as u64));
-    }
-    let mut world = TenantWorld {
-        tenants: vec![clients],
-    };
-    // The single tenant owns timer-tag block 0 of the shared TenantWorld
-    // routing (clients live in 10.100.x.x), so no extra relabeling needed.
-    debug_assert_eq!(0u64 << TENANT_SHIFT, 0);
+    let mut world = HttpClients::new(specs, warmup, end);
+    world.arm(&mut k);
 
     k.run(&mut world, end);
 
     let stats = g_stats.borrow();
-    let m = &world.tenants[0].metrics;
+    let m = &world.metrics;
     let tenant = TenantSnapshot {
         throughput: m.throughput(0),
         mean_latency_ms: m.mean_latency_ms(0),

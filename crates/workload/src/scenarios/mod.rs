@@ -6,6 +6,11 @@
 //! figures; the workspace integration tests assert the qualitative shapes
 //! at reduced scale.
 
+use simcore::Nanos;
+use simnet::IpAddr;
+
+use crate::clients::ClientSpec;
+
 pub mod baseline;
 pub mod cluster_tenants;
 pub mod disk_tenants;
@@ -36,3 +41,20 @@ pub use smp_tenants::{run_smp_tenants, SmpTenantsParams, SmpTenantsResult};
 pub use span_tenants::{run_span_tenants, SpanTenantsParams, SpanTenantsResult, TENANT_NAMES};
 pub use synflood_fault::{run_synflood_fault, SynfloodFaultParams, SynfloodFaultResult};
 pub use virtual_servers::{run_virtual_servers, VsParams, VsResult};
+
+/// Address of client `i` of tenant `t`: tenant `t`'s clients live in
+/// `10.{100+t}.x.x`.
+fn tenant_addr(t: usize, i: usize) -> IpAddr {
+    IpAddr::new(10, 100 + t as u8, (i / 250) as u8, (i % 250) as u8 + 1)
+}
+
+/// Client `i` of tenant `t` in a single-kernel tenant scenario: a
+/// closed-loop static client of metrics class `t` aimed at the tenant's
+/// server on port `8000 + t`, starting at `10 + 7·i` µs. Scenarios list
+/// their clients tenant by tenant in one [`crate::HttpClients`].
+fn tenant_client(t: usize, i: usize) -> ClientSpec {
+    let mut s = ClientSpec::staticloop(tenant_addr(t, i), t)
+        .starting_at(Nanos::from_micros(10 + 7 * i as u64));
+    s.port = 8000 + t as u16;
+    s
+}

@@ -22,8 +22,8 @@ use rescon::{Attributes, ContainerId};
 use simcore::Nanos;
 use simos::{Kernel, KernelConfig, QdiscKind};
 
-use crate::clients::{ClientSpec, HttpClients};
-use crate::scenarios::disk_tenants::{tenant_addr, TenantWorld, TENANT_SHIFT};
+use super::tenant_client;
+use crate::clients::HttpClients;
 
 /// Parameters of the two-tenant link-bandwidth experiment.
 #[derive(Clone, Debug)]
@@ -130,28 +130,12 @@ pub fn run_qos_tenants(params: QosTenantsParams) -> QosTenantsResult {
         );
     }
 
-    let mut world = TenantWorld {
-        tenants: Vec::new(),
-    };
     let n_clients = [params.gold_clients, params.blast_clients];
-    for (g, &n) in n_clients.iter().enumerate() {
-        let specs: Vec<ClientSpec> = (0..n)
-            .map(|i| {
-                let mut s = ClientSpec::staticloop(tenant_addr(g, i), 0)
-                    .starting_at(Nanos::from_micros(10 + 7 * i as u64));
-                s.port = 8000 + g as u16;
-                s
-            })
-            .collect();
-        let clients = HttpClients::new(specs, warmup, end);
-        for i in 0..clients.len() {
-            k.arm_world_timer(
-                ((g as u64) << TENANT_SHIFT) | (i as u64 * 4),
-                Nanos::from_micros(10 + 7 * i as u64),
-            );
-        }
-        world.tenants.push(clients);
-    }
+    let specs = (0..tenants.len())
+        .flat_map(|g| (0..n_clients[g]).map(move |i| tenant_client(g, i)))
+        .collect();
+    let mut world = HttpClients::new(specs, warmup, end);
+    world.arm(&mut k);
 
     // Warmup, snapshot per-tenant wire time, measure.
     k.run(&mut world, warmup);
@@ -179,10 +163,10 @@ pub fn run_qos_tenants(params: QosTenantsParams) -> QosTenantsResult {
         tx_fractions: deltas.iter().map(|&d| d.ratio(total)).collect(),
         utilization: busy.ratio(end - warmup),
         throughputs: (0..tenants.len())
-            .map(|g| world.tenants[g].metrics.throughput(0))
+            .map(|g| world.metrics.throughput(g))
             .collect(),
         latencies_ms: (0..tenants.len())
-            .map(|g| world.tenants[g].metrics.mean_latency_ms(0))
+            .map(|g| world.metrics.mean_latency_ms(g))
             .collect(),
     }
 }

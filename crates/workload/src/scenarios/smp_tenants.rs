@@ -19,11 +19,10 @@ use httpsim::stats::shared_stats;
 use httpsim::ThreadPoolServer;
 use rescon::{Attributes, ContainerId};
 use simcore::Nanos;
-use simnet::Packet;
-use simos::{Kernel, KernelConfig, World, WorldAction};
+use simos::{Kernel, KernelConfig};
 
-use crate::clients::{ClientSpec, HttpClients};
-use crate::scenarios::virtual_servers::guest_addr;
+use super::tenant_client;
+use crate::clients::HttpClients;
 
 /// Parameters of the SMP tenant experiment.
 #[derive(Clone, Debug)]
@@ -79,46 +78,6 @@ pub struct SmpTenantsResult {
     pub busy_fraction: Vec<f64>,
 }
 
-/// Per-tenant client sets, routed by tenant address block (tenant `t`
-/// clients live in `10.{100+t}.x.x`, like the virtual-server guests).
-struct TenantWorld {
-    tenants: Vec<HttpClients>,
-}
-
-/// Tag block per tenant.
-const TENANT_SHIFT: u32 = 32;
-
-impl World for TenantWorld {
-    fn on_packet(&mut self, pkt: Packet, now: Nanos, actions: &mut Vec<WorldAction>) {
-        let (_, b, _, _) = pkt.flow.src.octets();
-        let t = (b as usize).saturating_sub(100);
-        if let Some(c) = self.tenants.get_mut(t) {
-            let mut local = Vec::new();
-            c.on_packet(pkt, now, &mut local);
-            relabel(&mut local, t);
-            actions.extend(local);
-        }
-    }
-
-    fn on_timer(&mut self, tag: u64, now: Nanos, actions: &mut Vec<WorldAction>) {
-        let t = (tag >> TENANT_SHIFT) as usize;
-        if let Some(c) = self.tenants.get_mut(t) {
-            let mut local = Vec::new();
-            c.on_timer(tag & ((1 << TENANT_SHIFT) - 1), now, &mut local);
-            relabel(&mut local, t);
-            actions.extend(local);
-        }
-    }
-}
-
-fn relabel(actions: &mut [WorldAction], t: usize) {
-    for a in actions.iter_mut() {
-        if let WorldAction::SetTimer { tag, .. } = a {
-            *tag |= (t as u64) << TENANT_SHIFT;
-        }
-    }
-}
-
 /// Runs the SMP tenant experiment on the RC kernel with `ncpus` CPUs.
 pub fn run_smp_tenants(params: SmpTenantsParams) -> SmpTenantsResult {
     let n = params.shares.len();
@@ -171,29 +130,15 @@ pub fn run_smp_tenants(params: SmpTenantsParams) -> SmpTenantsResult {
         );
     }
 
-    // Closed-loop client sets, one per tenant.
-    let mut world = TenantWorld {
-        tenants: Vec::new(),
-    };
-    for t in 0..n {
-        let specs: Vec<ClientSpec> = (0..params.clients_per_tenant)
-            .map(|i| {
-                let mut s = ClientSpec::staticloop(guest_addr(t, i), 0)
-                    .with_kind(httpsim::ReqKind::StaticKeepAlive)
-                    .starting_at(Nanos::from_micros(10 + 7 * i as u64));
-                s.port = 8000 + t as u16;
-                s
-            })
-            .collect();
-        let clients = HttpClients::new(specs, warmup, end);
-        for i in 0..clients.len() {
-            k.arm_world_timer(
-                ((t as u64) << TENANT_SHIFT) | (i as u64 * 4),
-                Nanos::from_micros(10 + 7 * i as u64),
-            );
-        }
-        world.tenants.push(clients);
-    }
+    // Closed-loop persistent clients, one class per tenant.
+    let specs = (0..n)
+        .flat_map(|t| {
+            (0..params.clients_per_tenant)
+                .map(move |i| tenant_client(t, i).with_kind(httpsim::ReqKind::StaticKeepAlive))
+        })
+        .collect();
+    let mut world = HttpClients::new(specs, warmup, end);
+    world.arm(&mut k);
 
     // Warmup, snapshot per-tenant CPU, measure.
     k.run(&mut world, warmup);
@@ -210,9 +155,7 @@ pub fn run_smp_tenants(params: SmpTenantsParams) -> SmpTenantsResult {
     let total: Nanos = deltas.iter().copied().sum();
 
     let share_sum: f64 = params.shares.iter().sum();
-    let throughputs: Vec<f64> = (0..n)
-        .map(|t| world.tenants[t].metrics.throughput(0))
-        .collect();
+    let throughputs: Vec<f64> = (0..n).map(|t| world.metrics.throughput(t)).collect();
     SmpTenantsResult {
         ncpus,
         configured: params.shares.iter().map(|s| s / share_sum).collect(),

@@ -20,11 +20,10 @@ use httpsim::{ClassSpec, EventDrivenServer, FileBacking, ServerConfig};
 use rctrace::SloSpec;
 use rescon::{Attributes, ContainerId};
 use simcore::Nanos;
-use simdisk::DiskParams;
 use simos::{Kernel, KernelConfig, MemParams, QdiscKind, SchedPolicyKind};
 
+use super::tenant_client;
 use crate::clients::{ClientSpec, HttpClients};
-use crate::scenarios::disk_tenants::{tenant_addr, TenantWorld, TENANT_SHIFT};
 
 /// Parameters of the two-tenant span scenario.
 #[derive(Clone, Debug)]
@@ -120,7 +119,6 @@ pub fn run_span_tenants(params: SpanTenantsParams) -> SpanTenantsResult {
     let warmup = Nanos::from_secs(2).min(end / 4);
 
     let mut cfg = KernelConfig::resource_containers()
-        .with_disk(DiskParams::default())
         .with_link(params.link_mbps * 1_000_000, QdiscKind::Wfq)
         .with_mem(MemParams::new().with_reclaim_cost_per_kb(params.reclaim_cost_per_kib));
     cfg.disk.buffer_cache_bytes = params.cache_bytes;
@@ -189,31 +187,18 @@ pub fn run_span_tenants(params: SpanTenantsParams) -> SpanTenantsResult {
         );
     }
 
-    let mut world = TenantWorld {
-        tenants: Vec::new(),
-    };
     let n_clients = [params.clients.0, params.clients.1];
     let docs = [params.docs.0, params.docs.1];
-    for g in 0..tenants.len() {
-        let specs: Vec<ClientSpec> = (0..n_clients[g])
-            .map(|i| {
-                let mut s = ClientSpec::staticloop(tenant_addr(g, i), 0)
-                    .cycling_docs(docs[g])
-                    .starting_at(Nanos::from_micros(10 + 7 * i as u64));
-                s.doc = i as u32 * docs[g];
-                s.port = 8000 + g as u16;
-                s
+    let specs: Vec<ClientSpec> = (0..tenants.len())
+        .flat_map(|g| {
+            (0..n_clients[g]).map(move |i| ClientSpec {
+                doc: i as u32 * docs[g],
+                ..tenant_client(g, i).cycling_docs(docs[g])
             })
-            .collect();
-        let clients = HttpClients::new(specs, warmup, end);
-        for i in 0..clients.len() {
-            k.arm_world_timer(
-                ((g as u64) << TENANT_SHIFT) | (i as u64 * 4),
-                Nanos::from_micros(10 + 7 * i as u64),
-            );
-        }
-        world.tenants.push(clients);
-    }
+        })
+        .collect();
+    let mut world = HttpClients::new(specs, warmup, end);
+    world.arm(&mut k);
 
     // Let the servers boot (they create their class containers at first
     // schedule, before the first client timer at 10 us), then register
@@ -265,13 +250,13 @@ pub fn run_span_tenants(params: SpanTenantsParams) -> SpanTenantsResult {
     let reclaims = k.mem_acct().map(|a| a.reclaims).unwrap_or(0);
     SpanTenantsResult {
         throughputs: (0..tenants.len())
-            .map(|g| world.tenants[g].metrics.throughput(0))
+            .map(|g| world.metrics.throughput(g))
             .collect(),
         latencies_ms: (0..tenants.len())
-            .map(|g| world.tenants[g].metrics.mean_latency_ms(0))
+            .map(|g| world.metrics.mean_latency_ms(g))
             .collect(),
         p99_ms: (0..tenants.len())
-            .map(|g| world.tenants[g].metrics.class(0).latency_ms.quantile(0.99))
+            .map(|g| world.metrics.class(g).latency_ms.quantile(0.99))
             .collect(),
         reclaims,
         end_ns: end.as_nanos(),

@@ -17,15 +17,12 @@ use httpsim::{ClassSpec, EventDrivenServer, ServerConfig};
 use rescon::Attributes;
 use simcore::fault::FaultPlan;
 use simcore::Nanos;
-use simnet::{CidrFilter, Packet};
-use simos::{Kernel, KernelConfig, World, WorldAction};
+use simnet::CidrFilter;
+use simos::{Kernel, KernelConfig};
 
 use crate::clients::{ClientSpec, HttpClients};
 use crate::scenarios::fig14::{good_addr, ATTACK_BASE};
-use crate::synflood::SynFlood;
-
-/// Timer tag reserved for the flooder (out of the clients' `i*4` space).
-const FLOOD_TAG: u64 = 1 << 40;
+use crate::synflood::{FloodedClients, SynFlood};
 
 /// Parameters of one `synflood_fault` run.
 #[derive(Clone, Debug)]
@@ -117,38 +114,6 @@ pub struct SynfloodFaultResult {
     pub io_errors: u64,
 }
 
-/// Well-behaved clients plus the attacker, routed by source prefix.
-struct FaultFloodWorld {
-    clients: HttpClients,
-    flood: SynFlood,
-    attack_filter: CidrFilter,
-}
-
-impl World for FaultFloodWorld {
-    fn on_packet(&mut self, pkt: Packet, now: Nanos, actions: &mut Vec<WorldAction>) {
-        if self.attack_filter.matches(pkt.flow.src) {
-            self.flood.on_packet(pkt, now, actions);
-        } else {
-            self.clients.on_packet(pkt, now, actions);
-        }
-    }
-
-    fn on_timer(&mut self, tag: u64, now: Nanos, actions: &mut Vec<WorldAction>) {
-        if tag >= FLOOD_TAG {
-            let mut local = Vec::new();
-            self.flood.on_timer(tag - FLOOD_TAG, now, &mut local);
-            for a in &mut local {
-                if let WorldAction::SetTimer { tag, .. } = a {
-                    *tag += FLOOD_TAG;
-                }
-            }
-            actions.extend(local);
-        } else {
-            self.clients.on_timer(tag, now, actions);
-        }
-    }
-}
-
 /// Runs one `synflood_fault` point on the defended RC kernel.
 pub fn run_synflood_fault(params: SynfloodFaultParams) -> SynfloodFaultResult {
     let secs = params.secs.max(4);
@@ -206,18 +171,11 @@ pub fn run_synflood_fault(params: SynfloodFaultParams) -> SynfloodFaultResult {
     if params.faults {
         clients = clients.with_faults(&params.plan());
     }
-    clients.arm(&mut k);
-
-    let flood = SynFlood::new(ATTACK_BASE, 1024, params.syn_rate, 80);
-    if params.syn_rate > 0.0 {
-        k.arm_world_timer(FLOOD_TAG, flood.start_at);
-    }
-
-    let mut world = FaultFloodWorld {
+    let mut world = FloodedClients {
         clients,
-        flood,
-        attack_filter: CidrFilter::new(ATTACK_BASE, 16),
+        flood: SynFlood::new(ATTACK_BASE, 1024, params.syn_rate, 80),
     };
+    world.arm(&mut k);
     k.run(&mut world, end);
 
     let (isolations, io_errors) = {

@@ -12,9 +12,9 @@ use httpsim::stats::shared_stats;
 use httpsim::{EventDrivenServer, ReqKind, ServerConfig};
 use rescon::{Attributes, ContainerId};
 use simcore::Nanos;
-use simnet::{IpAddr, Packet};
-use simos::{Kernel, KernelConfig, World, WorldAction};
+use simos::{Kernel, KernelConfig};
 
+use super::tenant_client;
 use crate::clients::{ClientSpec, HttpClients};
 
 /// Parameters of the virtual-server experiment.
@@ -52,51 +52,6 @@ pub struct VsResult {
     pub measured: Vec<f64>,
     /// Static throughput per guest.
     pub throughputs: Vec<f64>,
-}
-
-/// A world of per-guest client sets, routed by guest address block.
-struct GuestWorld {
-    guests: Vec<HttpClients>,
-}
-
-/// Tag block per guest.
-const GUEST_SHIFT: u32 = 32;
-
-impl World for GuestWorld {
-    fn on_packet(&mut self, pkt: Packet, now: Nanos, actions: &mut Vec<WorldAction>) {
-        // Guest `g` clients live in 10.{100+g}.x.x.
-        let (_, b, _, _) = pkt.flow.src.octets();
-        let g = (b as usize).saturating_sub(100);
-        if let Some(c) = self.guests.get_mut(g) {
-            let mut local = Vec::new();
-            c.on_packet(pkt, now, &mut local);
-            relabel(&mut local, g);
-            actions.extend(local);
-        }
-    }
-
-    fn on_timer(&mut self, tag: u64, now: Nanos, actions: &mut Vec<WorldAction>) {
-        let g = (tag >> GUEST_SHIFT) as usize;
-        if let Some(c) = self.guests.get_mut(g) {
-            let mut local = Vec::new();
-            c.on_timer(tag & ((1 << GUEST_SHIFT) - 1), now, &mut local);
-            relabel(&mut local, g);
-            actions.extend(local);
-        }
-    }
-}
-
-fn relabel(actions: &mut [WorldAction], g: usize) {
-    for a in actions.iter_mut() {
-        if let WorldAction::SetTimer { tag, .. } = a {
-            *tag |= (g as u64) << GUEST_SHIFT;
-        }
-    }
-}
-
-/// Address of client `i` of guest `g`.
-pub fn guest_addr(g: usize, i: usize) -> IpAddr {
-    IpAddr::new(10, 100 + g as u8, (i / 250) as u8, (i % 250) as u8 + 1)
 }
 
 /// Runs the virtual-server isolation experiment on the RC kernel.
@@ -148,34 +103,21 @@ pub fn run_virtual_servers(params: VsParams) -> VsResult {
         );
     }
 
-    // Client sets, one per guest; a sprinkling of CGI clients when asked.
-    let mut world = GuestWorld { guests: Vec::new() };
-    for g in 0..n {
-        let mut specs: Vec<ClientSpec> = (0..params.clients_per_guest[g])
-            .map(|i| {
-                let mut s = ClientSpec::staticloop(guest_addr(g, i), 0)
-                    .starting_at(Nanos::from_micros(10 + 7 * i as u64));
-                s.port = 8000 + g as u16;
-                s
-            })
-            .collect();
+    // Static clients of class `g` for guest `g`, guest by guest; when
+    // asked, each guest's list ends with one CGI client (class `n`, shared
+    // by all guests) starting 7 µs after the guest's last static client.
+    let mut specs = Vec::new();
+    for (g, &count) in params.clients_per_guest.iter().enumerate() {
+        specs.extend((0..count).map(|i| tenant_client(g, i)));
         if params.cgi_cpu.is_some() {
-            let i = params.clients_per_guest[g];
-            let mut s = ClientSpec::staticloop(guest_addr(g, i), 1)
-                .with_kind(ReqKind::Cgi)
-                .starting_at(Nanos::from_millis(1));
-            s.port = 8000 + g as u16;
-            specs.push(s);
+            specs.push(ClientSpec {
+                class: n,
+                ..tenant_client(g, count).with_kind(ReqKind::Cgi)
+            });
         }
-        let clients = HttpClients::new(specs, warmup, end);
-        for (i, _) in (0..clients.len()).enumerate() {
-            k.arm_world_timer(
-                ((g as u64) << GUEST_SHIFT) | (i as u64 * 4),
-                Nanos::from_micros(10 + 7 * i as u64),
-            );
-        }
-        world.guests.push(clients);
     }
+    let mut world = HttpClients::new(specs, warmup, end);
+    world.arm(&mut k);
 
     // Warmup, snapshot per-guest CPU, measure.
     k.run(&mut world, warmup);
@@ -195,9 +137,7 @@ pub fn run_virtual_servers(params: VsParams) -> VsResult {
     VsResult {
         configured: params.shares.iter().map(|s| s / share_sum).collect(),
         measured: deltas.iter().map(|&d| d.ratio(total)).collect(),
-        throughputs: (0..n)
-            .map(|g| world.guests[g].metrics.throughput(0))
-            .collect(),
+        throughputs: (0..n).map(|g| world.metrics.throughput(g)).collect(),
     }
 }
 

@@ -4,11 +4,17 @@
 //! Open-loop: the flooder never completes a handshake; it just cycles
 //! source addresses through a configurable block (so the server's
 //! per-prefix defense has something to isolate) and keeps a constant
-//! aggregate SYN rate.
+//! aggregate SYN rate. [`FloodedClients`] puts it next to well-behaved
+//! clients behind one kernel.
 
 use simcore::Nanos;
 use simnet::{FlowKey, IpAddr, Packet, PacketKind};
 use simos::{World, WorldAction};
+
+use crate::clients::HttpClients;
+
+/// The flooder's one timer tag, far above any client's tags.
+const FLOOD_TAG: u64 = 1 << 40;
 
 /// An open-loop SYN generator.
 pub struct SynFlood {
@@ -47,15 +53,10 @@ impl SynFlood {
         }
     }
 
-    /// Arms the flood-start timer (tag 0 in this world's tag space).
+    /// Arms the flood-start timer.
     pub fn arm(&self, k: &mut simos::Kernel) {
-        self.arm_offset(k, 0);
-    }
-
-    /// Arms with a composite-world tag offset.
-    pub fn arm_offset(&self, k: &mut simos::Kernel, offset: u64) {
         if self.rate_per_sec > 0.0 {
-            k.arm_world_timer(offset, self.start_at);
+            k.arm_world_timer(FLOOD_TAG, self.start_at);
         }
     }
 
@@ -92,9 +93,42 @@ impl World for SynFlood {
             });
         }
         actions.push(WorldAction::SetTimer {
-            tag: 0,
+            tag: FLOOD_TAG,
             delay: self.interval(),
         });
+    }
+}
+
+/// Well-behaved clients plus a flooder behind one kernel: the world of
+/// the §5.7 experiments.
+pub struct FloodedClients {
+    /// The well-behaved clients.
+    pub clients: HttpClients,
+    /// The attacker.
+    pub flood: SynFlood,
+}
+
+impl FloodedClients {
+    /// Arms the clients' start timers, then the flood's.
+    pub fn arm(&self, k: &mut simos::Kernel) {
+        self.clients.arm(k);
+        self.flood.arm(k);
+    }
+}
+
+impl World for FloodedClients {
+    fn on_packet(&mut self, pkt: Packet, now: Nanos, actions: &mut Vec<WorldAction>) {
+        // The flooder ignores replies, and the clients ignore packets for
+        // addresses they do not own.
+        self.clients.on_packet(pkt, now, actions);
+    }
+
+    fn on_timer(&mut self, tag: u64, now: Nanos, actions: &mut Vec<WorldAction>) {
+        if tag == FLOOD_TAG {
+            self.flood.on_timer(tag, now, actions);
+        } else {
+            self.clients.on_timer(tag, now, actions);
+        }
     }
 }
 
@@ -111,7 +145,7 @@ mod tests {
         let mut sent = 0u64;
         while now < Nanos::from_secs(1) {
             actions.clear();
-            f.on_timer(0, now, &mut actions);
+            f.on_timer(FLOOD_TAG, now, &mut actions);
             sent += actions
                 .iter()
                 .filter(|a| matches!(a, WorldAction::SendPacket { .. }))
@@ -119,10 +153,13 @@ mod tests {
             let delay = actions
                 .iter()
                 .find_map(|a| match a {
-                    WorldAction::SetTimer { delay, .. } => Some(*delay),
+                    WorldAction::SetTimer {
+                        tag: FLOOD_TAG,
+                        delay,
+                    } => Some(*delay),
                     _ => None,
                 })
-                .expect("re-armed");
+                .expect("re-armed on the flood tag");
             now += delay;
         }
         let err = (sent as f64 - 10_000.0).abs() / 10_000.0;
@@ -133,7 +170,7 @@ mod tests {
     fn addresses_cycle_through_block() {
         let mut f = SynFlood::new(IpAddr::new(192, 168, 0, 0), 4, 1000.0, 80);
         let mut actions = Vec::new();
-        f.on_timer(0, Nanos::ZERO, &mut actions);
+        f.on_timer(FLOOD_TAG, Nanos::ZERO, &mut actions);
         let srcs: Vec<IpAddr> = actions
             .iter()
             .filter_map(|a| match a {
@@ -151,7 +188,7 @@ mod tests {
     fn zero_rate_sends_nothing() {
         let mut f = SynFlood::new(IpAddr::new(192, 168, 0, 0), 4, 0.0, 80);
         let mut actions = Vec::new();
-        f.on_timer(0, Nanos::ZERO, &mut actions);
+        f.on_timer(FLOOD_TAG, Nanos::ZERO, &mut actions);
         assert!(actions.is_empty());
     }
 }

@@ -11,7 +11,6 @@ use resource_containers::prelude::*;
 
 use httpsim::stats::shared_stats;
 use simcore::Nanos;
-use simdisk::DiskParams;
 use simos::{DiskSchedKind, SchedPolicyKind};
 
 /// A compact description of a random workload.
@@ -73,7 +72,6 @@ fn run_swapped(mix: &Mix, swaps: &[SwapSpec]) -> SwapRun {
     let mut k = Kernel::new(
         KernelConfig::resource_containers()
             .with_ncpus(2)
-            .with_disk(DiskParams::default())
             .with_link(40_000_000, QdiscKind::Wfq),
     );
     k.spawn_process(

@@ -20,6 +20,7 @@
 //! CI claim.
 
 use rcpolicy::{parse_cpu_schedule, parse_link, CpuSchedule};
+use rctrace::json::f64_string;
 use rctrace::TraceConfig;
 use simos::QdiscKind;
 use workload::scenarios::{run_qos_tenants, run_span_tenants, QosTenantsParams, SpanTenantsParams};
@@ -82,11 +83,7 @@ fn diff_values(a: &Value, b: &Value, path: &str, out: &mut Vec<String>) {
             }
         }
         (Value::Number(x), Value::Number(y)) if x != y => {
-            out.push(format!(
-                "{path}: {} vs {}",
-                json::f64_string(*x),
-                json::f64_string(*y)
-            ));
+            out.push(format!("{path}: {} vs {}", f64_string(*x), f64_string(*y)));
         }
         _ => {
             if a != b {

@@ -13,7 +13,9 @@
 
 use std::str::FromStr;
 
+use rctrace::json::{f64_string, quote};
 use workload::scenarios::cluster_tenants::MAX_CLIENTS_PER_TENANT;
+use workload::scenarios::ClusterTenantsResult;
 
 use super::registry::{Check, Outcome, ScenarioArgs, ScenarioSpec, Trace, TraceKind};
 use crate::json;
@@ -37,14 +39,34 @@ pub struct Run {
     pub check_ok: &'static str,
 }
 
+impl Run {
+    /// `Ok` if every self-check passed; otherwise an error that lists
+    /// every failed check's label and detail.
+    pub fn verdict(&self) -> Result<(), String> {
+        let failed: Vec<String> = self
+            .checks
+            .iter()
+            .filter(|c| !c.ok)
+            .map(|c| format!("\n  {}: {}", c.label, c.detail))
+            .collect();
+        if failed.is_empty() {
+            return Ok(());
+        }
+        Err(format!(
+            "{} of {} checks failed:{}",
+            failed.len(),
+            self.checks.len(),
+            failed.concat()
+        ))
+    }
+}
+
 pub(crate) fn run(spec: &ScenarioSpec, argv: &[String]) -> Result<(), String> {
     let inv = parse(spec, argv)?;
     let run = build(spec, &inv.args)?;
     write(&run)?;
     if inv.check {
-        if let Some(failed) = run.checks.iter().find(|c| !c.ok) {
-            return Err(format!("{} check failed: {}", failed.label, failed.detail));
-        }
+        run.verdict()?;
         println!("check ok: {}", run.check_ok);
     }
     Ok(())
@@ -154,8 +176,7 @@ fn trace_artifacts(trace: &Trace, outcome: &Outcome) -> Result<Vec<String>, Stri
             let cluster = outcome.cluster.as_ref().ok_or("no cluster result")?;
             let chrome = rctrace::cluster_chrome_trace_json(&outcome.cluster_sessions);
             let n_events = validate_chrome(&chrome, trace.chrome)?;
-            let result = json::to_string(cluster)
-                .map_err(|e| format!("cluster result not serializable: {e}"))?;
+            let result = cluster_result_json(cluster);
             json::parse(&result).map_err(|e| format!("cluster result not valid JSON: {e}"))?;
             println!(
                 "chrome trace: {n_events} events across {} node tracks",
@@ -164,6 +185,42 @@ fn trace_artifacts(trace: &Trace, outcome: &Outcome) -> Result<Vec<String>, Stri
             Ok(vec![chrome, cluster.dump.clone(), result])
         }
     }
+}
+
+/// A cluster run's structured result as one JSON object: the fields in
+/// declaration order, each `(tenant, node)` pair as a two-element array
+/// and the state dump as a string.
+fn cluster_result_json(r: &ClusterTenantsResult) -> String {
+    fn list<T>(xs: &[T], item: impl Fn(&T) -> String) -> String {
+        format!("[{}]", xs.iter().map(item).collect::<Vec<_>>().join(","))
+    }
+    let floats = |xs: &Vec<f64>| list(xs, |&x| f64_string(x));
+    let pairs = |ps: &Vec<(usize, u32)>| list(ps, |(t, n)| format!("[{t},{n}]"));
+    format!(
+        "{{\"nodes\":{},\"clients\":{},\"configured\":{},\"measured\":{},\
+         \"epoch_split\":{},\"placements\":{},\"drains\":{},\"replicas\":{},\
+         \"throughputs\":{},\"total_throughput\":{},\"lane_busy_ns\":{},\
+         \"tx_wire_ns\":{},\"conserved\":{},\"forwarded\":{},\"assigned\":{},\
+         \"unroutable\":{},\"sim_events\":{},\"dump\":{}}}",
+        r.nodes,
+        r.clients,
+        floats(&r.configured),
+        floats(&r.measured),
+        list(&r.epoch_split, floats),
+        pairs(&r.placements),
+        pairs(&r.drains),
+        list(&r.replicas, usize::to_string),
+        floats(&r.throughputs),
+        f64_string(r.total_throughput),
+        r.lane_busy_ns,
+        r.tx_wire_ns,
+        r.conserved,
+        r.forwarded,
+        r.assigned,
+        r.unroutable,
+        r.sim_events,
+        quote(&r.dump),
+    )
 }
 
 /// Writes every artifact of `run`.
@@ -261,6 +318,60 @@ mod tests {
         let err = validate_chrome(chrome, &["\"link\""]).unwrap_err();
         assert!(err.contains("marker"), "{err}");
         assert!(validate_chrome(r#"{"traceEvents":[]}"#, &[]).is_err());
+    }
+
+    #[test]
+    fn a_failed_check_run_names_every_failed_check() {
+        let run = Run {
+            artifacts: Vec::new(),
+            checks: vec![
+                Check::new("share", false, "configured 70% but measured 61.0%".into()),
+                Check::new("routable", true, "0 packets had no route".into()),
+                Check::new("migrations", false, "balancer never migrated".into()),
+            ],
+            check_ok: "",
+        };
+        let err = run.verdict().unwrap_err();
+        assert!(err.starts_with("2 of 3 checks failed"), "{err}");
+        assert!(
+            err.contains("share: configured 70% but measured 61.0%"),
+            "{err}"
+        );
+        assert!(err.contains("migrations: balancer never migrated"), "{err}");
+        assert!(!err.contains("routable"), "{err}");
+        let passed = Run {
+            checks: vec![run.checks[1].clone()],
+            ..run
+        };
+        assert_eq!(passed.verdict(), Ok(()));
+    }
+
+    #[test]
+    fn cluster_result_json_keeps_its_bytes() {
+        let r = ClusterTenantsResult {
+            nodes: 3,
+            clients: 192,
+            configured: vec![0.7, 0.3],
+            measured: vec![0.6981234567890123, f64::NAN],
+            epoch_split: vec![vec![0.5, 0.5], vec![], vec![1e-7, 12345678901234.5]],
+            placements: vec![(1, 2), (0, 0)],
+            drains: vec![],
+            replicas: vec![2, 1],
+            throughputs: vec![1234.5, -0.0],
+            total_throughput: f64::INFINITY,
+            lane_busy_ns: 1_000_000_007,
+            tx_wire_ns: u64::MAX,
+            conserved: true,
+            forwarded: 42,
+            assigned: 0,
+            unroutable: 7,
+            sim_events: 123_456,
+            dump: "cluster clock=1\n\"q\"\t\\ \u{1}\r é".into(),
+        };
+        assert_eq!(
+            cluster_result_json(&r),
+            r#"{"nodes":3,"clients":192,"configured":[0.7,0.3],"measured":[0.6981234567890123,null],"epoch_split":[[0.5,0.5],[],[0.0000001,12345678901234.5]],"placements":[[1,2],[0,0]],"drains":[],"replicas":[2,1],"throughputs":[1234.5,-0],"total_throughput":null,"lane_busy_ns":1000000007,"tx_wire_ns":18446744073709551615,"conserved":true,"forwarded":42,"assigned":0,"unroutable":7,"sim_events":123456,"dump":"cluster clock=1\n\"q\"\t\\ \u0001\r é"}"#
+        );
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! The `rcbench` command-line interface.
 //!
 //! One binary whose subcommands are the entries of one scenario table
-//! ([`registry::table`]) — the paper's figures and the subsystem
-//! scenarios alike — all run by one generic driver ([`driver`]) with
-//! per-entry flags, artifact validation and `--check`. The only bespoke
-//! subcommand is [`ab`], the same-seed policy A/B harness.
+//! ([`registry::table`]) — the paper's Table 1 and figures and the
+//! subsystem scenarios alike — all run by one generic driver
+//! ([`driver`]) with per-entry flags, artifact validation and `--check`.
+//! The only bespoke subcommand is [`ab`], the same-seed policy A/B
+//! harness.
 
 mod ab;
 pub mod driver;
 mod figures;
 pub mod registry;
 mod span;
+mod table1;
 
 use std::process::ExitCode;
 

@@ -19,7 +19,7 @@ use workload::scenarios::{
     SynfloodFaultParams,
 };
 
-use super::{figures, span};
+use super::{figures, span, table1};
 use crate::Report;
 
 /// Generic arguments a scenario runner may consult. Unset options fall
@@ -140,6 +140,14 @@ impl ScenarioSpec {
 /// The scenario table behind `rcbench <subcommand>`, in listing order.
 pub fn table() -> Vec<ScenarioSpec> {
     vec![
+        ScenarioSpec {
+            name: "table1",
+            about: "Table 1: simulated CPU charged per container primitive vs the paper's cost",
+            flags: &["--check"],
+            reports: &["table1"],
+            trace: None,
+            run: table1::run,
+        },
         ScenarioSpec {
             name: "baseline",
             about: "§5.3 baseline throughput and §5.4 container overhead (traced)",

@@ -18,20 +18,12 @@
 
 use std::collections::BTreeMap;
 
+use rctrace::metrics::nearest_rank;
 use rctrace::TraceConfig;
 use simcore::span::{Outcome as SpanOutcome, Phase, SpanBuffer, SpanLedger, NUM_PHASES};
 use workload::scenarios::{run_span_tenants, SpanTenantsParams};
 
 use super::registry::{traced, Check, Outcome, ScenarioArgs};
-
-/// Nearest-rank quantile over an already-sorted slice.
-fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
 
 /// Checks every ledger's conservation law: phase durations sum exactly
 /// to end-to-end latency.

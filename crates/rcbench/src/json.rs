@@ -1,18 +1,9 @@
-//! A minimal JSON serializer over `serde::Serialize`.
-//!
-//! The workspace's offline dependency set includes `serde` but not
-//! `serde_json`, so this module implements just enough of
-//! [`serde::Serializer`] to dump experiment-result structs (numbers,
-//! strings, booleans, options, sequences, maps with string keys, structs)
-//! as JSON for the `results/` directory. It is not a general-purpose JSON
-//! library: unsupported shapes (byte strings, non-string map keys) return
-//! an error instead of guessing.
+//! A minimal JSON parser that validates every artifact `rcbench`
+//! writes (Chrome traces, metrics dumps, cluster results) and lets the
+//! `ab` harness walk two metrics dumps side by side. The artifacts
+//! themselves are written by hand with [`rctrace::json`]'s formatters.
 
-use std::fmt::Write as _;
-
-use serde::ser::{self, Serialize};
-
-/// Serialization error.
+/// Parse error.
 #[derive(Debug)]
 pub struct Error(String);
 
@@ -24,389 +15,9 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl ser::Error for Error {
-    fn custom<T: std::fmt::Display>(msg: T) -> Self {
-        Error(msg.to_string())
-    }
-}
-
-/// Serializes a value to a JSON string.
-///
-/// # Examples
-///
-/// ```
-/// #[derive(serde::Serialize)]
-/// struct Point {
-///     x: f64,
-///     label: String,
-/// }
-/// let json = rcbench::json::to_string(&Point {
-///     x: 1.5,
-///     label: "a".into(),
-/// })
-/// .unwrap();
-/// assert_eq!(json, r#"{"x":1.5,"label":"a"}"#);
-/// ```
-pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    value.serialize(Json { out: &mut out })?;
-    Ok(out)
-}
-
-/// Writes an `f64` in the crate's canonical JSON form: Rust's
-/// shortest-roundtrip decimal for finite values, `null` for NaN and
-/// infinities (which JSON cannot represent). Every float this crate
-/// emits — serializer output and diff/report text alike — funnels
-/// through here, so artifacts agree on formatting byte-for-byte.
-///
-/// # Examples
-///
-/// ```
-/// let mut s = String::new();
-/// rcbench::json::write_f64(&mut s, 1.25);
-/// rcbench::json::write_f64(&mut s, f64::NAN);
-/// assert_eq!(s, "1.25null");
-/// ```
-pub fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// [`write_f64`] into a fresh string — for formatting a float into
-/// report or diff text with the same canonical form as the artifacts.
-pub fn f64_string(v: f64) -> String {
-    let mut s = String::new();
-    write_f64(&mut s, v);
-    s
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-struct Json<'a> {
-    out: &'a mut String,
-}
-
-/// Compound serializer state: tracks whether a separator is needed.
-struct Compound<'a> {
-    out: &'a mut String,
-    first: bool,
-    close: char,
-}
-
-impl Compound<'_> {
-    fn sep(&mut self) {
-        if self.first {
-            self.first = false;
-        } else {
-            self.out.push(',');
-        }
-    }
-}
-
-impl<'a> ser::Serializer for Json<'a> {
-    type Ok = ();
-    type Error = Error;
-    type SerializeSeq = Compound<'a>;
-    type SerializeTuple = Compound<'a>;
-    type SerializeTupleStruct = Compound<'a>;
-    type SerializeTupleVariant = Compound<'a>;
-    type SerializeMap = Compound<'a>;
-    type SerializeStruct = Compound<'a>;
-    type SerializeStructVariant = Compound<'a>;
-
-    fn serialize_bool(self, v: bool) -> Result<(), Error> {
-        self.out.push_str(if v { "true" } else { "false" });
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<(), Error> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i16(self, v: i16) -> Result<(), Error> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i32(self, v: i32) -> Result<(), Error> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i64(self, v: i64) -> Result<(), Error> {
-        let _ = write!(self.out, "{v}");
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<(), Error> {
-        self.serialize_u64(v as u64)
-    }
-    fn serialize_u16(self, v: u16) -> Result<(), Error> {
-        self.serialize_u64(v as u64)
-    }
-    fn serialize_u32(self, v: u32) -> Result<(), Error> {
-        self.serialize_u64(v as u64)
-    }
-    fn serialize_u64(self, v: u64) -> Result<(), Error> {
-        let _ = write!(self.out, "{v}");
-        Ok(())
-    }
-    fn serialize_f32(self, v: f32) -> Result<(), Error> {
-        self.serialize_f64(v as f64)
-    }
-    fn serialize_f64(self, v: f64) -> Result<(), Error> {
-        write_f64(self.out, v);
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<(), Error> {
-        escape_into(self.out, &v.to_string());
-        Ok(())
-    }
-    fn serialize_str(self, v: &str) -> Result<(), Error> {
-        escape_into(self.out, v);
-        Ok(())
-    }
-    fn serialize_bytes(self, _v: &[u8]) -> Result<(), Error> {
-        Err(ser::Error::custom("bytes unsupported"))
-    }
-    fn serialize_none(self) -> Result<(), Error> {
-        self.out.push_str("null");
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), Error> {
-        value.serialize(Json { out: self.out })
-    }
-    fn serialize_unit(self) -> Result<(), Error> {
-        self.out.push_str("null");
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), Error> {
-        self.serialize_unit()
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-    ) -> Result<(), Error> {
-        escape_into(self.out, variant);
-        Ok(())
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<(), Error> {
-        value.serialize(Json { out: self.out })
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<(), Error> {
-        self.out.push('{');
-        escape_into(self.out, variant);
-        self.out.push(':');
-        value.serialize(Json { out: self.out })?;
-        self.out.push('}');
-        Ok(())
-    }
-    fn serialize_seq(self, _len: Option<usize>) -> Result<Compound<'a>, Error> {
-        self.out.push('[');
-        Ok(Compound {
-            out: self.out,
-            first: true,
-            close: ']',
-        })
-    }
-    fn serialize_tuple(self, len: usize) -> Result<Compound<'a>, Error> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_tuple_struct(
-        self,
-        _name: &'static str,
-        len: usize,
-    ) -> Result<Compound<'a>, Error> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-        _len: usize,
-    ) -> Result<Compound<'a>, Error> {
-        self.out.push('{');
-        escape_into(self.out, variant);
-        self.out.push_str(":[");
-        Ok(Compound {
-            out: self.out,
-            first: true,
-            close: ']', // Note: trailing '}' appended in `end` via close2.
-        })
-    }
-    fn serialize_map(self, _len: Option<usize>) -> Result<Compound<'a>, Error> {
-        self.out.push('{');
-        Ok(Compound {
-            out: self.out,
-            first: true,
-            close: '}',
-        })
-    }
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Compound<'a>, Error> {
-        self.out.push('{');
-        Ok(Compound {
-            out: self.out,
-            first: true,
-            close: '}',
-        })
-    }
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-        _len: usize,
-    ) -> Result<Compound<'a>, Error> {
-        self.out.push('{');
-        escape_into(self.out, variant);
-        self.out.push_str(":{");
-        Ok(Compound {
-            out: self.out,
-            first: true,
-            close: '}',
-        })
-    }
-}
-
-impl ser::SerializeSeq for Compound<'_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
-        self.sep();
-        value.serialize(Json { out: self.out })
-    }
-    fn end(self) -> Result<(), Error> {
-        self.out.push(self.close);
-        Ok(())
-    }
-}
-
-impl ser::SerializeTuple for Compound<'_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
-        ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), Error> {
-        ser::SerializeSeq::end(self)
-    }
-}
-
-impl ser::SerializeTupleStruct for Compound<'_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
-        ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), Error> {
-        ser::SerializeSeq::end(self)
-    }
-}
-
-impl ser::SerializeTupleVariant for Compound<'_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
-        ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), Error> {
-        self.out.push(']');
-        self.out.push('}');
-        Ok(())
-    }
-}
-
-impl ser::SerializeMap for Compound<'_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), Error> {
-        self.sep();
-        // Keys must serialize as strings; enforce by probing.
-        let mut probe = String::new();
-        key.serialize(Json { out: &mut probe })?;
-        if !probe.starts_with('"') {
-            return Err(ser::Error::custom("non-string map key"));
-        }
-        self.out.push_str(&probe);
-        self.out.push(':');
-        Ok(())
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
-        value.serialize(Json { out: self.out })
-    }
-    fn end(self) -> Result<(), Error> {
-        self.out.push(self.close);
-        Ok(())
-    }
-}
-
-impl ser::SerializeStruct for Compound<'_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), Error> {
-        self.sep();
-        escape_into(self.out, key);
-        self.out.push(':');
-        value.serialize(Json { out: self.out })
-    }
-    fn end(self) -> Result<(), Error> {
-        self.out.push(self.close);
-        Ok(())
-    }
-}
-
-impl ser::SerializeStructVariant for Compound<'_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), Error> {
-        ser::SerializeStruct::serialize_field(self, key, value)
-    }
-    fn end(self) -> Result<(), Error> {
-        self.out.push('}');
-        self.out.push('}');
-        Ok(())
-    }
-}
-
-/// A parsed JSON value.
-///
-/// The complement of [`to_string`]: just enough of a parser to validate
-/// that emitted artifacts (experiment results, trace exports) are
-/// well-formed JSON and to probe their structure in tests. Objects keep
-/// their key order.
+/// A parsed JSON value: just enough to validate that emitted artifacts
+/// are well-formed JSON and to probe their structure. Objects keep their
+/// key order.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -716,81 +327,6 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
-
-    #[derive(serde::Serialize)]
-    struct Nested {
-        name: String,
-        values: Vec<f64>,
-        flag: bool,
-        opt: Option<u32>,
-        none: Option<u32>,
-    }
-
-    #[test]
-    fn struct_roundtrip_shape() {
-        let v = Nested {
-            name: "hi \"there\"\n".into(),
-            values: vec![1.0, 2.5],
-            flag: true,
-            opt: Some(7),
-            none: None,
-        };
-        let s = to_string(&v).unwrap();
-        assert_eq!(
-            s,
-            r#"{"name":"hi \"there\"\n","values":[1,2.5],"flag":true,"opt":7,"none":null}"#
-        );
-    }
-
-    #[test]
-    fn primitives() {
-        assert_eq!(to_string(&42u64).unwrap(), "42");
-        assert_eq!(to_string(&-3i32).unwrap(), "-3");
-        assert_eq!(to_string(&1.25f64).unwrap(), "1.25");
-        assert_eq!(to_string(&f64::NAN).unwrap(), "null");
-        assert_eq!(to_string(&()).unwrap(), "null");
-        assert_eq!(to_string(&'x').unwrap(), "\"x\"");
-    }
-
-    #[test]
-    fn maps_with_string_keys() {
-        let mut m = BTreeMap::new();
-        m.insert("a".to_string(), 1);
-        m.insert("b".to_string(), 2);
-        assert_eq!(to_string(&m).unwrap(), r#"{"a":1,"b":2}"#);
-    }
-
-    #[test]
-    fn non_string_map_keys_rejected() {
-        let mut m = BTreeMap::new();
-        m.insert(1u32, 2u32);
-        assert!(to_string(&m).is_err());
-    }
-
-    #[test]
-    fn enums() {
-        #[derive(serde::Serialize)]
-        enum E {
-            Unit,
-            New(u32),
-            Tuple(u32, u32),
-            Struct { x: u32 },
-        }
-        assert_eq!(to_string(&E::Unit).unwrap(), "\"Unit\"");
-        assert_eq!(to_string(&E::New(1)).unwrap(), r#"{"New":1}"#);
-        assert_eq!(to_string(&E::Tuple(1, 2)).unwrap(), r#"{"Tuple":[1,2]}"#);
-        assert_eq!(
-            to_string(&E::Struct { x: 3 }).unwrap(),
-            r#"{"Struct":{"x":3}}"#
-        );
-    }
-
-    #[test]
-    fn control_chars_escaped() {
-        let s = to_string(&"\u{1}").unwrap();
-        assert_eq!(s, "\"\\u0001\"");
-    }
 
     #[test]
     fn parse_scalars() {
@@ -825,21 +361,9 @@ mod tests {
     }
 
     #[test]
-    fn serializer_output_round_trips() {
-        let v = Nested {
-            name: "q\"\u{1}\u{7f}".into(),
-            values: vec![0.125, -3.0],
-            flag: false,
-            opt: Some(9),
-            none: None,
-        };
-        let s = to_string(&v).unwrap();
-        let parsed = parse(&s).unwrap();
-        assert_eq!(parsed.get("name").unwrap().as_str(), Some("q\"\u{1}\u{7f}"));
-        assert_eq!(
-            parsed.get("values").unwrap().as_array().unwrap()[0].as_f64(),
-            Some(0.125)
-        );
-        assert_eq!(parsed.get("none"), Some(&Value::Null));
+    fn quoted_strings_round_trip() {
+        let s = "q\"\\\n\u{1}\u{7f} é";
+        let quoted = rctrace::json::quote(s);
+        assert_eq!(parse(&quoted).unwrap(), Value::String(s.into()));
     }
 }

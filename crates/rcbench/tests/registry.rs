@@ -34,9 +34,7 @@ fn check_run(spec: &ScenarioSpec, args: &ScenarioArgs) -> Result<(), String> {
             return Err(format!("{path} differs between two identical runs"));
         }
     }
-    if let Some(c) = first.checks.iter().find(|c| !c.ok) {
-        return Err(format!("{} check failed: {}", c.label, c.detail));
-    }
+    first.verdict()?;
     let full = spec.paths(&ScenarioArgs {
         reduced: false,
         ..args.clone()

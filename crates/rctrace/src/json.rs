@@ -1,12 +1,15 @@
-//! Deterministic JSON-fragment formatting shared by the exporters.
+//! Deterministic JSON-fragment formatting shared by the exporters and
+//! by `rcbench`'s artifacts and reports.
 //!
-//! All numeric output is derived from integers so that two runs of the
-//! same simulation produce byte-identical documents: durations are
-//! formatted by splitting the nanosecond count, never by dividing floats.
+//! The exporters derive all numeric output from integers so that two
+//! runs of the same simulation produce byte-identical documents:
+//! durations are formatted by splitting the nanosecond count, never by
+//! dividing floats. Other floats are either fixed at six digits (`f6`)
+//! or written as their shortest round-trip decimal ([`f64_string`]).
 
 /// Escapes `s` into a JSON string literal, including the surrounding
 /// quotes.
-pub(crate) fn quote(s: &str) -> String {
+pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -41,6 +44,23 @@ pub(crate) fn millis6(ns: u64) -> String {
 /// Formats an `f64` (shares, rates) with six fractional digits.
 pub(crate) fn f6(v: f64) -> String {
     format!("{v:.6}")
+}
+
+/// Formats an `f64` as Rust's shortest round-trip decimal, or as `null`
+/// for NaN and infinities, which JSON cannot represent.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(rctrace::json::f64_string(1.25), "1.25");
+/// assert_eq!(rctrace::json::f64_string(f64::NAN), "null");
+/// ```
+pub fn f64_string(v: f64) -> String {
+    if v.is_finite() {
+        v.to_string()
+    } else {
+        "null".into()
+    }
 }
 
 #[cfg(test)]

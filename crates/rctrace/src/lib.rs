@@ -37,7 +37,7 @@
 //! ```
 
 mod chrome;
-mod json;
+pub mod json;
 pub mod metrics;
 
 pub use chrome::{chrome_trace_json, cluster_chrome_trace_json, NODE_PID_STRIDE};

@@ -712,7 +712,7 @@ pub fn metrics_json(session: &TraceSession) -> String {
 
 /// Nearest-rank quantile over an ascending-sorted sample set (rank =
 /// `ceil(q·n)` clamped to `[1, n]`); `0` for an empty set.
-fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }

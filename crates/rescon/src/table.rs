@@ -68,11 +68,6 @@ impl Container {
         &self.usage
     }
 
-    /// Returns `true` if the container has no children.
-    pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
-    }
-
     /// Returns the virtual time at which the container was created.
     pub fn created_at(&self) -> Nanos {
         self.created_at

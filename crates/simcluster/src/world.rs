@@ -67,10 +67,9 @@ pub struct Node {
     /// Display name.
     pub name: String,
     /// The node's kernel (public: scenarios spawn processes, read usage).
+    /// It steps against a [`NullWorld`]: all foreign traffic is captured
+    /// by the egress filter instead.
     pub kernel: Kernel,
-    /// The node-local world (defaults to [`NullWorld`]; all foreign
-    /// traffic is captured by the egress filter instead).
-    world: Box<dyn simos::World>,
     owns: Vec<CidrFilter>,
     /// The node's detached observability session between steps.
     session: Option<rctrace::PausedSession>,
@@ -126,7 +125,6 @@ impl World {
             nodes.push(Node {
                 name: spec.name.clone(),
                 kernel,
-                world: Box::new(NullWorld),
                 owns: spec.owns.clone(),
                 session: None,
             });
@@ -149,15 +147,6 @@ impl World {
             egress_scratch: Vec::new(),
             fe_scratch: Vec::new(),
         }
-    }
-
-    /// Adds a direct lane between two kernel nodes (beyond the default
-    /// star). The world's round quantum shrinks to the smallest lane
-    /// latency.
-    pub fn add_lane(&mut self, src: NodeId, dst: NodeId, lane: LaneSpec) {
-        assert!(!lane.latency.is_zero(), "lanes need non-zero latency");
-        self.quantum = self.quantum.min(lane.latency);
-        self.lanes.insert((src.0, dst.0), Lane::new(lane));
     }
 
     /// Number of kernel nodes.
@@ -183,16 +172,6 @@ impl World {
     /// Mutable access to a node's kernel.
     pub fn kernel_mut(&mut self, node: NodeId) -> &mut Kernel {
         &mut self.nodes[node.0 as usize].kernel
-    }
-
-    /// A node's display name.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0 as usize].name
-    }
-
-    /// Replaces a node's local world (defaults to [`NullWorld`]).
-    pub fn set_node_world(&mut self, node: NodeId, world: Box<dyn simos::World>) {
-        self.nodes[node.0 as usize].world = world;
     }
 
     /// Starts one observability session per node (node id order). Any
@@ -243,7 +222,7 @@ impl World {
                 if let Some(s) = node.session.take() {
                     rctrace::resume(s);
                 }
-                node.kernel.step_until(node.world.as_mut(), horizon);
+                node.kernel.step_until(&mut NullWorld, horizon);
                 node.kernel.drain_egress_into(&mut self.egress_scratch);
                 if self.tracing {
                     node.session = Some(rctrace::pause());
@@ -314,11 +293,6 @@ impl World {
     /// identity the cluster tests assert).
     pub fn tx_total(&self) -> Nanos {
         self.tx.values().fold(Nanos::ZERO, |acc, &t| acc + t)
-    }
-
-    /// Wire time charged to one source node.
-    pub fn tx_of(&self, node: NodeId) -> Nanos {
-        self.tx.get(&node.0).copied().unwrap_or(Nanos::ZERO)
     }
 
     /// One lane's accounting, if the lane exists.

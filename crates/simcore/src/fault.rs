@@ -101,12 +101,6 @@ impl FaultPlan {
         }
     }
 
-    /// Replaces the seed (builder style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Sets the network fault probabilities.
     pub fn with_packet_faults(
         mut self,

@@ -42,11 +42,6 @@ impl Summary {
         self.samples.push(v);
     }
 
-    /// Records a duration sample in milliseconds.
-    pub fn record_nanos_as_millis(&mut self, v: Nanos) {
-        self.record(v.as_millis_f64());
-    }
-
     /// Returns the number of samples.
     pub fn count(&self) -> usize {
         self.samples.len()

@@ -592,11 +592,6 @@ impl Kernel {
         self.processes.get(pid).map(|p| p.default_container)
     }
 
-    /// The process that owns a socket.
-    pub fn socket_owner(&self, sock: SockId) -> Option<Pid> {
-        self.sock_owner.get(sock).copied()
-    }
-
     /// Number of live processes.
     pub fn process_count(&self) -> usize {
         self.processes.len()

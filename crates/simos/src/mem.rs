@@ -71,11 +71,6 @@ impl MemParams {
         }
     }
 
-    pub fn with_stack_bytes(mut self, bytes: u64) -> Self {
-        self.stack_bytes = bytes;
-        self
-    }
-
     pub fn with_pcb_bytes(mut self, bytes: u64) -> Self {
         self.pcb_bytes = bytes;
         self

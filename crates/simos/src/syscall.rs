@@ -20,7 +20,7 @@ use simnet::{CidrFilter, QdiscKind, SockId};
 use crate::app::AppHandler;
 use crate::ids::Pid;
 use crate::kernel::{DiskSchedKind, Kernel, SchedPolicyKind};
-use crate::thread::{Op, ThreadKind, WaitFor, WorkItem};
+use crate::thread::{Op, WaitFor, WorkItem};
 
 /// Errors returned by data-plane socket syscalls (`send`, `read`,
 /// `close`) when the socket id does not name a live socket of the right
@@ -1004,20 +1004,5 @@ impl<'a> SysCtx<'a> {
         let cost = self.k.cost_model().fork / 4;
         self.charge(cost);
         self.k.spawn_thread(self.pid)
-    }
-
-    /// Returns the calling thread's kind-checked id (handy in handlers
-    /// managing thread pools).
-    pub fn current_thread(&self) -> TaskId {
-        self.thread
-    }
-
-    /// Returns `true` if the thread is a kernel network thread (never the
-    /// case for app upcalls; used in assertions).
-    pub fn is_kernel_thread(&self) -> bool {
-        self.k
-            .thread_ref(self.thread)
-            .map(|t| t.kind == ThreadKind::KernelNet)
-            .unwrap_or(false)
     }
 }

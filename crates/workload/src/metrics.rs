@@ -59,11 +59,6 @@ impl ClientMetrics {
         &self.classes[class.min(self.classes.len() - 1)]
     }
 
-    /// Returns a mutable view (used by tests).
-    pub fn class_mut(&mut self, class: usize) -> &mut ClassMetrics {
-        &mut self.classes[class]
-    }
-
     /// Number of classes.
     pub fn class_count(&self) -> usize {
         self.classes.len()

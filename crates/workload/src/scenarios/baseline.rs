@@ -46,7 +46,7 @@ impl Default for BaselineParams {
 }
 
 /// Result of a baseline-throughput run.
-#[derive(Clone, Copy, Debug, serde::Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BaselineResult {
     /// Sustained requests per second in the measurement window.
     pub requests_per_sec: f64,

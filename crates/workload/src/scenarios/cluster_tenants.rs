@@ -125,7 +125,7 @@ impl ClusterTenantsParams {
 }
 
 /// Result of the cluster tenant experiment.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterTenantsResult {
     /// Number of backend nodes.
     pub nodes: u32,

@@ -68,7 +68,7 @@ impl Default for DiskTenantsParams {
 }
 
 /// Result of the two-tenant disk experiment.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct DiskTenantsResult {
     /// Scheduler name ("fifo" or "share").
     pub sched: String,

@@ -61,7 +61,7 @@ pub struct Fig11Params {
 }
 
 /// Result of one Figure 11 point.
-#[derive(Clone, Copy, Debug, serde::Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Fig11Result {
     /// Mean response time of the high-priority client, in ms.
     pub t_high_ms: f64,

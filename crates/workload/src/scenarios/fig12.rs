@@ -79,7 +79,7 @@ impl Default for Fig12Params {
 }
 
 /// Result of one Figure 12/13 point.
-#[derive(Clone, Copy, Debug, serde::Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Fig12Result {
     /// Static-document throughput (Figure 12's y-axis).
     pub static_throughput: f64,

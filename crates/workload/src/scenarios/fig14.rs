@@ -48,7 +48,7 @@ impl Default for Fig14Params {
 }
 
 /// Result of one Figure 14 point.
-#[derive(Clone, Copy, Debug, serde::Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Fig14Result {
     /// Useful (well-behaved) throughput in requests/second.
     pub throughput: f64,

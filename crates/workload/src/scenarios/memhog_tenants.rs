@@ -79,7 +79,7 @@ impl Default for MemhogTenantsParams {
 }
 
 /// Guaranteed-tenant measurements for one run.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct TenantSnapshot {
     /// Windowed request throughput in req/s.
     pub throughput: f64,
@@ -92,7 +92,7 @@ pub struct TenantSnapshot {
 }
 
 /// What the hog observed from its side of the memory war.
-#[derive(Clone, Debug, Default, serde::Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct HogSnapshot {
     /// Successful `kmem_reserve` calls.
     pub reserve_ok: u64,
@@ -105,7 +105,7 @@ pub struct HogSnapshot {
 }
 
 /// Kernel-side memory counters at the end of a run.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct MemCounters {
     /// Live charged kernel memory at end of run, in bytes.
     pub total_bytes: u64,
@@ -123,7 +123,7 @@ pub struct MemCounters {
 
 /// Result of the memory-isolation experiment: the guaranteed tenant solo
 /// vs. next to the hog, plus the hog's and the kernel's view of the fight.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct MemhogTenantsResult {
     /// Guaranteed tenant running alone (baseline).
     pub solo: TenantSnapshot,

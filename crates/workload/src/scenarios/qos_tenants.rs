@@ -65,7 +65,7 @@ impl Default for QosTenantsParams {
 }
 
 /// Result of the two-tenant link-bandwidth experiment.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct QosTenantsResult {
     /// Qdisc name ("fifo" or "wfq").
     pub qdisc: String,

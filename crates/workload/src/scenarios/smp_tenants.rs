@@ -58,7 +58,7 @@ impl Default for SmpTenantsParams {
 }
 
 /// Result of the SMP tenant experiment.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct SmpTenantsResult {
     /// Number of simulated CPUs.
     pub ncpus: u32,

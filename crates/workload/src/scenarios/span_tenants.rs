@@ -90,7 +90,7 @@ impl Default for SpanTenantsParams {
 }
 
 /// Result of the two-tenant span scenario.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct SpanTenantsResult {
     /// Windowed request throughput per tenant: [paid, free].
     pub throughputs: Vec<f64>,

@@ -82,7 +82,7 @@ impl SynfloodFaultParams {
 }
 
 /// Result of one `synflood_fault` run.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct SynfloodFaultResult {
     /// Victim (well-behaved) windowed throughput in requests/second.
     pub throughput: f64,

@@ -44,7 +44,7 @@ impl Default for VsParams {
 }
 
 /// Result of the virtual-server experiment.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct VsResult {
     /// Configured shares (normalized).
     pub configured: Vec<f64>,

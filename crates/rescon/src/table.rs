@@ -41,6 +41,8 @@ pub struct Container {
     /// Sockets or files bound to this container.
     socket_bindings: u32,
     created_at: Nanos,
+    /// Sum of the children's fixed shares, added in child order.
+    fixed_share_sum: f64,
 }
 
 /// Identifier of a container; generation-checked.
@@ -105,6 +107,10 @@ impl Container {
 /// fixed-share containers may have children, and threads and sockets may
 /// bind only to leaf containers.
 ///
+/// The mutators that change the hierarchy or attributes also keep an
+/// [`epoch`](ContainerTable::epoch), on which schedulers key their
+/// caches, and two values derived from the hierarchy.
+///
 /// # Examples
 ///
 /// ```
@@ -138,6 +144,10 @@ pub struct ContainerTable {
     /// Link wire-time history of destroyed parentless containers (same
     /// conservation role as `reaped_cpu`).
     reaped_tx: Nanos,
+    /// Advanced by every successful structural or attribute change.
+    epoch: u64,
+    /// Live containers with a CPU limit.
+    cpu_limited: usize,
 }
 
 impl Default for ContainerTable {
@@ -164,6 +174,7 @@ impl ContainerTable {
             thread_bindings: 0,
             socket_bindings: 0,
             created_at: Nanos::ZERO,
+            fixed_share_sum: share_sum(&arena, &[]),
         });
         ContainerTable {
             arena,
@@ -174,6 +185,8 @@ impl ContainerTable {
             reaped_cpu: Nanos::ZERO,
             reaped_disk: Nanos::ZERO,
             reaped_tx: Nanos::ZERO,
+            epoch: 0,
+            cpu_limited: 0,
         }
     }
 
@@ -225,6 +238,31 @@ impl ContainerTable {
         self.arena.contains(id)
     }
 
+    /// Returns the table's epoch. Every successful `create_at`,
+    /// `set_parent` and `set_attrs`, and every destruction, advances it;
+    /// nothing else does. State derived from the hierarchy, the liveness
+    /// of ids or their attributes is valid while the epoch is unchanged.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Returns the number of live containers with a CPU limit.
+    pub fn cpu_limited_count(&self) -> usize {
+        self.cpu_limited
+    }
+
+    /// Returns the sum of the fixed shares of `id`'s children, added in
+    /// child order (floating orphans are nobody's children).
+    pub fn fixed_share_sum(&self, id: ContainerId) -> Result<f64> {
+        Ok(self.get(id)?.fixed_share_sum)
+    }
+
+    /// Recomputes `id`'s fixed-share child sum from its child list.
+    fn refresh_share_sum(&mut self, id: ContainerId) {
+        let sum = share_sum(&self.arena, &self.arena[id].children);
+        self.arena[id].fixed_share_sum = sum;
+    }
+
     fn get(&self, id: ContainerId) -> Result<&Container> {
         self.arena.get(id).ok_or(RcError::NotFound)
     }
@@ -262,6 +300,7 @@ impl ContainerTable {
         if let Some(share) = attrs.policy.share() {
             self.check_share_capacity(parent, share, None)?;
         }
+        let (limited, fixed) = (attrs.cpu_limit.is_some(), attrs.policy.share().is_some());
         let id = self.arena.insert(Container {
             parent: Some(parent),
             children: Vec::new(),
@@ -275,9 +314,15 @@ impl ContainerTable {
             thread_bindings: 0,
             socket_bindings: 0,
             created_at: now,
+            fixed_share_sum: share_sum(&self.arena, &[]),
         });
         self.created_count += 1;
+        self.epoch += 1;
+        self.cpu_limited += usize::from(limited);
         self.arena[parent].children.push(id);
+        if fixed {
+            self.refresh_share_sum(parent);
+        }
         trace::emit_at(now, || TraceEventKind::ContainerCreate {
             container: id.as_u64(),
             parent: parent.as_u64(),
@@ -349,9 +394,13 @@ impl ContainerTable {
             (c.subtree_cpu, c.subtree_disk, c.subtree_tx, c.subtree_mem)
         };
         let old_parent = self.get(id)?.parent;
+        let fixed = self.arena[id].attrs.policy.share().is_some();
         if let Some(op) = old_parent {
             self.arena[op].children.retain(|&c| c != id);
             self.propagate_detach(op, sub_cpu, sub_disk, sub_tx, sub_mem);
+            if fixed {
+                self.refresh_share_sum(op);
+            }
         } else {
             self.floating.retain(|&c| c != id);
         }
@@ -361,9 +410,13 @@ impl ContainerTable {
             Some(np) => {
                 self.arena[np].children.push(id);
                 self.propagate_attach(np, sub_cpu, sub_disk, sub_tx, sub_mem);
+                if fixed {
+                    self.refresh_share_sum(np);
+                }
             }
             None => self.floating.push(id),
         }
+        self.epoch += 1;
         Ok(())
     }
 
@@ -474,7 +527,17 @@ impl ContainerTable {
                 self.check_share_capacity(parent, share, Some(id))?;
             }
         }
-        self.get_mut(id)?.attrs = attrs;
+        let parent = c.parent;
+        let (limited, fixed) = (attrs.cpu_limit.is_some(), attrs.policy.share().is_some());
+        let old = std::mem::replace(&mut self.arena[id].attrs, attrs);
+        self.epoch += 1;
+        self.cpu_limited =
+            self.cpu_limited + usize::from(limited) - usize::from(old.cpu_limit.is_some());
+        if let Some(p) = parent {
+            if fixed || old.policy.share().is_some() {
+                self.refresh_share_sum(p);
+            }
+        }
         Ok(())
     }
 
@@ -888,8 +951,13 @@ impl ContainerTable {
             }
             None => self.floating.retain(|&c| c != id),
         }
-        self.arena.remove(id);
+        let dead = self.arena.remove(id).expect("checked live");
         self.destroyed_count += 1;
+        self.epoch += 1;
+        self.cpu_limited -= usize::from(dead.attrs.cpu_limit.is_some());
+        if let (Some(p), Some(_)) = (parent, dead.attrs.policy.share()) {
+            self.refresh_share_sum(p);
+        }
         trace::emit(|| TraceEventKind::ContainerDestroy {
             container: id.as_u64(),
         });
@@ -904,7 +972,9 @@ impl ContainerTable {
     /// Verifies the structural invariants of the table; used by tests and
     /// property tests. Panics with a description on violation.
     pub fn check_invariants(&self) {
+        let mut cpu_limited = 0;
         for (id, c) in self.arena.iter() {
+            cpu_limited += usize::from(c.attrs.cpu_limit.is_some());
             // Parent/child consistency.
             if let Some(p) = c.parent {
                 let parent = self.arena.get(p).expect("parent must be live");
@@ -940,6 +1010,13 @@ impl ContainerTable {
                 sum <= 1.0 + SHARE_EPSILON,
                 "children of {id:?} overcommitted: {sum}"
             );
+            // The cached child share sum is that same sum, bit for bit.
+            assert_eq!(
+                c.fixed_share_sum.to_bits(),
+                sum.to_bits(),
+                "stale fixed-share sum at {id:?}: {} cached, {sum} summed",
+                c.fixed_share_sum
+            );
             // Subtree CPU dominates own CPU.
             assert!(
                 c.subtree_cpu >= c.usage.cpu,
@@ -963,7 +1040,20 @@ impl ContainerTable {
                 "floating container {f:?} has a parent"
             );
         }
+        assert_eq!(
+            self.cpu_limited, cpu_limited,
+            "CPU-limited container count out of date"
+        );
     }
+}
+
+/// The fixed shares among `children`, added in child order, as
+/// `check_invariants` recomputes them.
+fn share_sum(arena: &Arena<Container>, children: &[ContainerId]) -> f64 {
+    children
+        .iter()
+        .filter_map(|&c| arena[c].attrs.policy.share())
+        .sum()
 }
 
 #[cfg(test)]
@@ -1276,6 +1366,73 @@ mod tests {
         assert_eq!(t.effective_sockbuf_limit(c).unwrap(), Some(500));
         let free = t.create(None, Attributes::time_shared(1)).unwrap();
         assert_eq!(t.effective_sockbuf_limit(free).unwrap(), None);
+    }
+
+    #[test]
+    fn every_successful_mutator_advances_the_epoch() {
+        fn advanced(t: &ContainerTable, last: &mut u64) -> bool {
+            let moved = t.epoch() > *last;
+            *last = t.epoch();
+            moved
+        }
+        let mut t = table();
+        let mut e = t.epoch();
+        let p = t.create(None, Attributes::fixed_share(0.5)).unwrap();
+        assert!(advanced(&t, &mut e));
+        let c = t
+            .create_at(Some(p), Attributes::time_shared(1), Nanos::from_micros(5))
+            .unwrap();
+        assert!(advanced(&t, &mut e));
+        t.set_parent(c, None).unwrap();
+        assert!(advanced(&t, &mut e));
+        t.set_parent(c, Some(p)).unwrap();
+        assert!(advanced(&t, &mut e));
+        t.set_attrs(c, Attributes::time_shared(7)).unwrap();
+        assert!(advanced(&t, &mut e));
+        // Destruction through each kind of reference.
+        t.bind_thread(c).unwrap();
+        assert!(!t.drop_descriptor_ref(c).unwrap());
+        assert!(!advanced(&t, &mut e));
+        assert!(t.unbind_thread(c).unwrap());
+        assert!(advanced(&t, &mut e));
+        let s = t.create(Some(p), Attributes::time_shared(1)).unwrap();
+        t.bind_socket(s).unwrap();
+        t.drop_descriptor_ref(s).unwrap();
+        assert!(advanced(&t, &mut e));
+        assert!(t.unbind_socket(s).unwrap());
+        assert!(advanced(&t, &mut e));
+        assert!(t.drop_descriptor_ref(p).unwrap());
+        assert!(advanced(&t, &mut e));
+        // Failed mutators and accounting leave it alone.
+        let ts = t.create(None, Attributes::time_shared(1)).unwrap();
+        assert!(advanced(&t, &mut e));
+        assert!(t.create(Some(ts), Attributes::time_shared(1)).is_err());
+        assert!(t.set_parent(ts, Some(ts)).is_err());
+        assert!(t.set_attrs(ts, Attributes::fixed_share(2.0)).is_err());
+        t.charge_cpu(ts, Nanos::from_micros(3)).unwrap();
+        assert!(!advanced(&t, &mut e));
+        t.check_invariants();
+    }
+
+    #[test]
+    fn derived_share_sum_and_limit_count_follow_changes() {
+        let mut t = table();
+        let limited = Attributes::fixed_share(0.25).with_cpu_limit(0.5, Nanos::from_millis(10));
+        let a = t.create(None, limited).unwrap();
+        let b = t.create(None, Attributes::fixed_share(0.5)).unwrap();
+        let _ts = t.create(None, Attributes::time_shared(3)).unwrap();
+        assert_eq!(t.fixed_share_sum(t.root()).unwrap(), 0.75);
+        assert_eq!(t.cpu_limited_count(), 1);
+        t.set_attrs(a, Attributes::fixed_share(0.125)).unwrap();
+        assert_eq!(t.fixed_share_sum(t.root()).unwrap(), 0.625);
+        assert_eq!(t.cpu_limited_count(), 0);
+        t.set_parent(b, Some(a)).unwrap();
+        assert_eq!(t.fixed_share_sum(t.root()).unwrap(), 0.125);
+        assert_eq!(t.fixed_share_sum(a).unwrap(), 0.5);
+        t.drop_descriptor_ref(a).unwrap();
+        // The orphan floats: the root's children hold no share any more.
+        assert_eq!(t.fixed_share_sum(t.root()).unwrap(), 0.0);
+        t.check_invariants();
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests for the container hierarchy: random operation sequences
-//! must preserve the structural invariants and conservation of accounting.
+//! must preserve the structural invariants (the derived share sums and
+//! CPU-limit count among them) and conservation of accounting.
 
 use proptest::prelude::*;
 use rescon::{Attributes, ContainerId, ContainerTable, RcError};
@@ -22,6 +23,16 @@ enum Op {
     ChargeCpu { sel: usize, micros: u32 },
     /// Charge then optionally release memory.
     ChargeMem { sel: usize, bytes: u16 },
+    /// Replace the i-th live container's attributes: a priority or a
+    /// share (switching policy where the hierarchy allows it), with a CPU
+    /// limit turned on or off.
+    SetAttrs {
+        sel: usize,
+        fixed: bool,
+        priority: u32,
+        share_pct: u8,
+        limit: bool,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -43,6 +54,20 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(sel, parent_sel)| Op::Reparent { sel, parent_sel }),
         (any::<usize>(), 1u32..10_000).prop_map(|(sel, micros)| Op::ChargeCpu { sel, micros }),
         (any::<usize>(), 1u16..u16::MAX).prop_map(|(sel, bytes)| Op::ChargeMem { sel, bytes }),
+        (
+            any::<usize>(),
+            any::<bool>(),
+            0u32..32,
+            prop::sample::select(vec![5u8, 10, 25, 30, 50, 70, 90]),
+            any::<bool>(),
+        )
+            .prop_map(|(sel, fixed, priority, share_pct, limit)| Op::SetAttrs {
+                sel,
+                fixed,
+                priority,
+                share_pct,
+                limit
+            }),
     ]
 }
 
@@ -98,6 +123,21 @@ proptest! {
                         let dt = Nanos::from_micros(micros as u64);
                         t.charge_cpu(id, dt).unwrap();
                         total_charged += dt;
+                    }
+                }
+                Op::SetAttrs { sel, fixed, priority, share_pct, limit } => {
+                    if let Some(id) = pick(&ids, sel) {
+                        let mut attrs = if fixed {
+                            Attributes::fixed_share(share_pct as f64 / 100.0)
+                        } else {
+                            Attributes::time_shared(priority)
+                        };
+                        if limit {
+                            attrs = attrs.with_cpu_limit(0.5, Nanos::from_millis(10));
+                        }
+                        // May fail (overcommit, or a parent turning
+                        // time-shared): both fine.
+                        let _ = t.set_attrs(id, attrs);
                     }
                 }
                 Op::ChargeMem { sel, bytes } => {

@@ -24,10 +24,21 @@
 //! subtrees; the task is then eligible wherever any of its containers is,
 //! and the CPU it consumes is charged to whichever container its *resource
 //! binding* names at the time.
+//!
+//! A pick visits the runnable tasks, not the container table. Each task
+//! caches, per live container of its binding, the priority that container
+//! lends it, the node whose time-share pool it joins and its ancestor
+//! chain; the cache holds while the table's
+//! [`epoch`](ContainerTable::epoch) and the binding are unchanged. A
+//! fixed-share child has work when a runnable task's chain passes through
+//! it with no exhausted bucket between, and decayed usages are summed only
+//! to break a tie on priority.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use rescon::{ContainerId, ContainerTable, SchedPolicy};
+use rescon::{ContainerId, ContainerTable, CpuLimit, SchedPolicy};
+use simcore::slab::IdSlab;
 use simcore::trace::{self, TraceEventKind};
 use simcore::Nanos;
 
@@ -35,10 +46,86 @@ use crate::api::{CoreScheduler, Pick, TaskId};
 use crate::bucket::TokenBucket;
 use crate::usage_decay::UsageDecay;
 
+/// A live container of a task's scheduler binding, as the table stood at
+/// the task's cache epoch.
 #[derive(Debug)]
+struct Bound {
+    /// The priority the container lends the task (10 if fixed-share).
+    prio: u32,
+    /// The node whose time-share pool this container's work joins: the
+    /// container itself if it is fixed-share.
+    pool: ContainerId,
+    /// Where in `MlTask::chain` the container and its ancestors sit.
+    path: Range<usize>,
+}
+
+#[derive(Debug, Default)]
 struct MlTask {
     binding: Vec<ContainerId>,
     runnable: bool,
+    /// The table epoch `bound` and `chain` describe; `None` once the
+    /// binding changed.
+    epoch: Option<u64>,
+    bound: Vec<Bound>,
+    chain: Vec<ContainerId>,
+    /// The highest `prio` in `bound`.
+    max_prio: Option<u32>,
+}
+
+impl MlTask {
+    fn chain(&self, b: &Bound) -> &[ContainerId] {
+        &self.chain[b.path.clone()]
+    }
+
+    /// Rebuilds the binding cache if the table changed since it was built.
+    fn refresh(&mut self, table: &ContainerTable) {
+        if self.epoch == Some(table.epoch()) {
+            return;
+        }
+        self.epoch = Some(table.epoch());
+        self.bound.clear();
+        self.chain.clear();
+        let root = table.root();
+        for &c in &self.binding {
+            let Ok(node) = table.container(c) else {
+                continue;
+            };
+            let (prio, fixed) = match node.attrs().policy {
+                SchedPolicy::TimeShared { priority } => (priority, false),
+                SchedPolicy::FixedShare { .. } => (10, true),
+            };
+            // A time-shared container has no children (§5.1): its work
+            // joins its parent's pool, or the root's if it floats.
+            let pool = if fixed || c == root {
+                c
+            } else {
+                node.parent().unwrap_or(root)
+            };
+            let start = self.chain.len();
+            let mut up = Some(c);
+            while let Some(a) = up {
+                self.chain.push(a);
+                up = table.parent(a).ok().flatten();
+            }
+            let path = start..self.chain.len();
+            self.bound.push(Bound { prio, pool, path });
+        }
+        self.max_prio = self.bound.iter().map(|b| b.prio).max();
+    }
+
+    /// The numeric priority the task presents within a pool: the maximum
+    /// priority among its bound, live containers whose chain holds no
+    /// throttled container.
+    fn priority(&self, throttled: &[ContainerId]) -> Option<u32> {
+        if throttled.is_empty() {
+            return self.max_prio;
+        }
+        self.bound
+            .iter()
+            .filter(|b| !self.chain(b).iter().any(|c| throttled.contains(c)))
+            .map(|b| b.prio)
+            .max()
+    }
 }
 
 /// The container-aware multi-level scheduler (paper §5.1).
@@ -64,9 +151,9 @@ struct MlTask {
 /// assert_eq!(s.pick(&table, Nanos::ZERO).unwrap().task, TaskId(2));
 /// ```
 pub struct MultiLevelScheduler {
-    tasks: HashMap<TaskId, MlTask>,
-    /// Tasks eligible at each container (via their scheduler binding).
-    container_tasks: HashMap<ContainerId, Vec<TaskId>>,
+    tasks: IdSlab<TaskId, MlTask>,
+    /// The runnable tasks, in no particular order.
+    runnable: Vec<TaskId>,
     /// Stride pass per fixed-share container, in virtual seconds.
     passes: HashMap<ContainerId, f64>,
     /// Stride pass of the time-share pool at each node.
@@ -77,6 +164,22 @@ pub struct MultiLevelScheduler {
     buckets: HashMap<ContainerId, TokenBucket>,
     /// Decayed CPU usage per container.
     cusage: HashMap<ContainerId, UsageDecay>,
+    /// The table epoch `limited` and `fs_children` describe.
+    epoch: Option<u64>,
+    /// The live CPU-limited containers.
+    limited: Vec<(ContainerId, CpuLimit)>,
+    /// Fixed-share children per node in child order (at the root, then
+    /// the floating ones), filled when two of them compete.
+    fs_children: HashMap<ContainerId, Vec<ContainerId>>,
+    /// Per pick: the containers whose bucket is exhausted.
+    throttled: Vec<ContainerId>,
+    /// Per pick: the runnable tasks with their priority.
+    cands: Vec<(TaskId, Option<u32>)>,
+    /// Per node: its fixed-share children with eligible work.
+    marked: Vec<ContainerId>,
+    /// Pool members, with priority, of the nodes on the pick path; each
+    /// node's members sit above its parent's.
+    pool: Vec<(TaskId, u32)>,
     quantum: Nanos,
     half_life: Nanos,
 }
@@ -97,114 +200,63 @@ impl MultiLevelScheduler {
     /// Creates a scheduler with explicit quantum and usage half-life.
     pub fn with_params(quantum: Nanos, half_life: Nanos) -> Self {
         MultiLevelScheduler {
-            tasks: HashMap::new(),
-            container_tasks: HashMap::new(),
+            tasks: IdSlab::new(),
+            runnable: Vec::new(),
             passes: HashMap::new(),
             pool_passes: HashMap::new(),
             vtimes: HashMap::new(),
             buckets: HashMap::new(),
             cusage: HashMap::new(),
+            epoch: None,
+            limited: Vec::new(),
+            fs_children: HashMap::new(),
+            throttled: Vec::new(),
+            cands: Vec::new(),
+            marked: Vec::new(),
+            pool: Vec::new(),
             quantum,
             half_life,
         }
     }
 
-    fn detach_binding(&mut self, task: TaskId) {
-        if let Some(t) = self.tasks.get(&task) {
-            for c in t.binding.clone() {
-                if let Some(v) = self.container_tasks.get_mut(&c) {
-                    v.retain(|&x| x != task);
-                }
+    /// Brings the per-table caches up to the table's epoch, refills every
+    /// CPU-limit bucket (noting the exhausted ones), and lists the
+    /// runnable tasks with the priority each presents this pick.
+    fn prepare(&mut self, table: &ContainerTable, now: Nanos) {
+        if self.epoch != Some(table.epoch()) {
+            self.epoch = Some(table.epoch());
+            self.fs_children.clear();
+            self.limited.clear();
+            if table.cpu_limited_count() > 0 {
+                self.limited.extend(
+                    table
+                        .iter()
+                        .filter_map(|(id, c)| c.attrs().cpu_limit.map(|l| (id, l))),
+                );
             }
         }
-    }
-
-    fn attach_binding(&mut self, task: TaskId, binding: &[ContainerId]) {
-        for &c in binding {
-            let v = self.container_tasks.entry(c).or_default();
-            if !v.contains(&task) {
-                v.push(task);
+        self.throttled.clear();
+        for &(id, limit) in &self.limited {
+            let eligible = self
+                .buckets
+                .entry(id)
+                .or_insert_with(|| TokenBucket::new(limit.fraction, limit.window))
+                .eligible(now);
+            if !eligible {
+                self.throttled.push(id);
             }
         }
-        if let Some(t) = self.tasks.get_mut(&task) {
-            t.binding = binding.to_vec();
+        self.cands.clear();
+        for &t in &self.runnable {
+            let task = self.tasks.get_mut(t).expect("runnable task is registered");
+            task.refresh(table);
+            self.cands.push((t, task.priority(&self.throttled)));
         }
-    }
-
-    /// Returns the children of `node` for scheduling purposes; at the root
-    /// this includes floating orphans.
-    fn node_children(table: &ContainerTable, node: ContainerId) -> Vec<ContainerId> {
-        let mut v: Vec<ContainerId> = table.children(node).map(|c| c.to_vec()).unwrap_or_default();
-        if node == table.root() {
-            v.extend_from_slice(table.floating());
-        }
-        v
-    }
-
-    /// Refreshes every configured CPU-limit bucket and returns the
-    /// containers whose bucket is exhausted. Computed once per pick so the
-    /// rest of the decision can run without mutable borrows; in the common
-    /// case (no limits configured, or none exhausted) the result is empty
-    /// and all throttle checks short-circuit.
-    fn compute_throttled(&mut self, table: &ContainerTable, now: Nanos) -> Vec<ContainerId> {
-        let mut out = Vec::new();
-        for (id, c) in table.iter() {
-            if let Some(limit) = c.attrs().cpu_limit {
-                let eligible = self
-                    .buckets
-                    .entry(id)
-                    .or_insert_with(|| TokenBucket::new(limit.fraction, limit.window))
-                    .eligible(now);
-                if !eligible {
-                    out.push(id);
-                }
-            }
-        }
-        out
-    }
-
-    /// Returns `true` if `c` or any ancestor has an exhausted CPU-limit
-    /// bucket (per the precomputed `throttled` set).
-    fn is_throttled(table: &ContainerTable, throttled: &[ContainerId], c: ContainerId) -> bool {
-        if throttled.is_empty() {
-            return false;
-        }
-        let mut cursor = Some(c);
-        while let Some(cur) = cursor {
-            if throttled.contains(&cur) {
-                return true;
-            }
-            cursor = table.parent(cur).ok().flatten();
-        }
-        false
-    }
-
-    /// The numeric priority a task presents within a pool: the maximum
-    /// priority among its bound, live, unthrottled containers.
-    fn task_priority(
-        &self,
-        table: &ContainerTable,
-        throttled: &[ContainerId],
-        task: TaskId,
-    ) -> Option<u32> {
-        let binding = &self.tasks.get(&task)?.binding;
-        let mut best: Option<u32> = None;
-        for &c in binding {
-            if !table.contains(c) || Self::is_throttled(table, throttled, c) {
-                continue;
-            }
-            let prio = match table.policy(c).ok()? {
-                SchedPolicy::TimeShared { priority } => priority,
-                SchedPolicy::FixedShare { .. } => 10,
-            };
-            best = Some(best.map_or(prio, |b: u32| b.max(prio)));
-        }
-        best
     }
 
     /// Combined decayed usage of the task's scheduler binding (§4.3).
     fn task_combined_usage(&self, task: TaskId, now: Nanos) -> f64 {
-        let binding = match self.tasks.get(&task) {
+        let binding = match self.tasks.get(task) {
             Some(t) => &t.binding,
             None => return 0.0,
         };
@@ -214,185 +266,138 @@ impl MultiLevelScheduler {
             .sum()
     }
 
-    /// Gathers the runnable tasks whose binding touches `c`. A time-shared
-    /// container has no children (§5.1), so these are all its pool work.
-    fn gather_pool_tasks(&self, c: ContainerId, out: &mut Vec<TaskId>) {
-        if let Some(list) = self.container_tasks.get(&c) {
-            for &t in list {
-                if self.tasks.get(&t).map(|x| x.runnable).unwrap_or(false) && !out.contains(&t) {
-                    out.push(t);
-                }
-            }
-        }
-    }
-
-    /// Returns `true` if the subtree rooted at `c` contains any runnable,
-    /// locally-unthrottled work acceptable under the starvation rule.
-    fn subtree_has_work(
-        &self,
-        table: &ContainerTable,
-        throttled: &[ContainerId],
-        c: ContainerId,
-        allow_starvable: bool,
-    ) -> bool {
-        if throttled.contains(&c) {
-            return false;
-        }
-        if let Some(list) = self.container_tasks.get(&c) {
-            for &t in list {
-                if !self.tasks.get(&t).map(|x| x.runnable).unwrap_or(false) {
-                    continue;
-                }
-                if allow_starvable {
-                    return true;
-                }
-                if self.task_priority(table, throttled, t).unwrap_or(0) >= 1 {
-                    return true;
-                }
-            }
-        }
-        if let Ok(children) = table.children(c) {
-            for &ch in children {
-                if self.subtree_has_work(table, throttled, ch, allow_starvable) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Picks within the time-share pool `candidates`: strict priority
+    /// Picks among the pool members `self.pool[base..]`: strict priority
     /// levels, then minimum combined decayed usage, then lowest id.
-    fn pick_from_pool(
-        &self,
-        table: &ContainerTable,
-        throttled: &[ContainerId],
-        candidates: &[TaskId],
-        now: Nanos,
-        allow_starvable: bool,
-    ) -> Option<TaskId> {
-        let mut best: Option<(u32, f64, TaskId)> = None;
-        for &t in candidates {
-            let prio = match self.task_priority(table, throttled, t) {
-                Some(p) => p,
-                None => continue,
-            };
-            if prio == 0 && !allow_starvable {
-                continue;
-            }
-            let usage = self.task_combined_usage(t, now);
-            let better = match best {
-                None => true,
-                Some((bp, bu, bt)) => {
-                    (prio > bp) || (prio == bp && (usage < bu || (usage == bu && t < bt)))
-                }
-            };
-            if better {
-                best = Some((prio, usage, t));
-            }
+    fn pick_from_pool(&self, base: usize, now: Nanos) -> Option<TaskId> {
+        let pool = &self.pool[base..];
+        let top = pool.iter().map(|&(_, prio)| prio).max()?;
+        let mut level = pool.iter().filter(|&&(_, prio)| prio == top);
+        if level.clone().count() == 1 {
+            return level.next().map(|&(t, _)| t);
         }
-        best.map(|(_, _, t)| t)
+        level
+            .map(|&(t, _)| (self.task_combined_usage(t, now), t))
+            .reduce(|best, (usage, t)| {
+                if usage < best.0 || (usage == best.0 && t < best.1) {
+                    (usage, t)
+                } else {
+                    best
+                }
+            })
+            .map(|(_, t)| t)
     }
 
     /// Recursive pick at a fixed-share node.
     fn pick_node(
         &mut self,
         table: &ContainerTable,
-        throttled: &[ContainerId],
         node: ContainerId,
         now: Nanos,
         allow_starvable: bool,
     ) -> Option<TaskId> {
-        let children = Self::node_children(table, node);
-        let mut fs_with_work: Vec<(ContainerId, f64)> = Vec::new();
-        let mut fs_share_total = 0.0;
-        let mut pool: Vec<TaskId> = Vec::new();
-
-        // Tasks bound directly to this node join its pool.
-        self.gather_pool_tasks(node, &mut pool);
-        for ch in children {
-            match table.policy(ch) {
-                Ok(SchedPolicy::FixedShare { share }) => {
-                    fs_share_total += share;
-                    if self.subtree_has_work(table, throttled, ch, allow_starvable) {
-                        fs_with_work.push((ch, share));
-                    }
+        let root = table.root();
+        let base = self.pool.len();
+        self.marked.clear();
+        for &(t, prio) in &self.cands {
+            // Work counts under the starvation rule; a task with no
+            // eligible container counts only as starvable work and joins
+            // no pool.
+            if !allow_starvable && prio.unwrap_or(0) == 0 {
+                continue;
+            }
+            let task = self.tasks.get(t).expect("candidate is registered");
+            let mut join = prio;
+            for b in &task.bound {
+                if let Some(p) = join.filter(|_| b.pool == node) {
+                    self.pool.push((t, p));
+                    join = None;
                 }
-                Ok(SchedPolicy::TimeShared { .. }) => {
-                    self.gather_pool_tasks(ch, &mut pool);
+                // The container's path into `node`: `chain[..below]` ends
+                // at the child of `node` it lies under. Floating subtrees
+                // hang under the root.
+                let chain = task.chain(b);
+                let below = match chain[1..].iter().position(|&a| a == node) {
+                    Some(i) => i + 1,
+                    None if node == root && chain.last() != Some(&root) => chain.len(),
+                    None => continue,
+                };
+                // A child with children is fixed-share, and so is one that
+                // is its own pool.
+                let child = chain[below - 1];
+                if (below > 1 || b.pool == child)
+                    && !self.marked.contains(&child)
+                    && !chain[..below].iter().any(|c| self.throttled.contains(c))
+                {
+                    self.marked.push(child);
                 }
-                Err(_) => {}
             }
         }
-        // Filter pool: keep tasks that may run under the starvation rule
-        // and are not fully throttled.
-        let pool: Vec<TaskId> = pool
-            .into_iter()
-            .filter(|&t| match self.task_priority(table, throttled, t) {
-                Some(0) => allow_starvable,
-                Some(_) => true,
-                None => false,
-            })
-            .collect();
-
-        let pool_share = (1.0 - fs_share_total).max(0.0);
-        let vt = *self.vtimes.get(&node).unwrap_or(&0.0);
+        if self.marked.len() > 1 {
+            let order = self
+                .fs_children
+                .entry(node)
+                .or_insert_with(|| fixed_share_children(table, node));
+            self.marked
+                .sort_unstable_by_key(|c| order.iter().position(|o| o == c));
+        }
 
         // Decide between fixed-share children and the time-share pool using
-        // stride: lowest (clamped) pass runs. A pool with zero share runs
-        // only as leftover.
-        #[derive(Clone, Copy, PartialEq)]
+        // stride: lowest (clamped) pass runs, the first child in child
+        // order on a tie, and the pool only if strictly lower. A pool with
+        // zero share runs only as leftover.
+        #[derive(Clone, Copy)]
         enum Choice {
             Fs(ContainerId),
             Pool,
         }
-        let mut best: Option<(f64, u8, Choice)> = None;
-        for &(ch, share) in &fs_with_work {
+        let vt = *self.vtimes.get(&node).unwrap_or(&0.0);
+        let mut best: Option<(f64, Choice)> = None;
+        for &ch in &self.marked {
             let pass = self.passes.entry(ch).or_insert(vt);
             if *pass < vt {
                 *pass = vt;
             }
-            let key = (*pass, 0u8, Choice::Fs(ch));
-            let better = match best {
-                None => true,
-                Some((bp, bo, _)) => key.0 < bp || (key.0 == bp && key.1 < bo),
-            };
-            if better {
-                best = Some(key);
+            if best.is_none_or(|(bp, _)| *pass < bp) {
+                best = Some((*pass, Choice::Fs(ch)));
             }
-            let _ = share;
-            // (share is used at charge time, not selection time)
         }
-        if !pool.is_empty() {
-            if pool_share > 0.0 {
+        if self.pool.len() > base {
+            let mut fs_share_total = table.fixed_share_sum(node).unwrap_or_default();
+            if node == root {
+                // Floating orphans compete as the root's children, and
+                // take their share out of its pool here (not in `charge`).
+                for &f in table.floating() {
+                    if let Some(share) = table.policy(f).ok().and_then(|p| p.share()) {
+                        fs_share_total += share;
+                    }
+                }
+            }
+            if (1.0 - fs_share_total).max(0.0) > 0.0 {
                 let pass = self.pool_passes.entry(node).or_insert(vt);
                 if *pass < vt {
                     *pass = vt;
                 }
-                let key = (*pass, 1u8, Choice::Pool);
-                let better = match best {
-                    None => true,
-                    Some((bp, bo, _)) => key.0 < bp || (key.0 == bp && key.1 < bo),
-                };
-                if better {
-                    best = Some(key);
+                if best.is_none_or(|(bp, _)| *pass < bp) {
+                    best = Some((*pass, Choice::Pool));
                 }
             } else if best.is_none() {
                 // Leftover-only pool: runs when no fixed-share child wants
                 // the CPU.
-                best = Some((vt, 1, Choice::Pool));
+                best = Some((vt, Choice::Pool));
             }
         }
-        let (sel_pass, _, choice) = best?;
+        let (sel_pass, choice) = best?;
         // The node's virtual time follows the pass of the selected child:
         // children waking from idle join here instead of cashing in credit.
         self.vtimes.insert(node, sel_pass);
-        match choice {
+        let picked = match choice {
             Choice::Fs(ch) => self
-                .pick_node(table, throttled, ch, now, allow_starvable)
-                .or_else(|| self.pick_from_pool(table, throttled, &pool, now, allow_starvable)),
-            Choice::Pool => self.pick_from_pool(table, throttled, &pool, now, allow_starvable),
-        }
+                .pick_node(table, ch, now, allow_starvable)
+                .or_else(|| self.pick_from_pool(base, now)),
+            Choice::Pool => self.pick_from_pool(base, now),
+        };
+        self.pool.truncate(base);
+        picked
     }
 
     /// Returns the decayed usage recorded for a container, for tests.
@@ -401,50 +406,81 @@ impl MultiLevelScheduler {
     }
 }
 
+/// The fixed-share children of `node` in child order; the root's are
+/// followed by the floating fixed-share orphans.
+fn fixed_share_children(table: &ContainerTable, node: ContainerId) -> Vec<ContainerId> {
+    let floating = if node == table.root() {
+        table.floating()
+    } else {
+        &[]
+    };
+    let children = table.children(node).unwrap_or(&[]);
+    children
+        .iter()
+        .chain(floating)
+        .copied()
+        .filter(|&c| table.policy(c).is_ok_and(|p| p.share().is_some()))
+        .collect()
+}
+
 impl CoreScheduler for MultiLevelScheduler {
     fn add_task(&mut self, task: TaskId, binding: &[ContainerId], _now: Nanos) {
+        self.remove_task(task);
+        let binding = binding.to_vec();
         self.tasks.insert(
             task,
             MlTask {
-                binding: Vec::new(),
-                runnable: false,
+                binding,
+                ..MlTask::default()
             },
         );
-        self.attach_binding(task, binding);
     }
 
     fn remove_task(&mut self, task: TaskId) {
-        self.detach_binding(task);
-        self.tasks.remove(&task);
+        if self.tasks.remove(task).is_some_and(|t| t.runnable) {
+            self.runnable.retain(|&t| t != task);
+        }
     }
 
     fn set_binding(&mut self, task: TaskId, binding: &[ContainerId], _now: Nanos) {
-        self.detach_binding(task);
-        self.attach_binding(task, binding);
+        if let Some(t) = self.tasks.get_mut(task) {
+            if t.binding != binding {
+                t.binding.clear();
+                t.binding.extend_from_slice(binding);
+                t.epoch = None;
+            }
+        }
     }
 
     fn set_runnable(&mut self, task: TaskId, runnable: bool, now: Nanos) {
-        if let Some(t) = self.tasks.get_mut(&task) {
-            if t.runnable != runnable {
-                trace::emit_at(now, || TraceEventKind::ThreadState {
-                    task: task.0,
-                    runnable,
-                });
-            }
-            t.runnable = runnable;
+        let Some(t) = self.tasks.get_mut(task) else {
+            return;
+        };
+        if t.runnable == runnable {
+            return;
+        }
+        trace::emit_at(now, || TraceEventKind::ThreadState {
+            task: task.0,
+            runnable,
+        });
+        t.runnable = runnable;
+        if runnable {
+            self.runnable.push(task);
+        } else {
+            self.runnable.retain(|&t| t != task);
         }
     }
 
     fn is_runnable(&self, task: TaskId) -> bool {
-        self.tasks.get(&task).map(|t| t.runnable).unwrap_or(false)
+        self.tasks.get(task).is_some_and(|t| t.runnable)
     }
 
     fn pick(&mut self, table: &ContainerTable, now: Nanos) -> Option<Pick> {
         let root = table.root();
-        let throttled = self.compute_throttled(table, now);
+        self.prepare(table, now);
         let task = self
-            .pick_node(table, &throttled, root, now, false)
-            .or_else(|| self.pick_node(table, &throttled, root, now, true))?;
+            .pick_node(table, root, now, false)
+            .or_else(|| self.pick_node(table, root, now, true))?;
         trace::emit_at(now, || TraceEventKind::SchedPick {
             task: task.0,
             slice: self.quantum,
@@ -472,61 +508,47 @@ impl CoreScheduler for MultiLevelScheduler {
         // Walk the chain from the charged container to the root, advancing
         // stride passes and draining limit buckets.
         let mut cur = container;
-        loop {
-            if let Some(limit) = table.attrs(cur).ok().and_then(|a| a.cpu_limit) {
+        while let Ok(node) = table.container(cur) {
+            if let Some(limit) = node.attrs().cpu_limit {
                 self.buckets
                     .entry(cur)
                     .or_insert_with(|| TokenBucket::new(limit.fraction, limit.window))
                     .consume(dt, now);
             }
-            let parent = match table.parent(cur) {
-                Ok(Some(p)) => p,
+            let parent = match node.parent() {
+                Some(p) => p,
                 // Floating containers charge against the root's level.
-                Ok(None) if cur != table.root() => table.root(),
-                _ => break,
+                None if cur != table.root() => table.root(),
+                None => break,
             };
-            match table.policy(cur) {
-                Ok(SchedPolicy::FixedShare { share }) => {
+            match node.attrs().policy {
+                SchedPolicy::FixedShare { share } => {
                     let pass = self.passes.entry(cur).or_insert(0.0);
                     *pass += dt_sec / share.max(1e-6);
                 }
-                Ok(SchedPolicy::TimeShared { .. }) => {
+                SchedPolicy::TimeShared { .. } => {
                     // Time-shared work charges its parent's pool: the parent
                     // is fixed-share (§5.1), and floating containers charge
                     // the root.
-                    let children = table
-                        .children(parent)
-                        .map(|c| c.to_vec())
-                        .unwrap_or_default();
-                    let fs_sum: f64 = children
-                        .iter()
-                        .filter_map(|&c| table.policy(c).ok().and_then(|p| p.share()))
-                        .sum();
+                    let fs_sum = table.fixed_share_sum(parent).unwrap_or_default();
                     let pool_share = (1.0 - fs_sum).max(0.0);
                     if pool_share > 0.0 {
                         let pass = self.pool_passes.entry(parent).or_insert(0.0);
                         *pass += dt_sec / pool_share;
                     }
                 }
-                Err(_) => {}
             }
             cur = parent;
         }
     }
 
     fn next_release_time(&mut self, table: &ContainerTable, now: Nanos) -> Option<Nanos> {
-        let any_runnable = self.tasks.values().any(|t| t.runnable);
-        if !any_runnable {
+        if self.runnable.is_empty() {
             return None;
         }
         let mut earliest: Option<Nanos> = None;
-        let ids: Vec<ContainerId> = self.buckets.keys().copied().collect();
-        for c in ids {
-            if !table.contains(c) {
-                continue;
-            }
-            let b = self.buckets.get_mut(&c).expect("bucket exists");
-            if !b.eligible(now) {
+        for (&c, b) in self.buckets.iter_mut() {
+            if table.contains(c) && !b.eligible(now) {
                 let r = b.release_time(now);
                 earliest = Some(earliest.map_or(r, |e: Nanos| e.min(r)));
             }

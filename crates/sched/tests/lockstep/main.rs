@@ -1,0 +1,442 @@
+//! Lockstep differential tests: the incremental `MultiLevelScheduler`
+//! against `RefMultiLevel`, the scheduler it replaced, kept verbatim.
+//!
+//! Both are driven through the same `CoreScheduler` call sequence over one
+//! container table. Every result must be equal: the picks, the next
+//! release time, and the decayed usage of every container ever created,
+//! bit for bit. The named tests pin behaviours that an incremental pick
+//! could easily "fix" by accident.
+
+mod ref_multilevel;
+
+use std::fmt::Debug;
+
+use proptest::prelude::*;
+use ref_multilevel::RefMultiLevel;
+use rescon::{Attributes, ContainerId, ContainerTable};
+use sched::{CoreScheduler, MultiLevelScheduler, Pick, TaskId};
+use simcore::Nanos;
+
+/// The reference and the rewrite, fed identical calls.
+struct Lockstep {
+    reference: RefMultiLevel,
+    rewrite: MultiLevelScheduler,
+    /// Names the step under test in failure messages.
+    context: String,
+}
+
+impl Lockstep {
+    fn new() -> Self {
+        Lockstep {
+            reference: RefMultiLevel::new(),
+            rewrite: MultiLevelScheduler::new(),
+            context: String::new(),
+        }
+    }
+
+    /// Applies `call` to both schedulers and asserts equal results.
+    fn both<R: PartialEq + Debug>(
+        &mut self,
+        mut call: impl FnMut(&mut dyn CoreScheduler) -> R,
+    ) -> R {
+        let want = call(&mut self.reference);
+        let got = call(&mut self.rewrite);
+        assert_eq!(
+            got, want,
+            "rewrite diverged from the reference at {}",
+            self.context
+        );
+        want
+    }
+
+    fn pick(&mut self, table: &ContainerTable, now: Nanos) -> Option<Pick> {
+        self.both(|s| s.pick(table, now))
+    }
+
+    /// Picks, then charges the quantum to `container` as the kernel would.
+    fn run_quantum(
+        &mut self,
+        table: &ContainerTable,
+        container: impl Fn(TaskId) -> ContainerId,
+        now: &mut Nanos,
+    ) -> Option<TaskId> {
+        let pick = self.pick(table, *now)?;
+        *now += pick.slice;
+        let t = *now;
+        self.both(|s| s.charge(pick.task, container(pick.task), pick.slice, table, t));
+        Some(pick.task)
+    }
+
+    fn assert_usages(&self, ids: &[ContainerId], now: Nanos) {
+        for &c in ids {
+            assert_eq!(
+                self.rewrite.container_usage(c, now).to_bits(),
+                self.reference.container_usage(c, now).to_bits(),
+                "usage of {c:?} diverged at {}",
+                self.context
+            );
+        }
+    }
+}
+
+fn ts(table: &mut ContainerTable, parent: Option<ContainerId>, prio: u32) -> ContainerId {
+    table.create(parent, Attributes::time_shared(prio)).unwrap()
+}
+
+/// A destroyed container that a binding still names keeps counting its
+/// decayed usage when two tasks tie on priority. The kernel drops dead
+/// ids only at the next rebind, and the kernel network thread's binding
+/// is rebuilt from the stack's pending principals, which destruction does
+/// not purge, so a dead id can even come back into a binding.
+#[test]
+fn dead_container_in_binding_counts_its_usage_in_a_tie() {
+    let mut table = ContainerTable::new();
+    let a = ts(&mut table, None, 10);
+    let b = ts(&mut table, None, 10);
+    let dead = ts(&mut table, None, 10);
+    let mut s = Lockstep::new();
+    let zero = Nanos::ZERO;
+    s.both(|s| s.add_task(TaskId(1), &[a, dead], zero));
+    s.both(|s| s.add_task(TaskId(2), &[b], zero));
+    let now = Nanos::from_millis(1);
+    s.both(|s| s.charge(TaskId(1), dead, Nanos::from_millis(5), &table, now));
+    s.both(|s| s.charge(TaskId(2), b, Nanos::from_millis(3), &table, now));
+    assert!(table.drop_descriptor_ref(dead).unwrap());
+    s.both(|s| s.set_runnable(TaskId(1), true, now));
+    s.both(|s| s.set_runnable(TaskId(2), true, now));
+    // Task 1's only live container is unused, but the dead one's 5 ms
+    // outweigh task 2's 3 ms.
+    assert_eq!(s.pick(&table, now).map(|p| p.task), Some(TaskId(2)));
+    // Rebinding the dead id back in (as the network thread does) keeps it.
+    s.both(|s| s.set_binding(TaskId(1), &[dead, a], now));
+    assert_eq!(s.pick(&table, now).map(|p| p.task), Some(TaskId(2)));
+    s.both(|s| s.set_binding(TaskId(1), &[a], now));
+    assert_eq!(s.pick(&table, now).map(|p| p.task), Some(TaskId(1)));
+    s.assert_usages(&[a, b, dead], now);
+}
+
+/// A floating fixed-share container counts in the root's pool share when
+/// a pick compares the pool with the root's fixed-share children, but not
+/// when `charge` advances the root pool's pass. This is the behaviour the
+/// goldens were recorded with; DESIGN lists it as an open inconsistency.
+#[test]
+fn floating_fixed_share_counts_in_root_pool_share_at_pick_only() {
+    for (share, pool_quanta) in [(1.0, 0), (0.5, 200)] {
+        let mut table = ContainerTable::new();
+        let fs = table.create(None, Attributes::fixed_share(share)).unwrap();
+        let inner = ts(&mut table, Some(fs), 10);
+        table.set_parent(fs, None).unwrap();
+        let pooled = ts(&mut table, None, 10);
+        let mut s = Lockstep::new();
+        let zero = Nanos::ZERO;
+        s.both(|s| s.add_task(TaskId(1), &[inner], zero));
+        s.both(|s| s.add_task(TaskId(2), &[pooled], zero));
+        s.both(|s| s.set_runnable(TaskId(1), true, zero));
+        s.both(|s| s.set_runnable(TaskId(2), true, zero));
+        let home = |t: TaskId| if t == TaskId(1) { inner } else { pooled };
+        let mut now = zero;
+        let mut ran_pool = 0;
+        for _ in 0..300 {
+            if s.run_quantum(&table, home, &mut now) == Some(TaskId(2)) {
+                ran_pool += 1;
+            }
+        }
+        // A whole-machine floating share leaves the pool leftover CPU
+        // only. At half, the pick sees a half-share pool while `charge`
+        // advances the pool's pass at full share, so the pool gets two
+        // thirds rather than half.
+        assert_eq!(ran_pool, pool_quanta, "floating share {share}");
+        s.assert_usages(&[fs, inner, pooled], now);
+    }
+}
+
+/// A runnable task whose binding names only destroyed containers is never
+/// picked, even as starvable work on an otherwise idle CPU. (The
+/// work-conservation property of the scheduler protocol must allow this.)
+#[test]
+fn task_bound_only_to_destroyed_containers_is_never_picked() {
+    let mut table = ContainerTable::new();
+    let gone = ts(&mut table, None, 10);
+    let live = ts(&mut table, None, 0);
+    let mut s = Lockstep::new();
+    let zero = Nanos::ZERO;
+    s.both(|s| s.add_task(TaskId(1), &[gone], zero));
+    s.both(|s| s.set_runnable(TaskId(1), true, zero));
+    assert!(table.drop_descriptor_ref(gone).unwrap());
+    assert_eq!(s.pick(&table, zero), None);
+    assert_eq!(s.both(|s| s.next_release_time(&table, zero)), None);
+    s.both(|s| s.add_task(TaskId(2), &[live], zero));
+    s.both(|s| s.set_runnable(TaskId(2), true, zero));
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(2)));
+}
+
+/// One step of a random call sequence. Selectors index the live
+/// containers, the live fixed-share ones, or every id ever created,
+/// modulo their length.
+#[derive(Clone, Debug)]
+enum Op {
+    /// Create a container under a live fixed-share node, or floating.
+    Create {
+        parent: Option<usize>,
+        attrs: AttrSpec,
+    },
+    /// Drop a live container's only reference: it dies, and its children
+    /// float.
+    Release {
+        sel: usize,
+    },
+    /// Move a live container under a live fixed-share node, or float it.
+    Reparent {
+        sel: usize,
+        parent: Option<usize>,
+    },
+    SetAttrs {
+        sel: usize,
+        attrs: AttrSpec,
+    },
+    /// Register an unregistered task.
+    AddTask {
+        task: u32,
+        binding: Vec<Member>,
+    },
+    RemoveTask {
+        task: u32,
+    },
+    SetBinding {
+        task: u32,
+        binding: Vec<Member>,
+    },
+    SetRunnable {
+        task: u32,
+        runnable: bool,
+    },
+    /// Charge CPU to a live container, ending now.
+    Charge {
+        sel: usize,
+        micros: u32,
+    },
+    /// Run `quanta` picks as the kernel does, charging each slice to the
+    /// first live container of the picked task's binding.
+    Run {
+        quanta: u32,
+    },
+    Advance {
+        micros: u32,
+    },
+}
+
+/// A binding member: mostly a live container, sometimes any id ever
+/// created, dead ones included.
+#[derive(Clone, Copy, Debug)]
+struct Member {
+    any_id: bool,
+    sel: usize,
+}
+
+#[derive(Clone, Debug)]
+struct AttrSpec {
+    fixed: bool,
+    priority: u32,
+    share_pct: u8,
+    /// CPU limit in percent, over a 5 ms window.
+    limit_pct: Option<u8>,
+}
+
+impl AttrSpec {
+    fn attrs(&self) -> Attributes {
+        let a = if self.fixed {
+            Attributes::fixed_share(self.share_pct as f64 / 100.0)
+        } else {
+            Attributes::time_shared(self.priority)
+        };
+        match self.limit_pct {
+            Some(pct) => a.with_cpu_limit(pct as f64 / 100.0, Nanos::from_millis(5)),
+            None => a,
+        }
+    }
+}
+
+fn attr_strategy() -> impl Strategy<Value = AttrSpec> {
+    (
+        any::<bool>(),
+        0u32..=20,
+        prop::sample::select(vec![10u8, 20, 25, 30, 50, 70, 100]),
+        0u8..4,
+        prop::sample::select(vec![10u8, 30, 60]),
+    )
+        .prop_map(|(fixed, priority, share_pct, limited, pct)| AttrSpec {
+            fixed,
+            priority,
+            share_pct,
+            limit_pct: (limited == 0).then_some(pct),
+        })
+}
+
+const TASKS: u32 = 8;
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    let binding = || {
+        prop::collection::vec(
+            (0u8..5, any::<usize>()).prop_map(|(d, sel)| Member {
+                any_id: d == 0,
+                sel,
+            }),
+            1..5,
+        )
+    };
+    let create = || {
+        (any::<usize>(), 0u8..5, attr_strategy()).prop_map(|(p, f, attrs)| Op::Create {
+            parent: (f > 0).then_some(p),
+            attrs,
+        })
+    };
+    let wake = || {
+        (0..TASKS, 0u8..3).prop_map(|(task, r)| Op::SetRunnable {
+            task,
+            runnable: r > 0,
+        })
+    };
+    let run = || (1u32..4).prop_map(|quanta| Op::Run { quanta });
+    prop_oneof![
+        create(),
+        create(),
+        create(),
+        any::<usize>().prop_map(|sel| Op::Release { sel }),
+        (any::<usize>(), any::<usize>(), 0u8..4).prop_map(|(sel, p, f)| Op::Reparent {
+            sel,
+            parent: (f > 0).then_some(p)
+        }),
+        (any::<usize>(), attr_strategy()).prop_map(|(sel, attrs)| Op::SetAttrs { sel, attrs }),
+        (0..TASKS, binding()).prop_map(|(task, binding)| Op::AddTask { task, binding }),
+        (0..TASKS, binding()).prop_map(|(task, binding)| Op::AddTask { task, binding }),
+        (0..TASKS).prop_map(|task| Op::RemoveTask { task }),
+        (0..TASKS, binding()).prop_map(|(task, binding)| Op::SetBinding { task, binding }),
+        wake(),
+        wake(),
+        wake(),
+        (any::<usize>(), 1u32..3000).prop_map(|(sel, micros)| Op::Charge { sel, micros }),
+        run(),
+        run(),
+        run(),
+        (0u32..8000).prop_map(|micros| Op::Advance { micros }),
+    ]
+}
+
+fn nth<T: Copy>(v: &[T], sel: usize) -> Option<T> {
+    (!v.is_empty()).then(|| v[sel % v.len()])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random legal call sequences over random hierarchies (floating
+    /// orphans, CPU limits, priority 0, multi-container bindings naming
+    /// dead ids) give identical picks, release times and usages.
+    #[test]
+    fn rewrite_matches_reference_in_lockstep(ops in prop::collection::vec(op_strategy(), 1..160)) {
+        let mut table = ContainerTable::new();
+        let mut s = Lockstep::new();
+        let mut ever: Vec<ContainerId> = vec![table.root()];
+        let mut bindings: Vec<Option<Vec<ContainerId>>> = vec![None; TASKS as usize];
+        let mut now = Nanos::ZERO;
+        for (i, op) in ops.iter().enumerate() {
+            s.context = format!("step {i}: {op:?}");
+            let live: Vec<ContainerId> = table.iter().map(|(id, _)| id).collect();
+            let fixed: Vec<ContainerId> = table
+                .iter()
+                .filter(|(_, c)| c.attrs().policy.share().is_some())
+                .map(|(id, _)| id)
+                .collect();
+            let non_root: Vec<ContainerId> =
+                live.iter().copied().filter(|&c| c != table.root()).collect();
+            let bind = |members: &[Member]| -> Vec<ContainerId> {
+                members
+                    .iter()
+                    .map(|m| if m.any_id { nth(&ever, m.sel) } else { nth(&live, m.sel) })
+                    .map(|c| c.expect("the root is always live"))
+                    .collect()
+            };
+            match op {
+                Op::Create { parent, attrs } => {
+                    let under = parent.and_then(|p| nth(&fixed, p));
+                    if let Ok(c) = table.create_at(under, attrs.attrs(), now) {
+                        if parent.is_none() {
+                            table.set_parent(c, None).unwrap();
+                        }
+                        ever.push(c);
+                    }
+                }
+                Op::Release { sel } => {
+                    if let Some(c) = nth(&non_root, *sel) {
+                        assert!(table.drop_descriptor_ref(c).unwrap());
+                    }
+                }
+                Op::Reparent { sel, parent } => {
+                    if let Some(c) = nth(&non_root, *sel) {
+                        let to = match parent {
+                            Some(p) => nth(&fixed, *p),
+                            None => None,
+                        };
+                        // A cycle or an overcommitted parent refuses.
+                        let _ = table.set_parent(c, to);
+                    }
+                }
+                Op::SetAttrs { sel, attrs } => {
+                    if let Some(c) = nth(&live, *sel) {
+                        let _ = table.set_attrs(c, attrs.attrs());
+                    }
+                }
+                Op::AddTask { task, binding } => {
+                    let slot = &mut bindings[*task as usize];
+                    if slot.is_none() {
+                        let b = bind(binding);
+                        s.both(|s| s.add_task(TaskId(*task), &b, now));
+                        *slot = Some(b);
+                    }
+                }
+                Op::RemoveTask { task } => {
+                    if bindings[*task as usize].take().is_some() {
+                        s.both(|s| s.remove_task(TaskId(*task)));
+                    }
+                }
+                Op::SetBinding { task, binding } => {
+                    if bindings[*task as usize].is_some() {
+                        let b = bind(binding);
+                        s.both(|s| s.set_binding(TaskId(*task), &b, now));
+                        bindings[*task as usize] = Some(b);
+                    }
+                }
+                Op::SetRunnable { task, runnable } => {
+                    if bindings[*task as usize].is_some() {
+                        s.both(|s| s.set_runnable(TaskId(*task), *runnable, now));
+                    }
+                }
+                Op::Run { quanta } => {
+                    let home = |t: TaskId| {
+                        bindings[t.0 as usize]
+                            .iter()
+                            .flatten()
+                            .copied()
+                            .find(|&c| table.contains(c))
+                            .unwrap_or(table.root())
+                    };
+                    for _ in 0..*quanta {
+                        s.run_quantum(&table, home, &mut now);
+                    }
+                }
+                Op::Charge { sel, micros } => {
+                    if let Some(c) = nth(&live, *sel) {
+                        let dt = Nanos::from_micros(*micros as u64);
+                        now += dt;
+                        s.both(|s| s.charge(TaskId(0), c, dt, &table, now));
+                    }
+                }
+                Op::Advance { micros } => now += Nanos::from_micros(*micros as u64),
+            }
+            s.pick(&table, now);
+            s.both(|s| s.next_release_time(&table, now));
+            s.both(|s| s.is_runnable(TaskId(i as u32 % TASKS)));
+            s.assert_usages(&ever, now);
+        }
+    }
+}

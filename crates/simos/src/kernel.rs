@@ -1006,23 +1006,19 @@ impl Kernel {
                 // their pending (possibly starvable) backlog: priority
                 // zero means "run only when nothing else wants the
                 // CPU" — which is now.
-                let parked: Vec<(Pid, TaskId)> = self
+                // Most idle steps find none, so test before collecting;
+                // the list is still taken before any refill.
+                if self
                     .kthreads
                     .iter()
-                    .map(|(pid, &ktid)| (pid, ktid))
-                    .filter(|&(pid, ktid)| {
-                        self.threads
-                            .get(ktid)
-                            .map(|t| !t.has_work())
-                            .unwrap_or(false)
-                            && self
-                                .pending
-                                .get(pid)
-                                .map(|q| !q.is_empty())
-                                .unwrap_or(false)
-                    })
-                    .collect();
-                if !parked.is_empty() {
+                    .any(|(pid, &kt)| self.kthread_parked(pid, kt))
+                {
+                    let parked: Vec<(Pid, TaskId)> = self
+                        .kthreads
+                        .iter()
+                        .map(|(pid, &ktid)| (pid, ktid))
+                        .filter(|&(pid, ktid)| self.kthread_parked(pid, ktid))
+                        .collect();
                     for (pid, ktid) in parked {
                         self.kthread_refill_inner(pid, ktid, true);
                     }
@@ -1069,6 +1065,13 @@ impl Kernel {
                 StepOutcome::Idle(target)
             }
         }
+    }
+
+    /// Returns `true` if the kernel network thread `ktid` of `pid` has run
+    /// dry while its (possibly starvable) backlog waits.
+    fn kthread_parked(&self, pid: Pid, ktid: TaskId) -> bool {
+        self.threads.get(ktid).is_some_and(|t| !t.has_work())
+            && self.pending.get(pid).is_some_and(|q| !q.is_empty())
     }
 
     /// The single charge path for scheduled CPU time, shared by every
@@ -1138,28 +1141,28 @@ impl Kernel {
     /// two waiting threads are victims — stealing a CPU's sole runnable
     /// thread would just move the work without creating parallelism.
     fn steal_candidate(&self, thief: usize) -> Option<(TaskId, usize)> {
-        let ncpus = self.cpus.len();
-        let mut best: Vec<TaskId> = Vec::new();
-        let mut from = thief;
-        for victim in 0..ncpus {
-            if victim == thief {
-                continue;
-            }
-            let mut queued: Vec<TaskId> = Vec::new();
-            for (tid, th) in self.threads.iter() {
-                if th.kind == ThreadKind::App
-                    && th.state == ThreadState::Runnable
-                    && self.scheduler.cpu_of(tid) == Some(CpuId(victim as u32))
+        // Per CPU: the runnable application threads homed there, and the
+        // lowest id among them (threads iterate in ascending id).
+        let mut queued: Vec<(usize, Option<TaskId>)> = vec![(0, None); self.cpus.len()];
+        for (tid, th) in self.threads.iter() {
+            if th.kind == ThreadKind::App && th.state == ThreadState::Runnable {
+                if let Some(q) = self
+                    .scheduler
+                    .cpu_of(tid)
+                    .and_then(|c| queued.get_mut(c.0 as usize))
                 {
-                    queued.push(tid);
+                    q.0 += 1;
+                    q.1.get_or_insert(tid);
                 }
             }
-            if queued.len() >= 2 && queued.len() > best.len() {
-                best = queued;
-                from = victim;
+        }
+        let mut best: Option<(usize, TaskId, usize)> = None;
+        for (victim, &(n, first)) in queued.iter().enumerate() {
+            if victim != thief && n >= 2 && best.is_none_or(|(most, _, _)| n > most) {
+                best = first.map(|t| (n, t, victim));
             }
         }
-        best.first().map(|&t| (t, from))
+        best.map(|(_, t, victim)| (t, victim))
     }
 
     fn rebalance(&mut self) {

@@ -1,12 +1,18 @@
 //! Every scenario entry, run reduced twice in one process: the two
 //! artifact sets must be byte-identical, every self-check must pass, and
-//! no reduced artifact may share a path with a full-size run.
+//! no reduced artifact may share a path with a full-size run. The reduced
+//! cluster dump must also match its golden byte for byte.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use rcbench::cli::driver::build;
 use rcbench::cli::registry::{table, ScenarioArgs, ScenarioSpec};
+
+/// The reduced cluster run's state dump as the commit before the
+/// MultiLevel slot table wrote it. Never regenerated: a scheduler or
+/// cluster change must leave it byte-identical.
+const CLUSTER_GOLDEN: &str = include_str!("../../../tests/golden/cluster_reduced_dump.txt");
 
 /// The reduced argument sets each entry runs under: the defaults, plus a
 /// uniprocessor `smp` run, whose checks differ (no migrations at all).
@@ -35,6 +41,15 @@ fn check_run(spec: &ScenarioSpec, args: &ScenarioArgs) -> Result<(), String> {
         }
     }
     first.verdict()?;
+    if spec.name == "cluster" {
+        let path = "results/cluster_reduced_dump.txt";
+        let dump = first.artifacts.iter().find(|(p, _)| p == path);
+        if dump.is_none_or(|(_, d)| d != CLUSTER_GOLDEN) {
+            return Err(format!(
+                "{path} differs from tests/golden/cluster_reduced_dump.txt"
+            ));
+        }
+    }
     let full = spec.paths(&ScenarioArgs {
         reduced: false,
         ..args.clone()

@@ -29,10 +29,15 @@
 //! caches, per live container of its binding, the priority that container
 //! lends it, the node whose time-share pool it joins and its ancestor
 //! chain; the cache holds while the table's
-//! [`epoch`](ContainerTable::epoch) and the binding are unchanged. A
-//! fixed-share child has work when a runnable task's chain passes through
-//! it with no exhausted bucket between, and decayed usages are summed only
-//! to break a tie on priority.
+//! [`epoch`](ContainerTable::epoch) and the binding are unchanged.
+//! Unlimited time-shared siblings share one cache entry. A fixed-share
+//! child has work when a runnable task's chain passes through it with no
+//! exhausted bucket between, and decayed usages are summed only to break
+//! a tie on priority.
+//!
+//! Per-container scheduling state (stride passes, virtual time, limit
+//! bucket, decayed usage) sits in a table indexed by the container's arena
+//! slot; a dead id's usage outlives the reuse of its slot.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -47,15 +52,17 @@ use crate::bucket::TokenBucket;
 use crate::usage_decay::UsageDecay;
 
 /// A live container of a task's scheduler binding, as the table stood at
-/// the task's cache epoch.
+/// the task's cache epoch, or a group of unlimited time-shared siblings.
 #[derive(Debug)]
 struct Bound {
-    /// The priority the container lends the task (10 if fixed-share).
+    /// The priority the container lends the task (10 if fixed-share); a
+    /// group's highest.
     prio: u32,
     /// The node whose time-share pool this container's work joins: the
     /// container itself if it is fixed-share.
     pool: ContainerId,
-    /// Where in `MlTask::chain` the container and its ancestors sit.
+    /// Where in `MlTask::chain` the container (a group's first member) and
+    /// its ancestors sit.
     path: Range<usize>,
 }
 
@@ -68,6 +75,9 @@ struct MlTask {
     epoch: Option<u64>,
     bound: Vec<Bound>,
     chain: Vec<ContainerId>,
+    /// Per sibling group: the members' parent and the group's entry in
+    /// `bound`.
+    groups: Vec<(Option<ContainerId>, usize)>,
     /// The highest `prio` in `bound`.
     max_prio: Option<u32>,
 }
@@ -85,6 +95,7 @@ impl MlTask {
         self.epoch = Some(table.epoch());
         self.bound.clear();
         self.chain.clear();
+        self.groups.clear();
         let root = table.root();
         for &c in &self.binding {
             let Ok(node) = table.container(c) else {
@@ -94,12 +105,25 @@ impl MlTask {
                 SchedPolicy::TimeShared { priority } => (priority, false),
                 SchedPolicy::FixedShare { .. } => (10, true),
             };
+            let parent = node.parent();
+            // An unlimited time-shared container never marks a child (its
+            // pool is its parent) and is never throttled itself, so its
+            // siblings join, mark and throttle alike: they share the first
+            // one's entry, at the highest priority among them.
+            if !fixed && c != root && node.attrs().cpu_limit.is_none() {
+                if let Some(&(_, i)) = self.groups.iter().find(|&&(p, _)| p == parent) {
+                    let b = &mut self.bound[i];
+                    b.prio = b.prio.max(prio);
+                    continue;
+                }
+                self.groups.push((parent, self.bound.len()));
+            }
             // A time-shared container has no children (§5.1): its work
             // joins its parent's pool, or the root's if it floats.
             let pool = if fixed || c == root {
                 c
             } else {
-                node.parent().unwrap_or(root)
+                parent.unwrap_or(root)
             };
             let start = self.chain.len();
             let mut up = Some(c);
@@ -125,6 +149,95 @@ impl MlTask {
             .filter(|b| !self.chain(b).iter().any(|c| throttled.contains(c)))
             .map(|b| b.prio)
             .max()
+    }
+}
+
+/// The scheduling state of one container.
+#[derive(Debug)]
+struct SlotRec {
+    /// The container the state belongs to.
+    id: ContainerId,
+    /// Stride pass if fixed-share, in virtual seconds.
+    pass: Option<f64>,
+    /// Stride pass of the time-share pool at this node.
+    pool_pass: Option<f64>,
+    /// Virtual time: the largest pass charged below this node.
+    vtime: f64,
+    /// Token bucket, made when a pick or charge first finds a CPU limit.
+    bucket: Option<TokenBucket>,
+    /// Decayed CPU usage, made at the first charge.
+    usage: Option<UsageDecay>,
+    /// The table epoch `fs_children` describes.
+    fs_epoch: Option<u64>,
+    /// Fixed-share children in child order (at the root, then the floating
+    /// ones), filled when two of them compete.
+    fs_children: Vec<ContainerId>,
+}
+
+/// Per-container state, indexed by arena slot and checked against the
+/// full id.
+///
+/// A live container claims its slot's record at its first write. If a
+/// dead id held it, that id's decayed usage moves to `retired`: a binding
+/// may still name the dead id, and a priority tie still counts its usage
+/// (DESIGN §19). The rest of a dead id's state is never read again.
+#[derive(Debug, Default)]
+struct SlotTable {
+    recs: Vec<Option<SlotRec>>,
+    retired: HashMap<ContainerId, UsageDecay>,
+}
+
+impl SlotTable {
+    /// The record of `c`, if `c` holds its slot.
+    fn get(&self, c: ContainerId) -> Option<&SlotRec> {
+        self.recs
+            .get(c.slot() as usize)?
+            .as_ref()
+            .filter(|r| r.id == c)
+    }
+
+    /// The record of live container `c`, claimed from the dead id holding
+    /// the slot if need be.
+    fn claim(&mut self, c: ContainerId) -> &mut SlotRec {
+        let i = c.slot() as usize;
+        if i >= self.recs.len() {
+            self.recs.resize_with(i + 1, || None);
+        }
+        let rec = &mut self.recs[i];
+        if rec.as_ref().is_none_or(|r| r.id != c) {
+            debug_assert!(
+                rec.as_ref().is_none_or(|r| r.id < c),
+                "{c:?} is older than its slot's holder, so it is dead"
+            );
+            if let Some(SlotRec {
+                id, usage: Some(u), ..
+            }) = rec.take()
+            {
+                self.retired.insert(id, u);
+            }
+        }
+        rec.get_or_insert_with(|| SlotRec {
+            id: c,
+            pass: None,
+            pool_pass: None,
+            vtime: 0.0,
+            bucket: None,
+            usage: None,
+            fs_epoch: None,
+            fs_children: Vec::new(),
+        })
+    }
+
+    /// The decayed usage of `c` at `now`, dead ids included.
+    fn usage(&self, c: ContainerId, now: Nanos) -> f64 {
+        // Ids that share a slot order by generation: a newer holder
+        // retired `c`'s usage.
+        let u = match self.recs.get(c.slot() as usize) {
+            Some(Some(r)) if r.id == c => r.usage.as_ref(),
+            Some(Some(r)) if r.id > c => self.retired.get(&c),
+            _ => None,
+        };
+        u.map_or(0.0, |u| u.peek(now))
     }
 }
 
@@ -154,23 +267,12 @@ pub struct MultiLevelScheduler {
     tasks: IdSlab<TaskId, MlTask>,
     /// The runnable tasks, in no particular order.
     runnable: Vec<TaskId>,
-    /// Stride pass per fixed-share container, in virtual seconds.
-    passes: HashMap<ContainerId, f64>,
-    /// Stride pass of the time-share pool at each node.
-    pool_passes: HashMap<ContainerId, f64>,
-    /// Per-node virtual time: the largest pass charged below the node.
-    vtimes: HashMap<ContainerId, f64>,
-    /// Token buckets for containers with CPU limits.
-    buckets: HashMap<ContainerId, TokenBucket>,
-    /// Decayed CPU usage per container.
-    cusage: HashMap<ContainerId, UsageDecay>,
-    /// The table epoch `limited` and `fs_children` describe.
+    /// Per-container state.
+    slots: SlotTable,
+    /// The table epoch `limited` describes.
     epoch: Option<u64>,
     /// The live CPU-limited containers.
     limited: Vec<(ContainerId, CpuLimit)>,
-    /// Fixed-share children per node in child order (at the root, then
-    /// the floating ones), filled when two of them compete.
-    fs_children: HashMap<ContainerId, Vec<ContainerId>>,
     /// Per pick: the containers whose bucket is exhausted.
     throttled: Vec<ContainerId>,
     /// Per pick: the runnable tasks with their priority.
@@ -202,14 +304,9 @@ impl MultiLevelScheduler {
         MultiLevelScheduler {
             tasks: IdSlab::new(),
             runnable: Vec::new(),
-            passes: HashMap::new(),
-            pool_passes: HashMap::new(),
-            vtimes: HashMap::new(),
-            buckets: HashMap::new(),
-            cusage: HashMap::new(),
+            slots: SlotTable::default(),
             epoch: None,
             limited: Vec::new(),
-            fs_children: HashMap::new(),
             throttled: Vec::new(),
             cands: Vec::new(),
             marked: Vec::new(),
@@ -225,7 +322,6 @@ impl MultiLevelScheduler {
     fn prepare(&mut self, table: &ContainerTable, now: Nanos) {
         if self.epoch != Some(table.epoch()) {
             self.epoch = Some(table.epoch());
-            self.fs_children.clear();
             self.limited.clear();
             if table.cpu_limited_count() > 0 {
                 self.limited.extend(
@@ -238,9 +334,10 @@ impl MultiLevelScheduler {
         self.throttled.clear();
         for &(id, limit) in &self.limited {
             let eligible = self
-                .buckets
-                .entry(id)
-                .or_insert_with(|| TokenBucket::new(limit.fraction, limit.window))
+                .slots
+                .claim(id)
+                .bucket
+                .get_or_insert_with(|| TokenBucket::new(limit.fraction, limit.window))
                 .eligible(now);
             if !eligible {
                 self.throttled.push(id);
@@ -260,10 +357,7 @@ impl MultiLevelScheduler {
             Some(t) => &t.binding,
             None => return 0.0,
         };
-        binding
-            .iter()
-            .map(|c| self.cusage.get(c).map(|u| u.peek(now)).unwrap_or(0.0))
-            .sum()
+        binding.iter().map(|&c| self.slots.usage(c, now)).sum()
     }
 
     /// Picks among the pool members `self.pool[base..]`: strict priority
@@ -333,10 +427,12 @@ impl MultiLevelScheduler {
             }
         }
         if self.marked.len() > 1 {
-            let order = self
-                .fs_children
-                .entry(node)
-                .or_insert_with(|| fixed_share_children(table, node));
+            let rec = self.slots.claim(node);
+            if rec.fs_epoch != Some(table.epoch()) {
+                rec.fs_epoch = Some(table.epoch());
+                rec.fs_children = fixed_share_children(table, node);
+            }
+            let order = &rec.fs_children;
             self.marked
                 .sort_unstable_by_key(|c| order.iter().position(|o| o == c));
         }
@@ -350,10 +446,10 @@ impl MultiLevelScheduler {
             Fs(ContainerId),
             Pool,
         }
-        let vt = *self.vtimes.get(&node).unwrap_or(&0.0);
+        let vt = self.slots.get(node).map_or(0.0, |r| r.vtime);
         let mut best: Option<(f64, Choice)> = None;
         for &ch in &self.marked {
-            let pass = self.passes.entry(ch).or_insert(vt);
+            let pass = self.slots.claim(ch).pass.get_or_insert(vt);
             if *pass < vt {
                 *pass = vt;
             }
@@ -373,7 +469,7 @@ impl MultiLevelScheduler {
                 }
             }
             if (1.0 - fs_share_total).max(0.0) > 0.0 {
-                let pass = self.pool_passes.entry(node).or_insert(vt);
+                let pass = self.slots.claim(node).pool_pass.get_or_insert(vt);
                 if *pass < vt {
                     *pass = vt;
                 }
@@ -389,7 +485,7 @@ impl MultiLevelScheduler {
         let (sel_pass, choice) = best?;
         // The node's virtual time follows the pass of the selected child:
         // children waking from idle join here instead of cashing in credit.
-        self.vtimes.insert(node, sel_pass);
+        self.slots.claim(node).vtime = sel_pass;
         let picked = match choice {
             Choice::Fs(ch) => self
                 .pick_node(table, ch, now, allow_starvable)
@@ -402,7 +498,7 @@ impl MultiLevelScheduler {
 
     /// Returns the decayed usage recorded for a container, for tests.
     pub fn container_usage(&self, c: ContainerId, now: Nanos) -> f64 {
-        self.cusage.get(&c).map(|u| u.peek(now)).unwrap_or(0.0)
+        self.slots.usage(c, now)
     }
 }
 
@@ -500,9 +596,13 @@ impl CoreScheduler for MultiLevelScheduler {
         now: Nanos,
     ) {
         let dt_sec = dt.as_secs_f64();
-        self.cusage
-            .entry(container)
-            .or_insert_with(|| UsageDecay::new(self.half_life))
+        // The kernel charges the table first, so `container` is live and
+        // may claim its slot.
+        let half_life = self.half_life;
+        self.slots
+            .claim(container)
+            .usage
+            .get_or_insert_with(|| UsageDecay::new(half_life))
             .charge(dt, now);
 
         // Walk the chain from the charged container to the root, advancing
@@ -510,9 +610,10 @@ impl CoreScheduler for MultiLevelScheduler {
         let mut cur = container;
         while let Ok(node) = table.container(cur) {
             if let Some(limit) = node.attrs().cpu_limit {
-                self.buckets
-                    .entry(cur)
-                    .or_insert_with(|| TokenBucket::new(limit.fraction, limit.window))
+                self.slots
+                    .claim(cur)
+                    .bucket
+                    .get_or_insert_with(|| TokenBucket::new(limit.fraction, limit.window))
                     .consume(dt, now);
             }
             let parent = match node.parent() {
@@ -523,7 +624,7 @@ impl CoreScheduler for MultiLevelScheduler {
             };
             match node.attrs().policy {
                 SchedPolicy::FixedShare { share } => {
-                    let pass = self.passes.entry(cur).or_insert(0.0);
+                    let pass = self.slots.claim(cur).pass.get_or_insert(0.0);
                     *pass += dt_sec / share.max(1e-6);
                 }
                 SchedPolicy::TimeShared { .. } => {
@@ -533,7 +634,7 @@ impl CoreScheduler for MultiLevelScheduler {
                     let fs_sum = table.fixed_share_sum(parent).unwrap_or_default();
                     let pool_share = (1.0 - fs_sum).max(0.0);
                     if pool_share > 0.0 {
-                        let pass = self.pool_passes.entry(parent).or_insert(0.0);
+                        let pass = self.slots.claim(parent).pool_pass.get_or_insert(0.0);
                         *pass += dt_sec / pool_share;
                     }
                 }
@@ -547,8 +648,11 @@ impl CoreScheduler for MultiLevelScheduler {
             return None;
         }
         let mut earliest: Option<Nanos> = None;
-        for (&c, b) in self.buckets.iter_mut() {
-            if table.contains(c) && !b.eligible(now) {
+        for rec in self.slots.recs.iter_mut().flatten() {
+            let Some(b) = rec.bucket.as_mut() else {
+                continue;
+            };
+            if table.contains(rec.id) && !b.eligible(now) {
                 let r = b.release_time(now);
                 earliest = Some(earliest.map_or(r, |e: Nanos| e.min(r)));
             }

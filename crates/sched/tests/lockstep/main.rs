@@ -170,6 +170,62 @@ fn task_bound_only_to_destroyed_containers_is_never_picked() {
     assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(2)));
 }
 
+/// A dead id keeps its decayed usage after a newer container takes its
+/// arena slot: a binding may still name the dead id, and a priority tie
+/// still counts it.
+#[test]
+fn dead_id_keeps_its_usage_when_a_new_container_takes_its_slot() {
+    let mut table = ContainerTable::new();
+    let a = ts(&mut table, None, 10);
+    let b = ts(&mut table, None, 10);
+    let dead = ts(&mut table, None, 10);
+    let mut s = Lockstep::new();
+    let zero = Nanos::ZERO;
+    s.both(|s| s.add_task(TaskId(1), &[a, dead], zero));
+    s.both(|s| s.add_task(TaskId(2), &[b], zero));
+    let now = Nanos::from_millis(1);
+    s.both(|s| s.charge(TaskId(1), dead, Nanos::from_millis(5), &table, now));
+    s.both(|s| s.charge(TaskId(2), b, Nanos::from_millis(3), &table, now));
+    assert!(table.drop_descriptor_ref(dead).unwrap());
+    let heir = ts(&mut table, None, 10);
+    assert_eq!(heir.slot(), dead.slot());
+    s.both(|s| s.charge(TaskId(0), heir, Nanos::from_millis(1), &table, now));
+    s.both(|s| s.set_runnable(TaskId(1), true, now));
+    s.both(|s| s.set_runnable(TaskId(2), true, now));
+    // The dead id's 5 ms still outweigh task 2's 3 ms.
+    assert_eq!(s.pick(&table, now).map(|p| p.task), Some(TaskId(2)));
+    s.assert_usages(&[a, b, dead, heir], now);
+}
+
+/// A CPU-limited time-shared container keeps a binding entry of its own
+/// among unlimited siblings: once its bucket runs dry, the priority it
+/// lends goes, while theirs stays.
+#[test]
+fn throttled_sibling_stops_lending_its_priority() {
+    let mut table = ContainerTable::new();
+    let parent = table.create(None, Attributes::fixed_share(0.5)).unwrap();
+    let low = ts(&mut table, Some(parent), 5);
+    let limited = table
+        .create(
+            Some(parent),
+            Attributes::time_shared(20).with_cpu_limit(0.1, Nanos::from_millis(5)),
+        )
+        .unwrap();
+    let other = ts(&mut table, Some(parent), 10);
+    let mut s = Lockstep::new();
+    let zero = Nanos::ZERO;
+    s.both(|s| s.add_task(TaskId(1), &[low, limited], zero));
+    s.both(|s| s.add_task(TaskId(2), &[other], zero));
+    s.both(|s| s.set_runnable(TaskId(1), true, zero));
+    s.both(|s| s.set_runnable(TaskId(2), true, zero));
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(1)));
+    // 2 ms against a 0.5 ms bucket: only `low`'s 5 is left, below 10.
+    let now = Nanos::from_millis(2);
+    s.both(|s| s.charge(TaskId(1), limited, Nanos::from_millis(2), &table, now));
+    assert_eq!(s.pick(&table, now).map(|p| p.task), Some(TaskId(2)));
+    s.assert_usages(&[low, limited, other], now);
+}
+
 /// One step of a random call sequence. Selectors index the live
 /// containers, the live fixed-share ones, or every id ever created,
 /// modulo their length.
@@ -185,6 +241,14 @@ enum Op {
     Release {
         sel: usize,
     },
+    /// Charge a live container, release it, and create a container that
+    /// takes its arena slot.
+    Recycle {
+        sel: usize,
+        micros: u32,
+        parent: Option<usize>,
+        attrs: AttrSpec,
+    },
     /// Move a live container under a live fixed-share node, or float it.
     Reparent {
         sel: usize,
@@ -197,14 +261,14 @@ enum Op {
     /// Register an unregistered task.
     AddTask {
         task: u32,
-        binding: Vec<Member>,
+        binding: Binding,
     },
     RemoveTask {
         task: u32,
     },
     SetBinding {
         task: u32,
-        binding: Vec<Member>,
+        binding: Binding,
     },
     SetRunnable {
         task: u32,
@@ -225,12 +289,22 @@ enum Op {
     },
 }
 
-/// A binding member: mostly a live container, sometimes any id ever
-/// created, dead ones included.
+/// Up to 12 members, many of them children of one fixed-share node.
+#[derive(Clone, Debug)]
+struct Binding {
+    /// Selects the live fixed-share node whose children `Sibling` names.
+    parent: usize,
+    members: Vec<Member>,
+}
+
 #[derive(Clone, Copy, Debug)]
-struct Member {
-    any_id: bool,
-    sel: usize,
+enum Member {
+    /// Any id ever created, dead ones included.
+    Any(usize),
+    Live(usize),
+    /// A child of the binding's parent, or a live container if it has
+    /// none.
+    Sibling(usize),
 }
 
 #[derive(Clone, Debug)]
@@ -276,13 +350,13 @@ const TASKS: u32 = 8;
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     let binding = || {
-        prop::collection::vec(
-            (0u8..5, any::<usize>()).prop_map(|(d, sel)| Member {
-                any_id: d == 0,
-                sel,
-            }),
-            1..5,
-        )
+        let member = (0u8..6, any::<usize>()).prop_map(|(d, sel)| match d {
+            0 => Member::Any(sel),
+            1 | 2 => Member::Live(sel),
+            _ => Member::Sibling(sel),
+        });
+        (any::<usize>(), prop::collection::vec(member, 1..13))
+            .prop_map(|(parent, members)| Binding { parent, members })
     };
     let create = || {
         (any::<usize>(), 0u8..5, attr_strategy()).prop_map(|(p, f, attrs)| Op::Create {
@@ -297,11 +371,28 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         })
     };
     let run = || (1u32..4).prop_map(|quanta| Op::Run { quanta });
+    let recycle = || {
+        (
+            any::<usize>(),
+            1u32..3000,
+            any::<usize>(),
+            0u8..5,
+            attr_strategy(),
+        )
+            .prop_map(|(sel, micros, p, f, attrs)| Op::Recycle {
+                sel,
+                micros,
+                parent: (f > 0).then_some(p),
+                attrs,
+            })
+    };
     prop_oneof![
         create(),
         create(),
         create(),
         any::<usize>().prop_map(|sel| Op::Release { sel }),
+        recycle(),
+        recycle(),
         (any::<usize>(), any::<usize>(), 0u8..4).prop_map(|(sel, p, f)| Op::Reparent {
             sel,
             parent: (f > 0).then_some(p)
@@ -349,26 +440,48 @@ proptest! {
                 .collect();
             let non_root: Vec<ContainerId> =
                 live.iter().copied().filter(|&c| c != table.root()).collect();
-            let bind = |members: &[Member]| -> Vec<ContainerId> {
-                members
+            let bind = |b: &Binding| -> Vec<ContainerId> {
+                let siblings = nth(&fixed, b.parent)
+                    .map_or(&[][..], |p| table.children(p).unwrap());
+                b.members
                     .iter()
-                    .map(|m| if m.any_id { nth(&ever, m.sel) } else { nth(&live, m.sel) })
+                    .map(|&m| match m {
+                        Member::Any(sel) => nth(&ever, sel),
+                        Member::Sibling(sel) if !siblings.is_empty() => nth(siblings, sel),
+                        Member::Live(sel) | Member::Sibling(sel) => nth(&live, sel),
+                    })
                     .map(|c| c.expect("the root is always live"))
                     .collect()
             };
+            let create = |table: &mut ContainerTable,
+                          parent: Option<usize>,
+                          attrs: &AttrSpec,
+                          now: Nanos| {
+                let under = parent.and_then(|p| nth(&fixed, p));
+                let c = table.create_at(under, attrs.attrs(), now).ok()?;
+                if parent.is_none() {
+                    table.set_parent(c, None).unwrap();
+                }
+                Some(c)
+            };
             match op {
                 Op::Create { parent, attrs } => {
-                    let under = parent.and_then(|p| nth(&fixed, p));
-                    if let Ok(c) = table.create_at(under, attrs.attrs(), now) {
-                        if parent.is_none() {
-                            table.set_parent(c, None).unwrap();
-                        }
-                        ever.push(c);
-                    }
+                    ever.extend(create(&mut table, *parent, attrs, now));
                 }
                 Op::Release { sel } => {
                     if let Some(c) = nth(&non_root, *sel) {
                         assert!(table.drop_descriptor_ref(c).unwrap());
+                    }
+                }
+                Op::Recycle { sel, micros, parent, attrs } => {
+                    if let Some(c) = nth(&non_root, *sel) {
+                        let dt = Nanos::from_micros(*micros as u64);
+                        now += dt;
+                        s.both(|s| s.charge(TaskId(0), c, dt, &table, now));
+                        assert!(table.drop_descriptor_ref(c).unwrap());
+                        // A dead parent leaves the new container floating.
+                        let parent = parent.filter(|&p| nth(&fixed, p) != Some(c));
+                        ever.extend(create(&mut table, parent, attrs, now));
                     }
                 }
                 Op::Reparent { sel, parent } => {

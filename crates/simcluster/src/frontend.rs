@@ -119,8 +119,8 @@ pub struct FrontendStats {
     pub forwarded: u64,
     /// New connections assigned by WRR.
     pub assigned: u64,
-    /// Packets dropped because no tenant route matched or every replica
-    /// was draining.
+    /// Packets dropped because no tenant route matched, every replica
+    /// was draining, or the route named a node with no lane.
     pub unroutable: u64,
 }
 
@@ -158,8 +158,8 @@ impl Frontend {
         }
     }
 
-    /// The union of all tenant prefixes — the foreign address space this
-    /// node owns, for the cluster world's routing table.
+    /// The union of all tenant prefixes — the client address space this
+    /// node owns, which every kernel node's egress filter captures.
     pub fn owns(&self) -> Vec<CidrFilter> {
         self.routes.iter().map(|r| r.filter).collect()
     }

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use simcore::Nanos;
-use simnet::{CidrFilter, IpAddr, Packet};
+use simnet::Packet;
 use simos::{Kernel, KernelConfig, NullWorld};
 
 use crate::frontend::Frontend;
@@ -29,36 +29,22 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// Static description of one kernel node: a name, the full per-node
-/// kernel configuration (reused wholesale from single-node runs), and the
-/// foreign address prefixes whose worlds attach at this node.
+/// Static description of one kernel node: a name and the full per-node
+/// kernel configuration (reused wholesale from single-node runs).
 pub struct NodeSpec {
     /// Display name (trace track group, dumps).
     pub name: String,
     /// The node's kernel configuration.
     pub kernel: KernelConfig,
-    /// Foreign (client-side) prefixes owned by this node: packets sourced
-    /// from these addresses route *to* it, and replies *to* such
-    /// addresses egress *from* other nodes. Backends typically own
-    /// nothing — the frontend owns the client space.
-    pub owns: Vec<CidrFilter>,
 }
 
 impl NodeSpec {
-    /// A node with the given name and kernel config, owning no foreign
-    /// prefixes.
+    /// A node with the given name and kernel config.
     pub fn new(name: impl Into<String>, kernel: KernelConfig) -> Self {
         NodeSpec {
             name: name.into(),
             kernel,
-            owns: Vec::new(),
         }
-    }
-
-    /// Declares a foreign prefix owned by this node (builder style).
-    pub fn owning(mut self, filter: CidrFilter) -> Self {
-        self.owns.push(filter);
-        self
     }
 }
 
@@ -70,7 +56,6 @@ pub struct Node {
     /// It steps against a [`NullWorld`]: all foreign traffic is captured
     /// by the egress filter instead.
     pub kernel: Kernel,
-    owns: Vec<CidrFilter>,
     /// The node's detached observability session between steps.
     session: Option<rctrace::PausedSession>,
 }
@@ -87,8 +72,6 @@ pub struct World {
     /// Wire (serialization) time charged per source node — the cluster
     /// half of the conservation identity with lane busy time.
     tx: BTreeMap<u32, Nanos>,
-    /// Cached frontend-owned prefixes (the hot half of `owner_of`).
-    fe_owns: Vec<CidrFilter>,
     quantum: Nanos,
     clock: Nanos,
     tracing: bool,
@@ -102,33 +85,26 @@ pub struct World {
 impl World {
     /// Builds a star-topology cluster: every node is joined to the
     /// frontend by a lane pair of `lane`'s parameters. Each kernel's
-    /// egress filter is set to the union of every *other* node's owned
-    /// prefixes (including the frontend's client space), so foreign
-    /// traffic is captured for inter-node carriage and local traffic
+    /// egress filter is the frontend's client space, so replies to clients
+    /// are captured for the node's lane to the frontend and local traffic
     /// stays local.
     pub fn new(specs: Vec<NodeSpec>, frontend: Frontend, lane: LaneSpec) -> Self {
         assert!(
             !lane.latency.is_zero(),
             "inter-node lanes need non-zero latency: it is the conservative lookahead"
         );
-        let fe_owns = frontend.owns();
-        let mut nodes = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            let mut filter: Vec<CidrFilter> = fe_owns.clone();
-            for (j, other) in specs.iter().enumerate() {
-                if i != j {
-                    filter.extend(other.owns.iter().copied());
+        let nodes: Vec<Node> = specs
+            .into_iter()
+            .map(|spec| {
+                let mut kernel = Kernel::new(spec.kernel);
+                kernel.set_egress_filter(frontend.owns());
+                Node {
+                    name: spec.name,
+                    kernel,
+                    session: None,
                 }
-            }
-            let mut kernel = Kernel::new(spec.kernel.clone());
-            kernel.set_egress_filter(filter);
-            nodes.push(Node {
-                name: spec.name.clone(),
-                kernel,
-                owns: spec.owns.clone(),
-                session: None,
-            });
-        }
+            })
+            .collect();
         let mut lanes = BTreeMap::new();
         for i in 0..nodes.len() as u32 {
             lanes.insert((i, FRONTEND.0), Lane::new(lane));
@@ -139,7 +115,6 @@ impl World {
             frontend,
             lanes,
             tx: BTreeMap::new(),
-            fe_owns,
             quantum: lane.latency,
             clock: Nanos::ZERO,
             tracing: false,
@@ -229,7 +204,7 @@ impl World {
                 }
                 let mut pkts = std::mem::take(&mut self.egress_scratch);
                 for (departure, pkt) in pkts.drain(..) {
-                    self.route_egress(NodeId(i as u32), departure, pkt);
+                    self.carry(NodeId(i as u32), FRONTEND, departure, pkt);
                 }
                 self.egress_scratch = pkts;
             }
@@ -244,32 +219,16 @@ impl World {
         }
     }
 
-    /// The node owning a foreign address: the frontend's client space
-    /// first, then kernel nodes in id order.
-    fn owner_of(&self, addr: IpAddr) -> NodeId {
-        if self.fe_owns.iter().any(|f| f.matches(addr)) {
-            return FRONTEND;
-        }
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.owns.iter().any(|f| f.matches(addr)) {
-                return NodeId(i as u32);
-            }
-        }
-        panic!("no cluster node owns foreign address {addr:?}");
-    }
-
-    fn route_egress(&mut self, src: NodeId, departure: Nanos, pkt: Packet) {
-        let dst = self.owner_of(pkt.flow.src);
-        self.carry(src, dst, departure, pkt);
-    }
-
     /// Carries one packet over the `(src, dst)` lane, charging the
-    /// serialization to the source node.
+    /// serialization to the source node. A route may name a node this
+    /// world lacks (a [`TenantRoute`](crate::TenantRoute) or
+    /// [`Frontend::set_weight`] can); with no lane to it, the packet
+    /// counts as unroutable and is dropped.
     fn carry(&mut self, src: NodeId, dst: NodeId, departure: Nanos, pkt: Packet) {
-        let lane = self
-            .lanes
-            .get_mut(&(src.0, dst.0))
-            .unwrap_or_else(|| panic!("no lane {src} -> {dst}: only direct-lane routing"));
+        let Some(lane) = self.lanes.get_mut(&(src.0, dst.0)) else {
+            self.frontend.stats.unroutable += 1;
+            return;
+        };
         let (arrival, ser) = lane.transmit(departure, pkt.wire_bytes() as u64);
         if !ser.is_zero() {
             *self.tx.entry(src.0).or_insert(Nanos::ZERO) += ser;
@@ -379,5 +338,44 @@ impl World {
             let _ = writeln!(out, "tx {} wire={}", NodeId(src), t.as_nanos());
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frontend::TenantRoute;
+    use simnet::{CidrFilter, FlowKey, IpAddr, PacketKind};
+    use simos::{World as HostedWorld, WorldAction};
+
+    /// A client that opens one connection when its timer fires.
+    struct OneSyn;
+
+    impl HostedWorld for OneSyn {
+        fn on_packet(&mut self, _pkt: Packet, _now: Nanos, _actions: &mut Vec<WorldAction>) {}
+        fn on_timer(&mut self, _tag: u64, _now: Nanos, actions: &mut Vec<WorldAction>) {
+            let flow = FlowKey::new(IpAddr::new(10, 0, 0, 1), 1000, 80);
+            actions.push(WorldAction::SendPacket {
+                pkt: Packet::new(flow, PacketKind::Syn),
+                delay: Nanos::ZERO,
+            });
+        }
+    }
+
+    #[test]
+    fn a_route_to_a_missing_node_is_an_unroutable_drop() {
+        let clients = CidrFilter::new(IpAddr::new(10, 0, 0, 0), 8);
+        // The route names node 3; the world has node 0 only.
+        let route = TenantRoute::new(clients, vec![(NodeId(3), 1)]);
+        let mut frontend = Frontend::new(Box::new(OneSyn), vec![route]);
+        frontend.arm_world_timer(0, Nanos::from_micros(10));
+        let specs = vec![NodeSpec::new("node0", KernelConfig::resource_containers())];
+        let lane = LaneSpec::new(Nanos::from_micros(200), 10_000_000_000);
+        let mut world = World::new(specs, frontend, lane);
+        world.run(Nanos::from_millis(1));
+        assert_eq!(world.frontend.stats.forwarded, 1);
+        assert_eq!(world.frontend.stats.unroutable, 1);
+        assert_eq!(world.lanes_busy_total(), Nanos::ZERO);
+        assert_eq!(world.tx_total(), Nanos::ZERO);
     }
 }

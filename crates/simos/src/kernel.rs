@@ -1830,17 +1830,18 @@ impl Kernel {
 
     fn update_kthread_binding(&mut self, pid: Pid, ktid: TaskId) {
         let mut binding: Vec<ContainerId> = Vec::new();
-        if let Some(th) = self.threads.get(ktid) {
-            if let Some(c) = th.queue.front().and_then(|i| i.charge_to) {
-                binding.push(c);
-            }
-        }
+        let running = self
+            .threads
+            .get(ktid)
+            .and_then(|th| th.queue.front().and_then(|i| i.charge_to));
+        binding.extend(running);
         if let Some(q) = self.pending.get(pid) {
-            for c in q.pending_principals() {
-                if !binding.contains(&c) {
-                    binding.push(c);
-                }
-            }
+            // The pending principals are distinct already.
+            binding.extend(
+                q.pending_principals()
+                    .into_iter()
+                    .filter(|&c| Some(c) != running),
+            );
         }
         if binding.is_empty() {
             if let Some(p) = self.processes.get(pid) {

@@ -12,7 +12,7 @@
 //! clock, same client arrival schedule, same documents — so any
 //! difference between two arms' metrics dumps is attributable to the
 //! policy alone. CPU arms are full schedule specs (`decay->edf@2s`
-//! swaps the scheduler mid-run through the `rcpolicy` lifecycle); link
+//! swaps the scheduler mid-run through `Kernel::set_cpu_policy`); link
 //! arms are qdisc names. `--expect-identical` asserts all arms produced
 //! byte-identical dumps (run the *same* arm twice to pin determinism);
 //! `--check` asserts the EDF arm meets the paid tenant's tight latency

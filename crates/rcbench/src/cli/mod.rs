@@ -4,7 +4,7 @@
 //! ([`registry::table`]) — the paper's Table 1 and figures and the
 //! subsystem scenarios alike — all run by one generic driver
 //! ([`driver`]) with per-entry flags, artifact validation and `--check`.
-//! The only bespoke subcommand is [`ab`], the same-seed policy A/B
+//! The only bespoke subcommand is `ab`, the same-seed policy A/B
 //! harness.
 
 mod ab;

@@ -1,16 +1,18 @@
-//! The hot-swappable policy plane.
+//! The policy plane: the registry and spec parsers for the kernel's
+//! three scheduling seams.
 //!
 //! The simulated kernel has three scheduling seams — CPU
-//! ([`sched::Scheduler`]), disk ([`simdisk::IoSched`]), and link
-//! ([`simnet::LinkSched`]) — that historically were chosen at boot and
-//! fixed for the life of the run. This crate refactors them into one
-//! *policy plane*: a common lifecycle ([`Policy`]) under which any of the
-//! three can be detached mid-run, its in-flight state exported through a
-//! policy-neutral snapshot, and a freshly built replacement attached with
-//! that state replayed into it. The paper frames resource containers as
-//! *mechanism*, explicitly separate from scheduling *policy* (§4.4); this
-//! crate is that separation made operational — policies become the
-//! swappable half.
+//! ([`sched::PerCpu`], one [`sched::CoreScheduler`] per CPU), disk
+//! ([`simdisk::IoSched`]), and link ([`simnet::LinkSched`]) — and each
+//! holds a policy that can be replaced mid-run. The paper frames resource
+//! containers as *mechanism*, explicitly separate from scheduling
+//! *policy* (§4.4); a swap makes that separation operational. The kernel
+//! swaps each plane through its own entry point (`Kernel::set_cpu_policy`,
+//! `set_disk_policy`, `set_link_policy`): the detaching policy exports
+//! its in-flight state as policy-neutral snapshots
+//! ([`sched::PerCpu::export_tasks`], [`simdisk::IoSched::drain`],
+//! [`simnet::LinkSched::drain`]) and a freshly built replacement replays
+//! them.
 //!
 //! Three rules make mid-run swaps safe:
 //!
@@ -31,16 +33,14 @@
 //!    built before this crate existed.
 //!
 //! [`build_cpu`], [`build_disk`], and [`build_link`] form the policy
-//! registry: the single place where policy kinds become instances (the
-//! kernel's old hard-coded constructor matches moved here). [`spec`]
-//! parses human-written policy specs (`"edf"`, `"decay->edf@2s"`) for
-//! CLIs and the A/B harness.
+//! registry: the single place where policy kinds become instances, so
+//! boot-time construction and mid-run swaps build policies identically.
+//! [`spec`] parses human-written policy specs (`"edf"`,
+//! `"decay->edf@2s"`) for CLIs and the A/B harness.
 
-pub mod lifecycle;
 pub mod registry;
 pub mod spec;
 
-pub use lifecycle::{swap, Plane, Policy};
 pub use registry::{build_cpu, build_disk, build_link, CpuPolicyKind, DiskPolicyKind};
 pub use spec::{
     parse_cpu, parse_cpu_schedule, parse_disk, parse_duration, parse_link, CpuSchedule,

@@ -53,7 +53,7 @@ const CONTAINER_PID_BASE: u32 = 10;
 /// pid per container (per-connection containers can make that large).
 const CPU_TRACK_BASE: u32 = 1_000_000;
 /// Pid-namespace stride between nodes in a cluster export. Leaves room
-/// for the previous node's per-CPU track range above [`CPU_TRACK_BASE`].
+/// for the previous node's per-CPU track range above `CPU_TRACK_BASE`.
 pub const NODE_PID_STRIDE: u32 = 10_000_000;
 /// Async-span / flow id namespace stride between nodes: per-node request
 /// and flow ids stay well below this, so ids never collide across nodes.

@@ -114,9 +114,6 @@ pub struct NetQos {
     pub weight: u32,
     /// Maximum socket-buffer bytes chargeable to this container.
     pub sockbuf_limit: Option<u64>,
-    /// Optional hard cap on transmit bandwidth, in bits per second,
-    /// applied to the container's subtree by the link scheduler.
-    pub rate_bps: Option<u64>,
 }
 
 impl Default for NetQos {
@@ -124,7 +121,6 @@ impl Default for NetQos {
         NetQos {
             weight: 1,
             sockbuf_limit: None,
-            rate_bps: None,
         }
     }
 }
@@ -205,13 +201,6 @@ impl Attributes {
     /// enforced as send backpressure.
     pub fn with_sockbuf_limit(mut self, bytes: u64) -> Self {
         self.qos.sockbuf_limit = Some(bytes);
-        self
-    }
-
-    /// Caps the container subtree's transmit bandwidth in bits per
-    /// second (builder style).
-    pub fn with_net_rate(mut self, bps: u64) -> Self {
-        self.qos.rate_bps = Some(bps);
         self
     }
 

@@ -23,7 +23,7 @@ pub struct ContainerFd(pub u32);
 ///
 /// Syscalls that bind resources to containers accept
 /// `impl Into<ContainerRef>`, so call sites pass a [`ContainerFd`] or a
-/// [`ContainerId`](crate::ContainerId) without choosing between parallel
+/// [`ContainerId`] without choosing between parallel
 /// `_fd`/`_id` method variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ContainerRef {

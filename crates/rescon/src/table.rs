@@ -802,27 +802,19 @@ impl ContainerTable {
         Ok(share)
     }
 
-    /// Returns the chain of `(container, net weight, rate cap)` triples
-    /// from the root down to `id` (root first, `id` last). The transmit
-    /// link scheduler uses this path to place the container in its class
-    /// hierarchy, with each node's bandwidth divided among its active
-    /// children in proportion to their weights — the same parent/child
-    /// interpretation the multi-level CPU scheduler gives fixed shares.
-    pub fn net_weight_path(&self, id: ContainerId) -> Result<Vec<(u64, u32, Option<u64>)>> {
+    /// Returns the chain of `(container, net weight)` pairs from the root
+    /// down to `id` (root first, `id` last). The transmit link scheduler
+    /// uses this path to place the container in its class hierarchy, with
+    /// each node's bandwidth divided among its active children in
+    /// proportion to their weights — the same parent/child interpretation
+    /// the multi-level CPU scheduler gives fixed shares.
+    pub fn net_weight_path(&self, id: ContainerId) -> Result<Vec<(u64, u32)>> {
         let leaf = self.get(id)?;
-        let mut path = vec![(
-            id.as_u64(),
-            leaf.attrs.qos.weight.max(1),
-            leaf.attrs.qos.rate_bps,
-        )];
+        let mut path = vec![(id.as_u64(), leaf.attrs.qos.weight.max(1))];
         let mut cursor = leaf.parent;
         while let Some(cur) = cursor {
             let node = self.get(cur)?;
-            path.push((
-                cur.as_u64(),
-                node.attrs.qos.weight.max(1),
-                node.attrs.qos.rate_bps,
-            ));
+            path.push((cur.as_u64(), node.attrs.qos.weight.max(1)));
             cursor = node.parent;
         }
         path.reverse();
@@ -1344,11 +1336,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             t.net_weight_path(b).unwrap(),
-            vec![
-                (t.root().as_u64(), 1, None),
-                (a.as_u64(), 3, None),
-                (b.as_u64(), 2, None)
-            ]
+            vec![(t.root().as_u64(), 1), (a.as_u64(), 3), (b.as_u64(), 2)]
         );
     }
 

@@ -1,15 +1,11 @@
 //! The scheduler protocol: how the kernel talks to a CPU scheduler.
 //!
-//! Two layers:
-//!
-//! - [`CoreScheduler`] is the per-CPU policy protocol. Every policy in
-//!   this crate (stride, decay, lottery, multilevel) implements it and
-//!   manages exactly one run queue; policies are entirely unaware of
-//!   multiprocessing.
-//! - [`Scheduler`] is the SMP-aware surface the kernel drives. It routes
-//!   every call to the right per-CPU core and supports migrating tasks
-//!   between cores. [`PerCpu`] lifts any `CoreScheduler` into a
-//!   `Scheduler` by instantiating one core per CPU.
+//! [`CoreScheduler`] is the per-CPU policy protocol. Every policy in this
+//! crate (decay, multilevel, stride, lottery, EDF) implements it and
+//! manages exactly one run queue; policies are entirely unaware of
+//! multiprocessing. The kernel drives them through
+//! [`PerCpu`](crate::PerCpu), which routes every call to the right
+//! CPU's core and migrates tasks between cores.
 
 use rescon::{ContainerId, ContainerTable};
 use simcore::Nanos;
@@ -51,7 +47,7 @@ pub struct Pick {
     /// The task to run next.
     pub task: TaskId,
     /// Maximum uninterrupted slice before the kernel must call
-    /// [`Scheduler::pick`] again (the quantum).
+    /// [`PerCpu::pick`](crate::PerCpu::pick) again (the quantum).
     pub slice: Nanos,
 }
 
@@ -60,7 +56,8 @@ pub struct Pick {
 ///
 /// A mid-run policy swap exports one snapshot per task from the detaching
 /// scheduler and replays them into the freshly built replacement
-/// ([`Scheduler::export_tasks`] / [`Scheduler::import_tasks`]). Policy
+/// ([`PerCpu::export_tasks`](crate::PerCpu::export_tasks) /
+/// [`PerCpu::import_tasks`](crate::PerCpu::import_tasks)). Policy
 /// ledgers — decayed usage, stride passes, limit buckets — deliberately do
 /// *not* cross the swap: the new policy starts every principal at its own
 /// notion of "just joined", which is the repo-wide sleeper-rejoin rule
@@ -80,7 +77,7 @@ pub struct TaskSnapshot {
 /// A single-CPU scheduling policy whose resource principals are
 /// containers.
 ///
-/// The kernel (through the [`Scheduler`] layer):
+/// The kernel (through [`PerCpu`](crate::PerCpu)):
 ///
 /// 1. registers each thread with [`CoreScheduler::add_task`], giving its
 ///    scheduler binding (the containers it serves, paper §4.3);
@@ -136,83 +133,6 @@ pub trait CoreScheduler {
 
     /// A short policy name for reports.
     fn name(&self) -> &'static str;
-}
-
-/// The SMP scheduler surface the kernel drives: per-CPU run queues with
-/// task-to-CPU placement and migration.
-///
-/// Calls that identify the CPU explicitly ([`Scheduler::add_task`],
-/// [`Scheduler::pick`], [`Scheduler::next_release_time`]) address a
-/// specific core; the rest resolve the owning core from the task's
-/// current home CPU.
-pub trait Scheduler {
-    /// Registers a task on `cpu` with its initial scheduler binding. The
-    /// task starts not runnable.
-    fn add_task(&mut self, task: TaskId, binding: &[ContainerId], cpu: CpuId, now: Nanos);
-
-    /// Unregisters a task (thread exit).
-    fn remove_task(&mut self, task: TaskId);
-
-    /// Replaces the task's scheduler binding on its home CPU.
-    fn set_binding(&mut self, task: TaskId, binding: &[ContainerId], now: Nanos);
-
-    /// Marks the task runnable or blocked on its home CPU.
-    fn set_runnable(&mut self, task: TaskId, runnable: bool, now: Nanos);
-
-    /// Returns `true` if the task is currently marked runnable.
-    fn is_runnable(&self, task: TaskId) -> bool;
-
-    /// Returns the task's current home CPU, if registered.
-    fn cpu_of(&self, task: TaskId) -> Option<CpuId>;
-
-    /// Moves a task to `to`, preserving its binding and runnable state.
-    /// Returns `false` if the task is unknown or already homed there.
-    fn migrate(&mut self, task: TaskId, to: CpuId, now: Nanos) -> bool;
-
-    /// Chooses the next task to run on `cpu`.
-    fn pick(&mut self, cpu: CpuId, table: &ContainerTable, now: Nanos) -> Option<Pick>;
-
-    /// Accounts `dt` of CPU consumed by `task` (on its home CPU).
-    fn charge(
-        &mut self,
-        task: TaskId,
-        container: ContainerId,
-        dt: Nanos,
-        table: &ContainerTable,
-        now: Nanos,
-    );
-
-    /// If every runnable task on `cpu` is throttled by a CPU limit,
-    /// returns the earliest time one becomes eligible again.
-    fn next_release_time(
-        &mut self,
-        cpu: CpuId,
-        table: &ContainerTable,
-        now: Nanos,
-    ) -> Option<Nanos>;
-
-    /// Number of simulated CPUs.
-    fn ncpus(&self) -> u32;
-
-    /// A short policy name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Exports every registered task as a policy-neutral
-    /// [`TaskSnapshot`], sorted by task id so the export order — and
-    /// therefore the replay order on import — is deterministic.
-    fn export_tasks(&self) -> Vec<TaskSnapshot>;
-
-    /// Replays exported task snapshots into this (freshly built)
-    /// scheduler: registration, home CPU, binding, and runnable state are
-    /// restored; policy-internal ledgers start fresh.
-    fn import_tasks(&mut self, tasks: &[TaskSnapshot], now: Nanos) {
-        for t in tasks {
-            self.add_task(t.task, &t.binding, t.cpu, now);
-            if t.runnable {
-                self.set_runnable(t.task, true, now);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -20,9 +20,8 @@
 //! tight. The same declared target feeds the `rctrace` SLO monitor, so
 //! the policy and its verification read one attribute.
 
-use std::collections::HashMap;
-
 use rescon::{ContainerId, ContainerTable};
+use simcore::slab::IdSlab;
 use simcore::trace::{self, TraceEventKind};
 use simcore::Nanos;
 
@@ -68,7 +67,7 @@ struct EdfTask {
 /// assert_eq!(s.pick(&table, Nanos::ZERO).unwrap().task, TaskId(2));
 /// ```
 pub struct EdfScheduler {
-    tasks: HashMap<TaskId, EdfTask>,
+    tasks: IdSlab<TaskId, EdfTask>,
     quantum: Nanos,
 }
 
@@ -87,7 +86,7 @@ impl EdfScheduler {
     /// Creates an EDF scheduler with an explicit quantum.
     pub fn with_quantum(quantum: Nanos) -> Self {
         EdfScheduler {
-            tasks: HashMap::new(),
+            tasks: IdSlab::new(),
             quantum,
         }
     }
@@ -135,11 +134,11 @@ impl CoreScheduler for EdfScheduler {
     }
 
     fn remove_task(&mut self, task: TaskId) {
-        self.tasks.remove(&task);
+        self.tasks.remove(task);
     }
 
     fn set_binding(&mut self, task: TaskId, binding: &[ContainerId], _now: Nanos) {
-        if let Some(t) = self.tasks.get_mut(&task) {
+        if let Some(t) = self.tasks.get_mut(task) {
             t.binding = binding.to_vec();
             // Invalidate the cache; re-resolved lazily at the next pick
             // (which has the table in hand).
@@ -148,7 +147,7 @@ impl CoreScheduler for EdfScheduler {
     }
 
     fn set_runnable(&mut self, task: TaskId, runnable: bool, now: Nanos) {
-        if let Some(t) = self.tasks.get_mut(&task) {
+        if let Some(t) = self.tasks.get_mut(task) {
             if runnable && !t.runnable {
                 // A wake-up releases a new job: the latency clock starts
                 // now, never from banked past idleness.
@@ -165,44 +164,26 @@ impl CoreScheduler for EdfScheduler {
     }
 
     fn is_runnable(&self, task: TaskId) -> bool {
-        self.tasks.get(&task).map(|t| t.runnable).unwrap_or(false)
+        self.tasks.get(task).map(|t| t.runnable).unwrap_or(false)
     }
 
     fn pick(&mut self, table: &ContainerTable, now: Nanos) -> Option<Pick> {
         // Refresh invalidated deadline caches first (cheap: only tasks
         // whose binding changed since the last pick).
-        let stale: Vec<TaskId> = self
+        for (_, t) in self.tasks.iter_mut() {
+            if t.rel_deadline.is_zero() {
+                t.rel_deadline = Self::deadline_of(table, &t.binding);
+            }
+        }
+        // Absolute deadline of the task's current job; release as a
+        // tie-break favors the longest-waiting job, then task id for
+        // determinism.
+        let (_, _, task) = self
             .tasks
             .iter()
-            .filter(|(_, t)| t.rel_deadline.is_zero())
-            .map(|(&id, _)| id)
-            .collect();
-        for id in stale {
-            let d = {
-                let t = &self.tasks[&id];
-                Self::deadline_of(table, &t.binding)
-            };
-            self.tasks
-                .get_mut(&id)
-                .expect("stale task exists")
-                .rel_deadline = d;
-        }
-        let mut best: Option<(Nanos, Nanos, TaskId)> = None;
-        for (&id, t) in &self.tasks {
-            if !t.runnable {
-                continue;
-            }
-            // Absolute deadline of the task's current job; release as a
-            // tie-break favors the longest-waiting job, then task id for
-            // determinism.
-            let key = (t.release + t.rel_deadline, t.release, id);
-            match best {
-                None => best = Some(key),
-                Some(b) if key < b => best = Some(key),
-                _ => {}
-            }
-        }
-        let (_, _, task) = best?;
+            .filter(|(_, t)| t.runnable)
+            .map(|(id, t)| (t.release + t.rel_deadline, t.release, id))
+            .min()?;
         trace::emit_at(now, || TraceEventKind::SchedPick {
             task: task.0,
             slice: self.quantum,
@@ -221,7 +202,7 @@ impl CoreScheduler for EdfScheduler {
         _table: &ContainerTable,
         now: Nanos,
     ) {
-        if let Some(t) = self.tasks.get_mut(&task) {
+        if let Some(t) = self.tasks.get_mut(task) {
             // Quantum consumed: release the next job. This is the
             // anti-starvation rule — continuously-runnable work re-enters
             // the deadline competition instead of keeping its original

@@ -1,7 +1,7 @@
 //! CPU schedulers that treat resource containers as their resource
 //! principals (paper §4.3, §5.1).
 //!
-//! Four scheduling policies are provided behind one [`CoreScheduler`]
+//! Five scheduling policies are provided behind one [`CoreScheduler`]
 //! trait, each managing a single CPU's run queue:
 //!
 //! - [`DecayUsageScheduler`]: a classic 4.3BSD-style decay-usage
@@ -24,12 +24,13 @@
 //!   container with a tight declared target preempts best-effort work the
 //!   moment it wakes.
 //!
-//! The kernel drives schedulers through the SMP-aware [`Scheduler`]
-//! trait: register tasks on a CPU with their scheduler bindings, flip
-//! runnability, ask [`Scheduler::pick`] what a given CPU should run and
-//! for how long, report consumed CPU via [`Scheduler::charge`], and
-//! migrate tasks between CPUs. [`PerCpu`] lifts any `CoreScheduler`
-//! policy into that surface by instantiating one core per simulated CPU.
+//! The kernel drives them through [`PerCpu`], a concrete router holding
+//! one policy instance per simulated CPU: register tasks on a CPU with
+//! their scheduler bindings, flip runnability, ask [`PerCpu::pick`] what a
+//! given CPU should run and for how long, report consumed CPU via
+//! [`PerCpu::charge`], and migrate tasks between CPUs. A mid-run policy
+//! swap moves the registered tasks into a freshly built router through
+//! [`PerCpu::export_tasks`] and [`PerCpu::import_tasks`].
 //! All container bookkeeping (usage, hierarchy) lives in
 //! [`rescon::ContainerTable`]; schedulers keep only policy state.
 
@@ -43,7 +44,7 @@ pub mod smp;
 pub mod stride;
 pub mod usage_decay;
 
-pub use api::{CoreScheduler, CpuId, Pick, Scheduler, TaskId, TaskSnapshot};
+pub use api::{CoreScheduler, CpuId, Pick, TaskId, TaskSnapshot};
 pub use bucket::TokenBucket;
 pub use decay::DecayUsageScheduler;
 pub use edf::EdfScheduler;

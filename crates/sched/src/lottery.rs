@@ -2,9 +2,8 @@
 //! ablation: probabilistic proportional share over tasks, with tickets
 //! derived from container bindings exactly as in the stride scheduler.
 
-use std::collections::HashMap;
-
 use rescon::{ContainerId, ContainerTable};
+use simcore::slab::IdSlab;
 use simcore::trace::{self, TraceEventKind};
 use simcore::{Nanos, SimRng};
 
@@ -37,9 +36,7 @@ struct LotteryTask {
 /// assert_eq!(s.pick(&table, Nanos::ZERO).unwrap().task, TaskId(1));
 /// ```
 pub struct LotteryScheduler {
-    tasks: HashMap<TaskId, LotteryTask>,
-    /// Sorted task order for deterministic iteration.
-    order: Vec<TaskId>,
+    tasks: IdSlab<TaskId, LotteryTask>,
     rng: SimRng,
     quantum: Nanos,
 }
@@ -48,8 +45,7 @@ impl LotteryScheduler {
     /// Creates a lottery scheduler seeded with `seed`, 1 ms quantum.
     pub fn new(seed: u64) -> Self {
         LotteryScheduler {
-            tasks: HashMap::new(),
-            order: Vec::new(),
+            tasks: IdSlab::new(),
             rng: SimRng::seed_from(seed),
             quantum: Nanos::from_millis(1),
         }
@@ -65,24 +61,20 @@ impl CoreScheduler for LotteryScheduler {
                 runnable: false,
             },
         );
-        if let Err(pos) = self.order.binary_search(&task) {
-            self.order.insert(pos, task);
-        }
     }
 
     fn remove_task(&mut self, task: TaskId) {
-        self.tasks.remove(&task);
-        self.order.retain(|&t| t != task);
+        self.tasks.remove(task);
     }
 
     fn set_binding(&mut self, task: TaskId, binding: &[ContainerId], _now: Nanos) {
-        if let Some(t) = self.tasks.get_mut(&task) {
+        if let Some(t) = self.tasks.get_mut(task) {
             t.binding = binding.to_vec();
         }
     }
 
     fn set_runnable(&mut self, task: TaskId, runnable: bool, now: Nanos) {
-        if let Some(t) = self.tasks.get_mut(&task) {
+        if let Some(t) = self.tasks.get_mut(task) {
             if t.runnable != runnable {
                 trace::emit_at(now, || TraceEventKind::ThreadState {
                     task: task.0,
@@ -94,14 +86,15 @@ impl CoreScheduler for LotteryScheduler {
     }
 
     fn is_runnable(&self, task: TaskId) -> bool {
-        self.tasks.get(&task).map(|t| t.runnable).unwrap_or(false)
+        self.tasks.get(task).map(|t| t.runnable).unwrap_or(false)
     }
 
     fn pick(&mut self, table: &ContainerTable, now: Nanos) -> Option<Pick> {
         let mut total = 0.0;
         let mut entries: Vec<(TaskId, f64)> = Vec::new();
-        for &id in &self.order {
-            let t = &self.tasks[&id];
+        // Tickets are summed in ascending id order, so the draw is a
+        // deterministic function of the seed.
+        for (id, t) in self.tasks.iter() {
             if !t.runnable {
                 continue;
             }

@@ -1,20 +1,20 @@
-//! [`PerCpu`]: lifts any single-CPU [`CoreScheduler`] policy into the
-//! SMP-aware [`Scheduler`] surface the kernel drives.
+//! [`PerCpu`]: the SMP scheduler the kernel drives, routing each call to
+//! one single-CPU [`CoreScheduler`] policy per simulated CPU.
 //!
-//! One policy instance ("core") is created per simulated CPU; each core
-//! owns its run queue and never learns about the others. `PerCpu` keeps
-//! the task → home-CPU map plus a cache of each task's binding and
-//! runnable flag so a migration can unregister the task from its old
-//! core and re-register it — binding and runnable state intact — on the
-//! new one. With one CPU the wrapper is a pure pass-through: the call
-//! sequence a core observes is identical to what the policy saw before
-//! the SMP refactor, which is what keeps single-CPU runs byte-identical.
+//! Each core owns its run queue and never learns about the others.
+//! `PerCpu` keeps the task → home-CPU map plus a cache of each task's
+//! binding and runnable flag so a migration can unregister the task from
+//! its old core and re-register it — binding and runnable state intact —
+//! on the new one. With one CPU the router is a pure pass-through: the
+//! call sequence a core observes is identical to what the policy saw
+//! before the SMP refactor, which is what keeps single-CPU runs
+//! byte-identical.
 
 use rescon::{ContainerId, ContainerTable};
 use simcore::slab::IdSlab;
 use simcore::Nanos;
 
-use crate::api::{CoreScheduler, CpuId, Pick, Scheduler, TaskId, TaskSnapshot};
+use crate::api::{CoreScheduler, CpuId, Pick, TaskId, TaskSnapshot};
 
 struct TaskMeta {
     cpu: u32,
@@ -22,16 +22,22 @@ struct TaskMeta {
     runnable: bool,
 }
 
-/// An SMP scheduler built from one [`CoreScheduler`] instance per CPU.
-pub struct PerCpu<P: CoreScheduler> {
-    cores: Vec<P>,
+/// Per-CPU run queues with task-to-CPU placement and migration, built
+/// from one [`CoreScheduler`] instance per CPU.
+///
+/// Calls that identify the CPU explicitly ([`PerCpu::add_task`],
+/// [`PerCpu::pick`], [`PerCpu::next_release_time`]) address a specific
+/// core; the rest resolve the owning core from the task's current home
+/// CPU.
+pub struct PerCpu {
+    cores: Vec<Box<dyn CoreScheduler>>,
     tasks: IdSlab<TaskId, TaskMeta>,
 }
 
-impl<P: CoreScheduler> PerCpu<P> {
-    /// Builds the wrapper from pre-constructed cores, one per CPU.
+impl PerCpu {
+    /// Builds the router from pre-constructed cores, one per CPU.
     /// Panics if `cores` is empty.
-    pub fn new(cores: Vec<P>) -> Self {
+    pub fn new(cores: Vec<Box<dyn CoreScheduler>>) -> Self {
         assert!(!cores.is_empty(), "PerCpu requires at least one core");
         Self {
             cores,
@@ -42,10 +48,10 @@ impl<P: CoreScheduler> PerCpu<P> {
     fn core_of(&self, task: TaskId) -> Option<u32> {
         self.tasks.get(task).map(|m| m.cpu)
     }
-}
 
-impl<P: CoreScheduler> Scheduler for PerCpu<P> {
-    fn add_task(&mut self, task: TaskId, binding: &[ContainerId], cpu: CpuId, now: Nanos) {
+    /// Registers a task on `cpu` with its initial scheduler binding. The
+    /// task starts not runnable.
+    pub fn add_task(&mut self, task: TaskId, binding: &[ContainerId], cpu: CpuId, now: Nanos) {
         let cpu = cpu.0.min(self.cores.len() as u32 - 1);
         self.tasks.insert(
             task,
@@ -58,13 +64,15 @@ impl<P: CoreScheduler> Scheduler for PerCpu<P> {
         self.cores[cpu as usize].add_task(task, binding, now);
     }
 
-    fn remove_task(&mut self, task: TaskId) {
+    /// Unregisters a task (thread exit).
+    pub fn remove_task(&mut self, task: TaskId) {
         if let Some(meta) = self.tasks.remove(task) {
             self.cores[meta.cpu as usize].remove_task(task);
         }
     }
 
-    fn set_binding(&mut self, task: TaskId, binding: &[ContainerId], now: Nanos) {
+    /// Replaces the task's scheduler binding on its home CPU.
+    pub fn set_binding(&mut self, task: TaskId, binding: &[ContainerId], now: Nanos) {
         if let Some(meta) = self.tasks.get_mut(task) {
             meta.binding.clear();
             meta.binding.extend_from_slice(binding);
@@ -72,25 +80,30 @@ impl<P: CoreScheduler> Scheduler for PerCpu<P> {
         }
     }
 
-    fn set_runnable(&mut self, task: TaskId, runnable: bool, now: Nanos) {
+    /// Marks the task runnable or blocked on its home CPU.
+    pub fn set_runnable(&mut self, task: TaskId, runnable: bool, now: Nanos) {
         if let Some(meta) = self.tasks.get_mut(task) {
             meta.runnable = runnable;
             self.cores[meta.cpu as usize].set_runnable(task, runnable, now);
         }
     }
 
-    fn is_runnable(&self, task: TaskId) -> bool {
+    /// Returns `true` if the task is currently marked runnable.
+    pub fn is_runnable(&self, task: TaskId) -> bool {
         match self.core_of(task) {
             Some(cpu) => self.cores[cpu as usize].is_runnable(task),
             None => false,
         }
     }
 
-    fn cpu_of(&self, task: TaskId) -> Option<CpuId> {
+    /// Returns the task's current home CPU, if registered.
+    pub fn cpu_of(&self, task: TaskId) -> Option<CpuId> {
         self.core_of(task).map(CpuId)
     }
 
-    fn migrate(&mut self, task: TaskId, to: CpuId, now: Nanos) -> bool {
+    /// Moves a task to `to`, preserving its binding and runnable state.
+    /// Returns `false` if the task is unknown or already homed there.
+    pub fn migrate(&mut self, task: TaskId, to: CpuId, now: Nanos) -> bool {
         if to.0 as usize >= self.cores.len() {
             return false;
         }
@@ -112,11 +125,13 @@ impl<P: CoreScheduler> Scheduler for PerCpu<P> {
         true
     }
 
-    fn pick(&mut self, cpu: CpuId, table: &ContainerTable, now: Nanos) -> Option<Pick> {
+    /// Chooses the next task to run on `cpu`.
+    pub fn pick(&mut self, cpu: CpuId, table: &ContainerTable, now: Nanos) -> Option<Pick> {
         self.cores[cpu.0 as usize].pick(table, now)
     }
 
-    fn charge(
+    /// Accounts `dt` of CPU consumed by `task` (on its home CPU).
+    pub fn charge(
         &mut self,
         task: TaskId,
         container: ContainerId,
@@ -129,7 +144,9 @@ impl<P: CoreScheduler> Scheduler for PerCpu<P> {
         }
     }
 
-    fn next_release_time(
+    /// If every runnable task on `cpu` is throttled by a CPU limit,
+    /// returns the earliest time one becomes eligible again.
+    pub fn next_release_time(
         &mut self,
         cpu: CpuId,
         table: &ContainerTable,
@@ -138,20 +155,21 @@ impl<P: CoreScheduler> Scheduler for PerCpu<P> {
         self.cores[cpu.0 as usize].next_release_time(table, now)
     }
 
-    fn ncpus(&self) -> u32 {
+    /// Number of simulated CPUs.
+    pub fn ncpus(&self) -> u32 {
         self.cores.len() as u32
     }
 
-    fn name(&self) -> &'static str {
+    /// A short policy name for reports.
+    pub fn name(&self) -> &'static str {
         self.cores[0].name()
     }
 
-    fn export_tasks(&self) -> Vec<TaskSnapshot> {
-        // The task-meta cache holds exactly the policy-neutral state;
-        // sorting by task id makes the replay order deterministic
-        // regardless of HashMap iteration order.
-        let mut out: Vec<TaskSnapshot> = self
-            .tasks
+    /// Exports every registered task as a policy-neutral
+    /// [`TaskSnapshot`], in ascending task id order so the replay order
+    /// on import is deterministic.
+    pub fn export_tasks(&self) -> Vec<TaskSnapshot> {
+        self.tasks
             .iter()
             .map(|(task, meta)| TaskSnapshot {
                 task,
@@ -159,9 +177,19 @@ impl<P: CoreScheduler> Scheduler for PerCpu<P> {
                 binding: meta.binding.clone(),
                 runnable: meta.runnable,
             })
-            .collect();
-        out.sort_by_key(|t| t.task);
-        out
+            .collect()
+    }
+
+    /// Replays exported task snapshots into this (freshly built)
+    /// scheduler: registration, home CPU, binding, and runnable state are
+    /// restored; policy-internal ledgers start fresh.
+    pub fn import_tasks(&mut self, tasks: &[TaskSnapshot], now: Nanos) {
+        for t in tasks {
+            self.add_task(t.task, &t.binding, t.cpu, now);
+            if t.runnable {
+                self.set_runnable(t.task, true, now);
+            }
+        }
     }
 }
 
@@ -171,12 +199,15 @@ mod tests {
     use crate::StrideScheduler;
     use rescon::{Attributes, ContainerTable};
 
-    fn two_cpu() -> (PerCpu<StrideScheduler>, ContainerTable, ContainerId) {
+    fn two_cpu() -> (PerCpu, ContainerTable, ContainerId) {
         let mut table = ContainerTable::new();
         let c = table
             .create(Some(table.root()), Attributes::time_shared(10))
             .unwrap();
-        let pc = PerCpu::new(vec![StrideScheduler::new(), StrideScheduler::new()]);
+        let pc = PerCpu::new(vec![
+            Box::new(StrideScheduler::new()),
+            Box::new(StrideScheduler::new()),
+        ]);
         (pc, table, c)
     }
 

@@ -7,9 +7,8 @@
 //! proportionally to tickets with deterministic O(log n)-style behaviour —
 //! here O(n) per pick, which is fine at simulation scale.
 
-use std::collections::HashMap;
-
 use rescon::{ContainerId, ContainerTable, SchedPolicy};
+use simcore::slab::IdSlab;
 use simcore::trace::{self, TraceEventKind};
 use simcore::Nanos;
 
@@ -40,7 +39,7 @@ struct StrideTask {
 /// assert_eq!(s.pick(&table, Nanos::ZERO).unwrap().task, TaskId(1));
 /// ```
 pub struct StrideScheduler {
-    tasks: HashMap<TaskId, StrideTask>,
+    tasks: IdSlab<TaskId, StrideTask>,
     quantum: Nanos,
     /// Global virtual time: max pass ever charged; wakers join here.
     vtime: f64,
@@ -61,7 +60,7 @@ impl StrideScheduler {
     /// Creates a stride scheduler with an explicit quantum.
     pub fn with_quantum(quantum: Nanos) -> Self {
         StrideScheduler {
-            tasks: HashMap::new(),
+            tasks: IdSlab::new(),
             quantum,
             vtime: 0.0,
         }
@@ -95,18 +94,18 @@ impl CoreScheduler for StrideScheduler {
     }
 
     fn remove_task(&mut self, task: TaskId) {
-        self.tasks.remove(&task);
+        self.tasks.remove(task);
     }
 
     fn set_binding(&mut self, task: TaskId, binding: &[ContainerId], _now: Nanos) {
-        if let Some(t) = self.tasks.get_mut(&task) {
+        if let Some(t) = self.tasks.get_mut(task) {
             t.binding = binding.to_vec();
         }
     }
 
     fn set_runnable(&mut self, task: TaskId, runnable: bool, now: Nanos) {
         let vt = self.vtime;
-        if let Some(t) = self.tasks.get_mut(&task) {
+        if let Some(t) = self.tasks.get_mut(task) {
             if runnable && !t.runnable {
                 // Idle-credit revocation: a waking task joins at the
                 // current virtual time rather than cashing in idle time.
@@ -123,20 +122,14 @@ impl CoreScheduler for StrideScheduler {
     }
 
     fn is_runnable(&self, task: TaskId) -> bool {
-        self.tasks.get(&task).map(|t| t.runnable).unwrap_or(false)
+        self.tasks.get(task).map(|t| t.runnable).unwrap_or(false)
     }
 
     fn pick(&mut self, _table: &ContainerTable, now: Nanos) -> Option<Pick> {
+        // Ascending id order: on equal passes the smallest id wins.
         let mut best: Option<(f64, TaskId)> = None;
-        for (&id, t) in &self.tasks {
-            if !t.runnable {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bp, bt)) => t.pass < bp || (t.pass == bp && id < bt),
-            };
-            if better {
+        for (id, t) in self.tasks.iter() {
+            if t.runnable && best.is_none_or(|(bp, _)| t.pass < bp) {
                 best = Some((t.pass, id));
             }
         }
@@ -159,12 +152,10 @@ impl CoreScheduler for StrideScheduler {
         table: &ContainerTable,
         _now: Nanos,
     ) {
-        let Some(t) = self.tasks.get(&task) else {
+        let Some(t) = self.tasks.get_mut(task) else {
             return;
         };
-        let tickets = Self::tickets(table, &t.binding);
-        let t = self.tasks.get_mut(&task).expect("task exists");
-        t.pass += dt.as_secs_f64() / tickets;
+        t.pass += dt.as_secs_f64() / Self::tickets(table, &t.binding);
         if t.pass > self.vtime {
             self.vtime = t.pass;
         }

@@ -18,8 +18,9 @@
 //!   *pass* advanced by `wire_time / weight` per packet served; the
 //!   lowest pass wins (smallest class id breaks ties); a class waking
 //!   from idle rejoins at `max(pass, node vtime)` so sleepers cannot hoard
-//!   credit. Optional per-class rate caps are token buckets over wire
-//!   time, applied to the whole subtree below the capped class.
+//!   credit. A class whose container was reparented moves, with its
+//!   queued work, under the new parent at the next packet enqueued on its
+//!   chain.
 //!
 //! The scheduler is *passive* and knows nothing about sockets or
 //! containers beyond opaque class ids: the kernel resolves the owning
@@ -32,14 +33,9 @@ use simcore::Nanos;
 
 use crate::packet::Packet;
 
-/// A class's position in the scheduling hierarchy: `(class id, weight,
-/// rate cap in bits/sec)`, root first, owning class last.
-pub type TxPath = [(u64, u32, Option<u64>)];
-
-/// Token-bucket burst allowance for rate-capped classes, in wire bytes:
-/// two full-size frames, so a capped class can always make progress
-/// without ever sustaining more than its configured rate.
-const BURST_WIRE_BYTES: u64 = 2 * 1500;
+/// A class's position in the scheduling hierarchy: `(class id, weight)`
+/// pairs, root first, owning class last.
+pub type TxPath = [(u64, u32)];
 
 /// Which queueing discipline the link runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,7 +82,7 @@ struct QueuedPkt {
     /// The full class chain the packet was enqueued under, kept so a
     /// mid-run discipline swap can replay the packet into the new
     /// discipline with its hierarchy intact.
-    path: Vec<(u64, u32, Option<u64>)>,
+    path: Vec<(u64, u32)>,
     /// Per-discipline arrival sequence number; recovers global arrival
     /// order when draining a discipline that scatters packets across
     /// per-class queues.
@@ -96,11 +92,11 @@ struct QueuedPkt {
 /// A queued packet exported from a [`LinkSched`] by [`LinkSched::drain`]:
 /// the policy-neutral state a mid-run qdisc swap carries across — what
 /// the kernel enqueued (class chain, packet, wire time) and nothing the
-/// discipline invented (passes, virtual times, token buckets).
+/// discipline invented (passes, virtual times).
 #[derive(Clone, Debug)]
 pub struct TxSnapshot {
     /// The owning class chain, root first (see [`TxPath`]).
-    pub path: Vec<(u64, u32, Option<u64>)>,
+    pub path: Vec<(u64, u32)>,
     /// The queued packet.
     pub pkt: Packet,
     /// Time the packet will occupy the wire.
@@ -119,38 +115,34 @@ pub enum Dispatch {
         /// Time the packet occupies the wire.
         wire: Nanos,
     },
-    /// Packets are queued but every eligible class is rate-capped;
-    /// nothing can start before this time.
-    Throttled(Nanos),
     /// The queue is empty.
     Idle,
 }
 
 /// A transmit queueing discipline.
 ///
-/// All methods take `now` in virtual time; implementations must be
-/// deterministic functions of the call sequence.
+/// Implementations must be deterministic functions of the call sequence.
 pub trait LinkSched {
     /// Short stable name for reports ("fifo" / "wfq").
     fn name(&self) -> &'static str;
     /// Queues a packet owned by the last class of `path`, which lists the
-    /// owning class's chain from the hierarchy root (weights and rate
-    /// caps are re-read on every enqueue, so attribute changes take
-    /// effect at the next packet).
-    fn enqueue(&mut self, path: &TxPath, pkt: Packet, wire: Nanos, now: Nanos);
+    /// owning class's chain from the hierarchy root (weights and parents
+    /// are re-read on every enqueue, so attribute changes and reparents
+    /// take effect at the next packet).
+    fn enqueue(&mut self, path: &TxPath, pkt: Packet, wire: Nanos);
     /// Picks the next packet to put on the wire.
-    fn dispatch(&mut self, now: Nanos) -> Dispatch;
+    fn dispatch(&mut self) -> Dispatch;
     /// Number of packets currently queued.
     fn queued_pkts(&self) -> usize;
     /// Removes and returns every queued packet in arrival order, as
     /// policy-neutral [`TxSnapshot`]s. Used by mid-run qdisc swaps: the
     /// detaching discipline drains here and the replacement re-enqueues
-    /// each snapshot in order. Discipline ledgers (virtual times, passes,
-    /// token buckets) do not cross the swap.
+    /// each snapshot in order. Discipline ledgers (virtual times, passes)
+    /// do not cross the swap.
     fn drain(&mut self) -> Vec<TxSnapshot>;
 }
 
-/// The baseline: one queue, arrival order, rate caps ignored.
+/// The baseline: one queue, arrival order, weights ignored.
 #[derive(Default)]
 pub struct FifoLink {
     queue: VecDeque<QueuedPkt>,
@@ -169,8 +161,8 @@ impl LinkSched for FifoLink {
         "fifo"
     }
 
-    fn enqueue(&mut self, path: &TxPath, pkt: Packet, wire: Nanos, _now: Nanos) {
-        let owner = path.last().map_or(0, |&(id, _, _)| id);
+    fn enqueue(&mut self, path: &TxPath, pkt: Packet, wire: Nanos) {
+        let owner = path.last().map_or(0, |&(id, _)| id);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push_back(QueuedPkt {
@@ -182,7 +174,7 @@ impl LinkSched for FifoLink {
         });
     }
 
-    fn dispatch(&mut self, _now: Nanos) -> Dispatch {
+    fn dispatch(&mut self) -> Dispatch {
         match self.queue.pop_front() {
             Some(q) => Dispatch::Start {
                 pkt: q.pkt,
@@ -216,7 +208,6 @@ impl LinkSched for FifoLink {
 struct Class {
     parent: Option<u64>,
     weight: u32,
-    rate_bps: Option<u64>,
     /// Pass of this class in its parent's competition.
     pass: f64,
     /// Virtual time of the competition among this class's children.
@@ -227,10 +218,6 @@ struct Class {
     active_children: BTreeSet<u64>,
     /// Packets owned directly by this class.
     queue: VecDeque<QueuedPkt>,
-    /// Token bucket in bit-nanoseconds; `None` when uncapped.
-    tokens: Option<u128>,
-    /// Last time the bucket was refilled.
-    refilled: Nanos,
 }
 
 impl Class {
@@ -253,13 +240,6 @@ impl Default for WfqLink {
     }
 }
 
-/// Token math is done in bit-nanoseconds so refills stay exact integers:
-/// a bucket holding `b` bits is `b * 1e9` bit-ns, and `dt` ns at `r`
-/// bits/sec refills `dt * r` bit-ns.
-fn burst_bitns() -> u128 {
-    (BURST_WIRE_BYTES as u128) * 8 * 1_000_000_000
-}
-
 impl WfqLink {
     /// Creates an empty WFQ link scheduler.
     pub fn new() -> Self {
@@ -271,49 +251,34 @@ impl WfqLink {
         }
     }
 
-    fn ensure_class(&mut self, id: u64, parent: Option<u64>, weight: u32, rate: Option<u64>) {
+    /// Materializes class `id` under `parent` and refreshes its weight.
+    /// A class whose parent changed (its container was reparented) leaves
+    /// the old parent's competition, which goes idle upward if that was
+    /// its last active child, and joins the new parent's if it still has
+    /// work queued below it.
+    fn ensure_class(&mut self, id: u64, parent: Option<u64>, weight: u32) {
         let class = self.classes.entry(id).or_insert_with(|| Class {
             parent,
             weight,
-            rate_bps: rate,
             pass: 0.0,
             vtime: 0.0,
             self_pass: 0.0,
             active_children: BTreeSet::new(),
             queue: VecDeque::new(),
-            tokens: rate.map(|_| burst_bitns()),
-            refilled: Nanos::ZERO,
         });
-        class.parent = parent;
         class.weight = weight.max(1);
-        if class.rate_bps != rate {
-            class.rate_bps = rate;
-            class.tokens = rate.map(|_| burst_bitns());
+        let old = std::mem::replace(&mut class.parent, parent);
+        if old == parent {
+            return;
         }
-    }
-
-    fn refill(&mut self, id: u64, now: Nanos) {
-        let class = self.classes.get_mut(&id).expect("live class");
-        if let (Some(rate), Some(tokens)) = (class.rate_bps, class.tokens) {
-            let dt = (now - class.refilled).as_nanos() as u128;
-            class.tokens = Some(burst_bitns().min(tokens + dt * rate as u128));
-            class.refilled = now;
-        } else {
-            class.refilled = now;
-        }
-    }
-
-    /// Earliest time the class has `need` bit-ns of tokens, or `None`
-    /// if it has them now. Call after [`WfqLink::refill`].
-    fn ready_at(&self, id: u64, need: u128, now: Nanos) -> Option<Nanos> {
-        let class = &self.classes[&id];
-        match (class.rate_bps, class.tokens) {
-            (Some(rate), Some(tokens)) if tokens < need => {
-                let deficit = need - tokens;
-                let wait = deficit.div_ceil(rate as u128);
-                Some(now + Nanos::from_nanos(wait as u64))
+        if let Some(old) = old {
+            let old_parent = self.classes.get_mut(&old).expect("live class");
+            if old_parent.active_children.remove(&id) {
+                self.deactivate_up(old);
             }
-            _ => None,
+        }
+        if self.classes[&id].active() {
+            self.activate_up(id);
         }
     }
 
@@ -361,64 +326,32 @@ impl WfqLink {
         }
     }
 
-    /// Recursive pick: from `id`, follow lowest-pass candidates to a
-    /// packet. Returns the chosen path (nodes visited, leaf last) or the
-    /// earliest time the subtree becomes eligible.
-    fn pick(&self, id: u64, now: Nanos) -> Result<Vec<u64>, Option<Nanos>> {
-        let class = &self.classes[&id];
-        // Candidates: active children, plus the self-queue as an implicit
-        // child keyed by this class's own id (BTreeSet order keeps ties
-        // deterministic; the self-queue wins pass ties against children
-        // with larger ids and loses to smaller, which is stable and
-        // fair-enough for an edge case strict mode mostly forbids).
-        let mut candidates: Vec<(f64, u64, bool)> = Vec::new();
-        if !class.queue.is_empty() {
-            candidates.push((class.self_pass, id, true));
-        }
-        for &child in &class.active_children {
-            candidates.push((self.classes[&child].pass, child, false));
-        }
-        candidates.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        let mut earliest: Option<Nanos> = None;
-        for (_, cand, is_self) in candidates {
-            if is_self {
-                let head = class.queue.front().expect("nonempty");
-                let need = (head.pkt.wire_bytes() as u128) * 8 * 1_000_000_000;
-                match self.subtree_ready(id, need, now) {
-                    None => return Ok(vec![id]),
-                    Some(t) => earliest = min_time(earliest, Some(t)),
-                }
-            } else {
-                match self.pick(cand, now) {
-                    Ok(mut path) => {
-                        path.insert(0, id);
-                        return Ok(path);
-                    }
-                    Err(t) => earliest = min_time(earliest, t),
-                }
+    /// From the active class `root`, follows the lowest-pass candidate
+    /// down to a packet. Returns the chosen path (nodes visited, leaf
+    /// last).
+    fn pick(&self, root: u64) -> Vec<u64> {
+        let mut path = vec![root];
+        loop {
+            let id = *path.last().expect("nonempty path");
+            let class = &self.classes[&id];
+            // Candidates: active children, plus the self-queue as an
+            // implicit child keyed by this class's own id. Pass ties go to
+            // the smaller id, so the self-queue wins ties against children
+            // with larger ids and loses to smaller, which is stable and
+            // fair-enough for an edge case strict mode mostly forbids.
+            let own = (!class.queue.is_empty()).then_some((class.self_pass, id));
+            let (_, next) = class
+                .active_children
+                .iter()
+                .map(|&child| (self.classes[&child].pass, child))
+                .chain(own)
+                .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)))
+                .expect("an active class has a candidate");
+            if next == id {
+                return path;
             }
+            path.push(next);
         }
-        Err(earliest)
-    }
-
-    /// Checks token buckets from `leaf` up to the root for `need`
-    /// bit-ns; returns the earliest ready time if any bucket is short.
-    fn subtree_ready(&self, leaf: u64, need: u128, now: Nanos) -> Option<Nanos> {
-        let mut earliest: Option<Nanos> = None;
-        let mut cur = Some(leaf);
-        while let Some(c) = cur {
-            earliest = min_time(earliest, self.ready_at(c, need, now));
-            cur = self.classes[&c].parent;
-        }
-        earliest
-    }
-}
-
-fn min_time(a: Option<Nanos>, b: Option<Nanos>) -> Option<Nanos> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
     }
 }
 
@@ -427,13 +360,12 @@ impl LinkSched for WfqLink {
         "wfq"
     }
 
-    fn enqueue(&mut self, path: &TxPath, pkt: Packet, wire: Nanos, now: Nanos) {
+    fn enqueue(&mut self, path: &TxPath, pkt: Packet, wire: Nanos) {
         assert!(!path.is_empty(), "empty tx path");
         // Materialize / refresh the chain of classes.
         let mut parent = None;
-        for &(id, weight, rate) in path {
-            self.ensure_class(id, parent, weight, rate);
-            self.refill(id, now);
+        for &(id, weight) in path {
+            self.ensure_class(id, parent, weight);
             parent = Some(id);
         }
         if self.root.is_none() {
@@ -460,76 +392,44 @@ impl LinkSched for WfqLink {
         self.queued += 1;
     }
 
-    fn dispatch(&mut self, now: Nanos) -> Dispatch {
-        let root = match self.root {
-            Some(r) => r,
-            None => return Dispatch::Idle,
-        };
-        if !self.classes[&root].active() {
+    fn dispatch(&mut self) -> Dispatch {
+        let Some(root) = self.root.filter(|r| self.classes[r].active()) else {
             return Dispatch::Idle;
-        }
-        // Refill every capped class so eligibility reflects `now`.
-        let capped: Vec<u64> = self
+        };
+        let path = self.pick(root);
+        let leaf = *path.last().expect("nonempty pick");
+        let q = self
             .classes
-            .iter()
-            .filter(|(_, c)| c.rate_bps.is_some())
-            .map(|(&id, _)| id)
-            .collect();
-        for id in capped {
-            self.refill(id, now);
+            .get_mut(&leaf)
+            .expect("live class")
+            .queue
+            .pop_front()
+            .expect("picked class has a packet");
+        self.queued -= 1;
+        let wire_ns = q.wire.as_nanos() as f64;
+        // Advance virtual time along the chosen path: at each node, the
+        // selected candidate's pass becomes the node's vtime, then
+        // advances by wire / weight.
+        for pair in path.windows(2) {
+            let (node, child) = (pair[0], pair[1]);
+            let child_pass = self.classes[&child].pass;
+            let weight = self.classes[&child].weight as f64;
+            self.classes.get_mut(&node).expect("live class").vtime = child_pass;
+            self.classes.get_mut(&child).expect("live class").pass = child_pass + wire_ns / weight;
         }
-        match self.pick(root, now) {
-            Ok(path) => {
-                let leaf = *path.last().expect("nonempty pick");
-                let q = self
-                    .classes
-                    .get_mut(&leaf)
-                    .expect("live class")
-                    .queue
-                    .pop_front()
-                    .expect("picked class has a packet");
-                self.queued -= 1;
-                let wire_ns = q.wire.as_nanos() as f64;
-                let need = (q.pkt.wire_bytes() as u128) * 8 * 1_000_000_000;
-                // Advance virtual time along the chosen path: at each
-                // node, the selected candidate's pass becomes the node's
-                // vtime, then advances by wire / weight.
-                for pair in path.windows(2) {
-                    let (node, child) = (pair[0], pair[1]);
-                    let child_pass = self.classes[&child].pass;
-                    let weight = self.classes[&child].weight as f64;
-                    self.classes.get_mut(&node).expect("live class").vtime = child_pass;
-                    self.classes.get_mut(&child).expect("live class").pass =
-                        child_pass + wire_ns / weight;
-                }
-                // Self-queue service at the leaf.
-                {
-                    let class = self.classes.get_mut(&leaf).expect("live class");
-                    let pass = class.self_pass;
-                    class.vtime = pass;
-                    let weight = class.weight as f64;
-                    class.self_pass = pass + wire_ns / weight;
-                }
-                // Spend tokens on every capped node of the chain.
-                let mut cur = Some(leaf);
-                while let Some(c) = cur {
-                    let class = self.classes.get_mut(&c).expect("live class");
-                    if let Some(tokens) = class.tokens {
-                        class.tokens = Some(tokens.saturating_sub(need));
-                    }
-                    cur = class.parent;
-                }
-                self.deactivate_up(leaf);
-                Dispatch::Start {
-                    pkt: q.pkt,
-                    owner: q.owner,
-                    wire: q.wire,
-                }
-            }
-            Err(Some(t)) => Dispatch::Throttled(t.max(now + Nanos::from_nanos(1))),
-            // Active but nothing pickable and no ready time: impossible
-            // for uncapped trees; be safe and retry shortly.
-            Err(None) => Dispatch::Throttled(now + Nanos::from_nanos(1)),
+        // Self-queue service at the leaf.
+        {
+            let class = self.classes.get_mut(&leaf).expect("live class");
+            let pass = class.self_pass;
+            class.vtime = pass;
+            let weight = class.weight as f64;
+            class.self_pass = pass + wire_ns / weight;
+        }
+        self.deactivate_up(leaf);
+        Dispatch::Start {
+            pkt: q.pkt,
+            owner: q.owner,
+            wire: q.wire,
         }
     }
 
@@ -544,8 +444,8 @@ impl LinkSched for WfqLink {
             .flat_map(|c| c.queue.drain(..))
             .collect();
         pkts.sort_by_key(|q| q.seq);
-        // Everything else — classes, passes, virtual times, token
-        // buckets — dies with this instance: the replacement discipline
+        // Everything else — classes, passes, virtual times — dies with
+        // this instance: the replacement discipline
         // rebuilds its tree from the replayed paths with fresh ledgers.
         self.classes.clear();
         self.root = None;
@@ -573,23 +473,26 @@ mod tests {
         )
     }
 
-    /// Drains the link: repeatedly dispatch, accumulating wire time per
-    /// owner, simulating a saturated wire (next dispatch at completion).
-    fn drain(sched: &mut dyn LinkSched, mut now: Nanos) -> BTreeMap<u64, Nanos> {
+    /// Drains the link, accumulating wire time per owner.
+    fn drain(sched: &mut dyn LinkSched) -> BTreeMap<u64, Nanos> {
         let mut served = BTreeMap::new();
-        loop {
-            match sched.dispatch(now) {
-                Dispatch::Start { owner, wire, .. } => {
-                    *served.entry(owner).or_insert(Nanos::ZERO) += wire;
-                    now += wire;
-                }
-                Dispatch::Throttled(t) => {
-                    assert!(t > now, "throttle time must advance");
-                    now = t;
-                }
-                Dispatch::Idle => return served,
+        while let Dispatch::Start { owner, wire, .. } = sched.dispatch() {
+            *served.entry(owner).or_insert(Nanos::ZERO) += wire;
+        }
+        served
+    }
+
+    /// Serves `n` packets, counting them per owner; panics if the link
+    /// goes idle first.
+    fn serve(w: &mut WfqLink, n: usize) -> BTreeMap<u64, u32> {
+        let mut served = BTreeMap::new();
+        for _ in 0..n {
+            match w.dispatch() {
+                Dispatch::Start { owner, .. } => *served.entry(owner).or_insert(0) += 1,
+                Dispatch::Idle => panic!("link went idle early"),
             }
         }
+        served
     }
 
     #[test]
@@ -605,16 +508,11 @@ mod tests {
     fn fifo_serves_in_arrival_order() {
         let mut f = FifoLink::new();
         for owner in [7u64, 3, 7, 5] {
-            f.enqueue(
-                &[(1, 1, None), (owner, 1, None)],
-                pkt(100),
-                Nanos::from_micros(10),
-                Nanos::ZERO,
-            );
+            f.enqueue(&[(1, 1), (owner, 1)], pkt(100), Nanos::from_micros(10));
         }
         assert_eq!(f.queued_pkts(), 4);
         let mut order = Vec::new();
-        while let Dispatch::Start { owner, .. } = f.dispatch(Nanos::ZERO) {
+        while let Dispatch::Start { owner, .. } = f.dispatch() {
             order.push(owner);
         }
         assert_eq!(order, [7, 3, 7, 5]);
@@ -625,22 +523,12 @@ mod tests {
         let mut w = WfqLink::new();
         let wire = Nanos::from_micros(120);
         for _ in 0..300 {
-            w.enqueue(&[(1, 1, None), (10, 3, None)], pkt(1460), wire, Nanos::ZERO);
-            w.enqueue(&[(1, 1, None), (20, 1, None)], pkt(1460), wire, Nanos::ZERO);
+            w.enqueue(&[(1, 1), (10, 3)], pkt(1460), wire);
+            w.enqueue(&[(1, 1), (20, 1)], pkt(1460), wire);
         }
         // Serve only the first 200 packets so both classes stay
         // backlogged for everything we count.
-        let mut served: BTreeMap<u64, u32> = BTreeMap::new();
-        let mut now = Nanos::ZERO;
-        for _ in 0..200 {
-            match w.dispatch(now) {
-                Dispatch::Start { owner, wire, .. } => {
-                    *served.entry(owner).or_insert(0) += 1;
-                    now += wire;
-                }
-                other => panic!("unexpected dispatch: {other:?}"),
-            }
-        }
+        let served = serve(&mut w, 200);
         let heavy = served[&10] as f64;
         let light = served[&20] as f64;
         let frac = heavy / (heavy + light);
@@ -652,9 +540,9 @@ mod tests {
         let mut w = WfqLink::new();
         let wire = Nanos::from_micros(10);
         for _ in 0..50 {
-            w.enqueue(&[(1, 1, None), (20, 1, None)], pkt(100), wire, Nanos::ZERO);
+            w.enqueue(&[(1, 1), (20, 1)], pkt(100), wire);
         }
-        let served = drain(&mut w, Nanos::ZERO);
+        let served = drain(&mut w);
         assert_eq!(served[&20], Nanos::from_micros(500));
     }
 
@@ -664,32 +552,17 @@ mod tests {
         let wire = Nanos::from_micros(10);
         // Class 10 runs alone for a long while.
         for _ in 0..100 {
-            w.enqueue(&[(1, 1, None), (10, 1, None)], pkt(100), wire, Nanos::ZERO);
+            w.enqueue(&[(1, 1), (10, 1)], pkt(100), wire);
         }
-        let mut now = Nanos::ZERO;
-        for _ in 0..100 {
-            if let Dispatch::Start { wire, .. } = w.dispatch(now) {
-                now += wire;
-            }
-        }
+        serve(&mut w, 100);
         // Class 20 wakes: it must not get 100 packets of catch-up; under
         // equal weights the two alternate from here on.
         for _ in 0..20 {
-            w.enqueue(&[(1, 1, None), (10, 1, None)], pkt(100), wire, now);
-            w.enqueue(&[(1, 1, None), (20, 1, None)], pkt(100), wire, now);
+            w.enqueue(&[(1, 1), (10, 1)], pkt(100), wire);
+            w.enqueue(&[(1, 1), (20, 1)], pkt(100), wire);
         }
-        let mut first_ten = Vec::new();
-        for _ in 0..10 {
-            if let Dispatch::Start { owner, wire, .. } = w.dispatch(now) {
-                first_ten.push(owner);
-                now += wire;
-            }
-        }
-        let tens = first_ten.iter().filter(|&&o| o == 10).count();
-        assert!(
-            (4..=6).contains(&tens),
-            "no alternation after wake: {first_ten:?}"
-        );
+        let tens = serve(&mut w, 10).get(&10).copied().unwrap_or(0);
+        assert!((4..=6).contains(&tens), "no alternation after wake: {tens}");
     }
 
     #[test]
@@ -700,31 +573,11 @@ mod tests {
         let mut w = WfqLink::new();
         let wire = Nanos::from_micros(120);
         for _ in 0..400 {
-            w.enqueue(
-                &[(1, 1, None), (10, 3, None), (11, 1, None)],
-                pkt(1460),
-                wire,
-                Nanos::ZERO,
-            );
-            w.enqueue(
-                &[(1, 1, None), (10, 3, None), (12, 1, None)],
-                pkt(1460),
-                wire,
-                Nanos::ZERO,
-            );
-            w.enqueue(&[(1, 1, None), (20, 1, None)], pkt(1460), wire, Nanos::ZERO);
+            w.enqueue(&[(1, 1), (10, 3), (11, 1)], pkt(1460), wire);
+            w.enqueue(&[(1, 1), (10, 3), (12, 1)], pkt(1460), wire);
+            w.enqueue(&[(1, 1), (20, 1)], pkt(1460), wire);
         }
-        let mut served: BTreeMap<u64, u32> = BTreeMap::new();
-        let mut now = Nanos::ZERO;
-        for _ in 0..400 {
-            match w.dispatch(now) {
-                Dispatch::Start { owner, wire, .. } => {
-                    *served.entry(owner).or_insert(0) += 1;
-                    now += wire;
-                }
-                other => panic!("unexpected dispatch: {other:?}"),
-            }
-        }
+        let served = serve(&mut w, 400);
         let total: u32 = served.values().sum();
         let a = (served[&11] + served[&12]) as f64 / total as f64;
         let b = served[&20] as f64 / total as f64;
@@ -735,75 +588,21 @@ mod tests {
     }
 
     #[test]
-    fn wfq_rate_cap_throttles_and_recovers() {
-        // Class 10 capped at 10 Mbit/s on an otherwise idle link: after
-        // the burst allowance, packets are paced at the cap.
-        let mut w = WfqLink::new();
-        let wire = Nanos::from_micros(1); // wire is fast; the cap binds
-        let cap = Some(10_000_000u64);
-        for _ in 0..10 {
-            w.enqueue(&[(1, 1, None), (10, 1, cap)], pkt(1460), wire, Nanos::ZERO);
-        }
-        let mut now = Nanos::ZERO;
-        let mut sent = 0;
-        let mut throttles = 0;
-        while sent < 10 {
-            match w.dispatch(now) {
-                Dispatch::Start { wire, .. } => {
-                    sent += 1;
-                    now += wire;
-                }
-                Dispatch::Throttled(t) => {
-                    throttles += 1;
-                    assert!(t > now);
-                    now = t;
-                }
-                Dispatch::Idle => panic!("queue went idle early"),
-            }
-        }
-        assert!(throttles > 0, "cap never throttled");
-        // 10 × 1500 wire bytes = 120000 bits; minus the 24000-bit burst,
-        // 96000 bits must be paced at 10 Mbit/s ≈ 9.6 ms.
-        assert!(
-            now >= Nanos::from_micros(9600),
-            "cap not enforced: finished at {now:?}"
-        );
-        assert!(matches!(w.dispatch(now), Dispatch::Idle));
-    }
-
-    #[test]
-    fn wfq_uncapped_sibling_unaffected_by_capped_class() {
+    fn wfq_reparent_with_queued_packet_serves_both_then_idles() {
+        // Class 5 queues under 2, then is reparented under 3 while its
+        // first packet still waits. Its old parent must leave the root's
+        // competition once 5 moves away, or the root stays active with
+        // nothing to serve.
         let mut w = WfqLink::new();
         let wire = Nanos::from_micros(10);
-        let cap = Some(1_000_000u64);
-        for _ in 0..20 {
-            w.enqueue(&[(1, 1, None), (10, 1, cap)], pkt(1460), wire, Nanos::ZERO);
-            w.enqueue(&[(1, 1, None), (20, 1, None)], pkt(1460), wire, Nanos::ZERO);
-        }
-        // The uncapped class must be able to drain its 20 packets without
-        // waiting on the capped sibling's pacing gaps.
-        let mut now = Nanos::ZERO;
-        let mut uncapped = 0;
-        for _ in 0..200 {
-            match w.dispatch(now) {
-                Dispatch::Start { owner, wire, .. } => {
-                    if owner == 20 {
-                        uncapped += 1;
-                    }
-                    now += wire;
-                }
-                Dispatch::Throttled(t) => now = t,
-                Dispatch::Idle => break,
-            }
-            if uncapped == 20 {
-                break;
-            }
-        }
-        assert_eq!(uncapped, 20);
-        assert!(
-            now < Nanos::from_millis(2),
-            "uncapped class waited on the capped one: {now:?}"
-        );
+        w.enqueue(&[(1, 1), (2, 1), (5, 1)], pkt(100), wire);
+        w.enqueue(&[(1, 1), (3, 1), (5, 1)], pkt(100), wire);
+        assert_eq!(serve(&mut w, 2), BTreeMap::from([(5, 2)]));
+        assert_eq!(w.queued_pkts(), 0);
+        assert!(matches!(w.dispatch(), Dispatch::Idle));
+        // The old parent is free to compete again.
+        w.enqueue(&[(1, 1), (2, 1), (6, 1)], pkt(100), wire);
+        assert_eq!(drain(&mut w), BTreeMap::from([(6, wire)]));
     }
 
     #[test]
@@ -814,17 +613,12 @@ mod tests {
         // replayed order is checkable.
         for i in 0..12u32 {
             let owner = 10 + (i as u64 % 3);
-            w.enqueue(
-                &[(1, 1, None), (owner, 1, None)],
-                pkt(100 + i),
-                wire,
-                Nanos::ZERO,
-            );
+            w.enqueue(&[(1, 1), (owner, 1)], pkt(100 + i), wire);
         }
         let snaps = w.drain();
         assert_eq!(snaps.len(), 12);
         assert_eq!(w.queued_pkts(), 0);
-        assert!(matches!(w.dispatch(Nanos::ZERO), Dispatch::Idle));
+        assert!(matches!(w.dispatch(), Dispatch::Idle));
         // Arrival order recovered despite per-class scatter.
         for (i, s) in snaps.iter().enumerate() {
             assert_eq!(s.path.last().unwrap().0, 10 + (i as u64 % 3));
@@ -832,10 +626,10 @@ mod tests {
         // Replay into a fresh FIFO: identical arrival order comes out.
         let mut f = FifoLink::new();
         for s in &snaps {
-            f.enqueue(&s.path, s.pkt, s.wire, Nanos::ZERO);
+            f.enqueue(&s.path, s.pkt, s.wire);
         }
         let mut order = Vec::new();
-        while let Dispatch::Start { owner, .. } = f.dispatch(Nanos::ZERO) {
+        while let Dispatch::Start { owner, .. } = f.dispatch() {
             order.push(owner);
         }
         assert_eq!(
@@ -848,10 +642,10 @@ mod tests {
         // Replay into a fresh WFQ: still serves everything.
         let mut w2 = WfqLink::new();
         for s in snaps {
-            w2.enqueue(&s.path, s.pkt, s.wire, Nanos::ZERO);
+            w2.enqueue(&s.path, s.pkt, s.wire);
         }
         assert_eq!(w2.queued_pkts(), 12);
-        let served = drain(&mut w2, Nanos::ZERO);
+        let served = drain(&mut w2);
         assert_eq!(served.len(), 3);
     }
 
@@ -862,20 +656,17 @@ mod tests {
             for i in 0..100u64 {
                 let owner = 10 + (i % 3);
                 w.enqueue(
-                    &[(1, 1, None), (owner, (owner - 9) as u32, None)],
+                    &[(1, 1), (owner, (owner - 9) as u32)],
                     pkt(100 + (i as u32 % 7) * 100),
                     Nanos::from_micros(10 + i % 5),
-                    Nanos::from_micros(i),
                 );
             }
             w
         };
         let mut a = build();
         let mut b = build();
-        let mut now = Nanos::from_micros(100);
         loop {
-            let (da, db) = (a.dispatch(now), b.dispatch(now));
-            match (da, db) {
+            match (a.dispatch(), b.dispatch()) {
                 (
                     Dispatch::Start {
                         owner: oa,
@@ -887,10 +678,7 @@ mod tests {
                         wire: wb,
                         ..
                     },
-                ) => {
-                    assert_eq!((oa, wa), (ob, wb));
-                    now += wa;
-                }
+                ) => assert_eq!((oa, wa), (ob, wb)),
                 (Dispatch::Idle, Dispatch::Idle) => break,
                 (x, y) => panic!("diverged: {x:?} vs {y:?}"),
             }

@@ -16,7 +16,7 @@
 //!
 //! Fixed-share guarantees remain *global*: per-CPU queues divide each
 //! CPU locally, and a periodic container-aware load balancer
-//! ([`KernelEvent::Balance`], multiprocessor only) migrates threads so
+//! (`KernelEvent::Balance`, multiprocessor only) migrates threads so
 //! every container's runnable threads stay spread across CPUs, ranked by
 //! how far each container lags its entitlement.
 //!
@@ -36,9 +36,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use rcpolicy::Plane;
 use rescon::{Attributes, ContainerId, ContainerTable, MemClass};
-use sched::{CpuId, Scheduler, TaskId};
+use sched::{CpuId, PerCpu, TaskId};
 use simcore::fault::{DiskFault, FaultCounts, FaultInjector, FaultPlan, NetFault};
 use simcore::span::{self, Outcome, Phase};
 use simcore::trace::{self, TraceEventKind, NO_CONTAINER};
@@ -306,9 +305,8 @@ enum KernelEvent {
     /// scheduled on a uniprocessor, so single-CPU event schedules are
     /// untouched).
     Balance,
-    /// The link either finished its in-flight packet or a rate cap opened
-    /// up. Only armed when a finite link is configured, so linkless event
-    /// schedules are untouched.
+    /// The link finished its in-flight packet. Only armed when a finite
+    /// link is configured, so linkless event schedules are untouched.
     LinkTick,
 }
 
@@ -384,7 +382,7 @@ pub struct Kernel {
     pub containers: ContainerTable,
     /// The network stack (public for tests/harnesses).
     pub stack: NetStack,
-    scheduler: Box<dyn Scheduler>,
+    scheduler: PerCpu,
     pub(crate) threads: IdSlab<TaskId, Thread>,
     /// `resume_wait`: a wait to restore after an out-of-band upcall.
     resume_waits: IdSlab<TaskId, WaitFor>,
@@ -443,9 +441,6 @@ pub struct Kernel {
     link: Option<Box<dyn LinkSched>>,
     /// The packet currently occupying the wire.
     link_inflight: Option<LinkInflight>,
-    /// Deadline of the earliest armed throttle `LinkTick`, to avoid
-    /// flooding the event queue with redundant ticks.
-    link_wait_until: Option<Nanos>,
     /// Reverse map from `Idx::as_u64()` keys handed to the link scheduler
     /// back to live container ids for wire-time charging.
     link_owner_ids: HashMap<u64, ContainerId>,
@@ -492,7 +487,6 @@ pub struct Kernel {
 struct LinkInflight {
     pkt: Packet,
     owner: u64,
-    done: Nanos,
     wire: Nanos,
 }
 
@@ -540,7 +534,6 @@ impl Kernel {
             drop_charges: BTreeMap::new(),
             link: cfg.net.link.as_ref().map(|p| rcpolicy::build_link(p.qdisc)),
             link_inflight: None,
-            link_wait_until: None,
             link_owner_ids: HashMap::new(),
             tx_backlog: HashMap::new(),
             link_busy: Nanos::ZERO,
@@ -2920,7 +2913,7 @@ impl Kernel {
         let path = self
             .containers
             .net_weight_path(owner)
-            .unwrap_or_else(|_| vec![(key, 1, None)]);
+            .unwrap_or_else(|_| vec![(key, 1)]);
         let wire_bytes = pkt.wire_bytes() as u64;
         let wire = self
             .cfg
@@ -2950,13 +2943,12 @@ impl Kernel {
             }
         }
         if let Some(link) = self.link.as_mut() {
-            link.enqueue(&path, pkt, wire, self.clock);
+            link.enqueue(&path, pkt, wire);
         }
         self.link_kick();
     }
 
-    /// Starts the next packet on an idle wire, or arms a throttle tick if
-    /// every backlogged container is rate-capped.
+    /// Starts the next packet on an idle wire.
     fn link_kick(&mut self) {
         if self.link_inflight.is_some() {
             return;
@@ -2964,84 +2956,63 @@ impl Kernel {
         let Some(link) = self.link.as_mut() else {
             return;
         };
-        match link.dispatch(self.clock) {
-            Dispatch::Start { pkt, owner, wire } => {
-                if self.trace_on {
-                    trace::emit_at(self.clock, || TraceEventKind::LinkStart {
-                        port: pkt.flow.dst_port,
-                        bytes: pkt.wire_bytes() as u64,
-                        container: owner,
-                        wire,
-                    });
-                }
-                if pkt.span != 0 {
-                    if let Some(st) = self.span_tx.get_mut(&pkt.span) {
-                        st.queued = st.queued.saturating_sub(1);
-                        st.wire += 1;
-                    }
-                    span::transition(pkt.span, Phase::Wire, self.clock);
-                }
-                let done = self.clock + wire;
-                self.link_inflight = Some(LinkInflight {
-                    pkt,
-                    owner,
-                    done,
-                    wire,
-                });
-                self.events.schedule(done, KernelEvent::LinkTick);
-            }
-            Dispatch::Throttled(at) => {
-                let at = at.max(self.clock);
-                if self.link_wait_until.is_none_or(|w| at < w) {
-                    self.link_wait_until = Some(at);
-                    self.events.schedule(at, KernelEvent::LinkTick);
-                }
-            }
-            Dispatch::Idle => {}
+        let Dispatch::Start { pkt, owner, wire } = link.dispatch() else {
+            return;
+        };
+        if self.trace_on {
+            trace::emit_at(self.clock, || TraceEventKind::LinkStart {
+                port: pkt.flow.dst_port,
+                bytes: pkt.wire_bytes() as u64,
+                container: owner,
+                wire,
+            });
         }
+        if pkt.span != 0 {
+            if let Some(st) = self.span_tx.get_mut(&pkt.span) {
+                st.queued = st.queued.saturating_sub(1);
+                st.wire += 1;
+            }
+            span::transition(pkt.span, Phase::Wire, self.clock);
+        }
+        self.link_inflight = Some(LinkInflight { pkt, owner, wire });
+        self.events
+            .schedule(self.clock + wire, KernelEvent::LinkTick);
     }
 
     /// A `LinkTick` fired: complete the in-flight packet (charging its
     /// wire time and releasing send backpressure) and restart the wire.
     fn link_tick(&mut self) {
-        self.link_wait_until = None;
-        if let Some(inf) = &self.link_inflight {
-            if inf.done > self.clock {
-                // A stale throttle tick fired while the wire is busy; the
-                // completion tick for the in-flight packet is still queued.
-                return;
-            }
-            let LinkInflight {
-                pkt, owner, wire, ..
-            } = self.link_inflight.take().expect("checked above");
-            self.link_busy += wire;
-            self.link_wire_bytes += pkt.wire_bytes() as u64;
-            self.link_pkts += 1;
-            let cid = self
-                .link_owner_ids
-                .get(&owner)
-                .copied()
-                .filter(|c| self.containers.contains(*c))
-                .unwrap_or_else(|| self.containers.root());
-            let _ = self.containers.charge_tx_time(cid, wire);
-            let payload = pkt.kind.payload_bytes() as u64;
-            if payload > 0 {
-                if let Some(b) = self.tx_backlog.get_mut(&owner) {
-                    *b = b.saturating_sub(payload);
-                    if *b == 0 {
-                        self.tx_backlog.remove(&owner);
-                    }
+        let LinkInflight { pkt, owner, wire } = self
+            .link_inflight
+            .take()
+            .expect("a LinkTick fires only when the in-flight packet completes");
+        self.link_busy += wire;
+        self.link_wire_bytes += pkt.wire_bytes() as u64;
+        self.link_pkts += 1;
+        let cid = self
+            .link_owner_ids
+            .get(&owner)
+            .copied()
+            .filter(|c| self.containers.contains(*c))
+            .unwrap_or_else(|| self.containers.root());
+        let _ = self.containers.charge_tx_time(cid, wire);
+        let payload = pkt.kind.payload_bytes() as u64;
+        if payload > 0 {
+            if let Some(b) = self.tx_backlog.get_mut(&owner) {
+                *b = b.saturating_sub(payload);
+                if *b == 0 {
+                    self.tx_backlog.remove(&owner);
                 }
-                self.wake_writable(owner);
             }
-            self.stats.pkts_out += 1;
-            let sp = pkt.span;
-            self.events.schedule(
-                self.clock + self.cfg.cost.link_latency,
-                KernelEvent::PacketToWorld(pkt),
-            );
-            self.span_tx_pkt_done(sp, true);
+            self.wake_writable(owner);
         }
+        self.stats.pkts_out += 1;
+        let sp = pkt.span;
+        self.events.schedule(
+            self.clock + self.cfg.cost.link_latency,
+            KernelEvent::PacketToWorld(pkt),
+        );
+        self.span_tx_pkt_done(sp, true);
         self.link_kick();
     }
 
@@ -3186,8 +3157,8 @@ impl Kernel {
         self.processes.get(p)
     }
 
-    pub(crate) fn scheduler_mut(&mut self) -> &mut dyn Scheduler {
-        self.scheduler.as_mut()
+    pub(crate) fn scheduler_mut(&mut self) -> &mut PerCpu {
+        &mut self.scheduler
     }
 
     /// Hot-swaps the CPU scheduling policy. Every registered task is
@@ -3199,15 +3170,17 @@ impl Kernel {
     /// across the swap. Returns the name of the detached policy.
     pub fn set_cpu_policy(&mut self, kind: SchedPolicyKind) -> &'static str {
         let now = self.clock;
-        let fresh = rcpolicy::build_cpu(kind, self.cfg.sched.ncpus);
-        let (from, to) = rcpolicy::swap(&mut self.scheduler, fresh, (), now);
+        let mut fresh = rcpolicy::build_cpu(kind, self.cfg.sched.ncpus);
+        fresh.import_tasks(&self.scheduler.export_tasks(), now);
+        let from = std::mem::replace(&mut self.scheduler, fresh).name();
+        let to = self.scheduler.name();
         self.cfg.sched.policy = kind;
         trace::emit_at(now, || TraceEventKind::PolicySwap {
-            plane: Plane::Cpu.label(),
+            plane: "cpu",
             from,
             to,
         });
-        rctrace::record_policy_swap(now, Plane::Cpu.label(), from, to);
+        rctrace::record_policy_swap(now, "cpu", from, to);
         from
     }
 
@@ -3223,37 +3196,38 @@ impl Kernel {
             .replace_sched(rcpolicy::build_disk(kind), &self.containers);
         self.cfg.disk.sched = kind;
         trace::emit_at(now, || TraceEventKind::PolicySwap {
-            plane: Plane::Disk.label(),
+            plane: "disk",
             from,
             to: kind.name(),
         });
-        rctrace::record_policy_swap(now, Plane::Disk.label(), from, kind.name());
+        rctrace::record_policy_swap(now, "disk", from, kind.name());
         from
     }
 
     /// Hot-swaps the link queueing discipline, draining queued packets —
     /// with their class chains — from the old qdisc into the new one in
     /// arrival order. The packet on the wire is untouched (its completion
-    /// is already scheduled); rate-cap token buckets restart at their
-    /// burst allowance, per the fresh-ledger rule. Returns the detached
-    /// policy's name, or `None` when no finite link is configured (the
-    /// swap is then a no-op).
+    /// is already scheduled); passes and virtual times start fresh.
+    /// Returns the detached policy's name, or `None` when no finite link
+    /// is configured (the swap is then a no-op).
     pub fn set_link_policy(&mut self, qdisc: QdiscKind) -> Option<&'static str> {
         let link = self.link.as_mut()?;
         let now = self.clock;
-        let (from, to) = rcpolicy::swap(link, rcpolicy::build_link(qdisc), (), now);
+        let mut fresh = rcpolicy::build_link(qdisc);
+        for s in link.drain() {
+            fresh.enqueue(&s.path, s.pkt, s.wire);
+        }
+        let from = std::mem::replace(link, fresh).name();
+        let to = link.name();
         if let Some(p) = self.cfg.net.link.as_mut() {
             p.qdisc = qdisc;
         }
         trace::emit_at(now, || TraceEventKind::PolicySwap {
-            plane: Plane::Link.label(),
+            plane: "link",
             from,
             to,
         });
-        rctrace::record_policy_swap(now, Plane::Link.label(), from, to);
-        // Requeued packets may be immediately dispatchable under the new
-        // discipline even if the old one was throttled.
-        self.link_kick();
+        rctrace::record_policy_swap(now, "link", from, to);
         Some(from)
     }
 

@@ -20,9 +20,7 @@ use simcore::Nanos;
 use simnet::{CidrFilter, IpAddr, SockId, Socket};
 use simos::{AppEvent, AppHandler, ListenSpec, SysCtx};
 
-use crate::cache::FileCache;
 use crate::cgi::CgiWorker;
-use crate::fastcgi::{dispatch, shared_mailbox, FastCgiJob, FastCgiWorker, SharedMailbox};
 use crate::request::{decode_request, ReqKind};
 use crate::stats::SharedStats;
 
@@ -67,14 +65,6 @@ pub enum FileBacking {
     /// Every document is resident in memory, as in the paper's §5.3
     /// experiments (a single cached 1 KB file).
     AlwaysCached,
-    /// Legacy ablation: an in-process LRU of documents whose misses burn a
-    /// flat CPU cost — the pre-`simdisk` stand-in for disk I/O.
-    FlatMissCost {
-        /// LRU capacity in documents.
-        capacity: usize,
-        /// CPU burned per miss.
-        miss_cost: Nanos,
-    },
     /// Documents live on the simulated disk: every static request issues
     /// `read_file`, and misses in the kernel's accounted buffer cache go
     /// through the I/O scheduler with the service time charged to the
@@ -132,8 +122,8 @@ pub struct ServerConfig {
     pub defense_mask: u8,
     /// SYN-drop notices from one prefix before it is isolated.
     pub defense_threshold: u32,
-    /// How static documents are backed (resident, flat miss cost, or the
-    /// simulated disk).
+    /// How static documents are backed (resident or on the simulated
+    /// disk).
     pub files: FileBacking,
     /// Hierarchy placement: per-connection and per-class containers (and
     /// the CGI sandbox) are created under this container — e.g. a guest
@@ -147,9 +137,6 @@ pub struct ServerConfig {
     /// "handling events on its socket ... before events on other
     /// sockets").
     pub preferred: Option<CidrFilter>,
-    /// Persistent FastCGI workers (paper §2); 0 = classic fork-per-request
-    /// CGI.
-    pub fastcgi_workers: u32,
     /// Kernel memory reserved per in-flight request (modelling request
     /// parse buffers and response headers), released when the response is
     /// prepared or the connection torn down. Zero (the default) skips the
@@ -177,7 +164,6 @@ impl Default for ServerConfig {
             conn_parent: None,
             cgi_container_parent: None,
             preferred: None,
-            fastcgi_workers: 0,
             request_kmem: 0,
         }
     }
@@ -214,9 +200,6 @@ pub struct EventDrivenServer {
     cgi_parent: Option<(ContainerFd, ContainerId)>,
     /// Open handle to `cfg.conn_parent`, if any.
     conn_parent_fd: Option<ContainerFd>,
-    /// FastCGI mailbox when a persistent pool is configured.
-    fastcgi: Option<SharedMailbox>,
-    cache: Option<FileCache>,
     /// Compute continuations in flight; the wait is re-armed at zero.
     pending: u32,
     /// SYN-drop notices per /N prefix.
@@ -231,13 +214,6 @@ pub struct EventDrivenServer {
 impl EventDrivenServer {
     /// Creates a server with the given configuration and shared stats.
     pub fn new(cfg: ServerConfig, stats: SharedStats) -> Self {
-        let cache = match cfg.files {
-            FileBacking::FlatMissCost {
-                capacity,
-                miss_cost,
-            } => Some(FileCache::new(capacity, cfg.response_bytes, miss_cost)),
-            FileBacking::AlwaysCached | FileBacking::Disk { .. } => None,
-        };
         EventDrivenServer {
             cfg,
             stats,
@@ -248,8 +224,6 @@ impl EventDrivenServer {
             by_tag: HashMap::new(),
             cgi_parent: None,
             conn_parent_fd: None,
-            fastcgi: None,
-            cache,
             pending: 0,
             drop_counts: HashMap::new(),
             known_good: Vec::new(),
@@ -296,24 +270,6 @@ impl EventDrivenServer {
             if self.cfg.api == EventApi::Scalable {
                 sys.event_register(l);
             }
-        }
-        if self.cfg.fastcgi_workers > 0 {
-            let mailbox = shared_mailbox();
-            for i in 0..self.cfg.fastcgi_workers {
-                let worker = FastCgiWorker::new(
-                    mailbox.clone(),
-                    self.cfg.cgi_cpu,
-                    self.cfg.cgi_response_bytes,
-                    self.stats.clone(),
-                );
-                sys.spawn_process(
-                    Box::new(worker),
-                    &format!("fastcgi-{i}"),
-                    self.cfg.cgi_container_parent,
-                    Attributes::time_shared(10),
-                );
-            }
-            self.fastcgi = Some(mailbox);
         }
         if sys.containers_enabled() {
             if let Some(sandbox) = self.cfg.cgi_sandbox {
@@ -444,16 +400,10 @@ impl EventDrivenServer {
         if want_kmem > 0 && sys.kmem_reserve(want_kmem).is_ok() {
             state.kmem += want_kmem;
         }
-        let mut cost = self.cfg.parse_cost;
-        if let Some(cache) = self.cache.as_mut() {
-            if !cache.lookup(doc) {
-                cost += cache.miss_cost();
-            }
-        }
         let tag = conn.as_u64();
         self.by_tag.insert(tag, conn);
         self.pending += 1;
-        sys.compute_charged(cost, tag, charge);
+        sys.compute_charged(self.cfg.parse_cost, tag, charge);
     }
 
     /// Continues a request after its parse CPU: static requests on a
@@ -548,26 +498,6 @@ impl EventDrivenServer {
         // CGI-parent container, putting it inside the resource sandbox.
         if let (Some((fd, _id)), Some((parent_fd, _))) = (container, self.cgi_parent) {
             let _ = sys.set_container_parent(fd, Some(parent_fd));
-        }
-        if let Some(mailbox) = self.fastcgi.clone() {
-            // Persistent FastCGI: hand the request to the pool instead of
-            // forking (§2).
-            dispatch(
-                &mailbox,
-                sys,
-                FastCgiJob {
-                    conn,
-                    container: container.map(|(_, id)| id),
-                },
-            );
-            let _ = sys.bind_thread_default();
-            if let Some(st) = self.conns.remove(conn) {
-                self.by_tag.remove(&conn.as_u64());
-                if let Some((fd, _)) = st.container {
-                    let _ = sys.close_container(fd);
-                }
-            }
-            return;
         }
         let worker = CgiWorker::new(
             conn,
@@ -813,10 +743,6 @@ impl AppHandler for EventDrivenServer {
             AppEvent::ChildExited { .. } => {
                 // CGI child finished; nothing to do — it answered the
                 // client directly. (Delivered out-of-band: no re-arm.)
-            }
-            AppEvent::Ipc { .. } => {
-                // This server model does not use IPC (see the FastCGI
-                // pool). Delivered out-of-band: no re-arm.
             }
             AppEvent::MemKill { .. } => {
                 // A container this server held kernel memory under was

@@ -15,32 +15,27 @@
 //! - [`ThreadPoolServer`]: the single-process multi-threaded model of
 //!   Figure 3 — one kernel thread per connection from a pool, each thread
 //!   resource-bound to its connection's container (§4.8, Figure 9).
-//! - [`PreforkServer`]: the process-per-connection model of Figure 1 —
-//!   pre-forked workers all accepting from a shared listening socket.
 //! - [`CgiWorker`]: the auxiliary CGI process — burns CPU, writes the
 //!   response directly to the client connection, exits; under resource
 //!   containers it runs bound to the request's container, which the server
 //!   reparented under its CGI sandbox.
+//!
+//! The process-per-connection server of Figure 1 is not modelled: the
+//! paper draws it but measures nothing on it.
 //!
 //! Requests and responses are modelled at the granularity the experiments
 //! need: the request *kind* (static / keep-alive static / CGI) and a
 //! document id are encoded in the request length (standing in for URL
 //! parsing), and responses are byte counts.
 
-pub mod cache;
 pub mod cgi;
 pub mod event_driven;
-pub mod fastcgi;
-pub mod prefork;
 pub mod request;
 pub mod stats;
 pub mod threaded;
 
-pub use cache::FileCache;
 pub use cgi::CgiWorker;
 pub use event_driven::{ClassSpec, EventApi, EventDrivenServer, FileBacking, ServerConfig};
-pub use fastcgi::{dispatch, shared_mailbox, FastCgiJob, FastCgiWorker};
-pub use prefork::PreforkServer;
 pub use request::{decode_request, encode_request, ReqKind};
 pub use stats::ServerStats;
 pub use threaded::ThreadPoolServer;

@@ -1,4 +1,4 @@
-//! End-to-end tests of the three server models against a small closed-loop
+//! End-to-end tests of the server models against a small closed-loop
 //! client world, under each kernel configuration.
 
 use std::cell::RefCell;
@@ -6,8 +6,7 @@ use std::rc::Rc;
 
 use httpsim::stats::shared_stats;
 use httpsim::{
-    encode_request, EventApi, EventDrivenServer, PreforkServer, ReqKind, ServerConfig,
-    ThreadPoolServer,
+    encode_request, EventApi, EventDrivenServer, ReqKind, ServerConfig, ThreadPoolServer,
 };
 use rescon::Attributes;
 use simcore::Nanos;
@@ -328,27 +327,6 @@ fn thread_pool_server_serves() {
 }
 
 #[test]
-fn prefork_server_serves() {
-    let stats = shared_stats();
-    let mut k = Kernel::new(KernelConfig::unmodified());
-    let server = PreforkServer::new(80, 4, Nanos::from_micros(47), 1024, stats.clone());
-    k.spawn_process(
-        Box::new(server),
-        "httpd-master",
-        None,
-        Attributes::time_shared(10),
-        None,
-    );
-    let mut clients = ClientSet::new(vec![ReqKind::Static; 6]);
-    start_clients(&mut k, 6);
-    k.run(&mut clients, Nanos::from_secs(1));
-    let s = stats.borrow();
-    assert!(s.static_served > 300, "served = {}", s.static_served);
-    // Master + 4 workers alive.
-    assert_eq!(k.process_count(), 5);
-}
-
-#[test]
 fn per_request_containers_do_not_leak() {
     let stats = shared_stats();
     let mut k = Kernel::new(KernelConfig::resource_containers());
@@ -385,38 +363,4 @@ fn shared_stats_alias_across_harness() {
     let clone: Rc<RefCell<httpsim::ServerStats>> = stats.clone();
     stats.borrow_mut().accepted = 3;
     assert_eq!(clone.borrow().accepted, 3);
-}
-
-#[test]
-fn fastcgi_pool_serves_dynamic_requests_without_forking() {
-    let stats = shared_stats();
-    let mut k = Kernel::new(KernelConfig::resource_containers());
-    let cfg = ServerConfig {
-        cgi_cpu: Nanos::from_millis(20),
-        fastcgi_workers: 2,
-        // Sandbox the pool as §5.6 prescribes; otherwise two always-busy
-        // workers starve static service.
-        cgi_sandbox: Some(httpsim::event_driven::CgiSandbox {
-            share: 0.5,
-            limit: 0.5,
-            window: Nanos::from_millis(100),
-        }),
-        ..ServerConfig::default()
-    };
-    k.spawn_process(
-        Box::new(EventDrivenServer::new(cfg, stats.clone())),
-        "httpd",
-        None,
-        Attributes::time_shared(10),
-        None,
-    );
-    let mut clients = ClientSet::new(vec![ReqKind::Cgi, ReqKind::Cgi, ReqKind::Static]);
-    start_clients(&mut k, 3);
-    k.run(&mut clients, Nanos::from_secs(2));
-    let s = stats.borrow();
-    assert!(s.cgi_completed > 20, "cgi_completed = {}", s.cgi_completed);
-    assert!(s.static_served > 100);
-    // Persistent pool: the process count stays fixed (server + 2 workers).
-    assert_eq!(k.process_count(), 3);
-    k.containers.check_invariants();
 }

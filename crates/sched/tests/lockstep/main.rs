@@ -287,6 +287,17 @@ enum Op {
     Advance {
         micros: u32,
     },
+    /// Create two time-shared siblings under a live fixed-share node, or
+    /// floating, the first CPU-limited; bind `task` to both in the given
+    /// order, wake it, and charge the limited one a whole window, so its
+    /// bucket runs dry while the other keeps lending its priority.
+    ThrottledSibling {
+        parent: Option<usize>,
+        prios: (u32, u32),
+        limit_pct: u8,
+        limited_first: bool,
+        task: u32,
+    },
 }
 
 /// Up to 12 members, many of them children of one fixed-share node.
@@ -410,6 +421,22 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         run(),
         run(),
         (0u32..8000).prop_map(|micros| Op::Advance { micros }),
+        (
+            (any::<usize>(), 0u8..5),
+            (0u32..=20, 0u32..=20),
+            prop::sample::select(vec![10u8, 30, 60]),
+            any::<bool>(),
+            0..TASKS,
+        )
+            .prop_map(|((p, f), prios, limit_pct, limited_first, task)| {
+                Op::ThrottledSibling {
+                    parent: (f > 0).then_some(p),
+                    prios,
+                    limit_pct,
+                    limited_first,
+                    task,
+                }
+            }),
     ]
 }
 
@@ -422,7 +449,8 @@ proptest! {
 
     /// Random legal call sequences over random hierarchies (floating
     /// orphans, CPU limits, priority 0, multi-container bindings naming
-    /// dead ids) give identical picks, release times and usages.
+    /// dead ids, throttled CPU-limited siblings) give identical picks,
+    /// release times and usages.
     #[test]
     fn rewrite_matches_reference_in_lockstep(ops in prop::collection::vec(op_strategy(), 1..160)) {
         let mut table = ContainerTable::new();
@@ -545,6 +573,30 @@ proptest! {
                     }
                 }
                 Op::Advance { micros } => now += Nanos::from_micros(*micros as u64),
+                Op::ThrottledSibling { parent, prios, limit_pct, limited_first, task } => {
+                    let ts = |priority, limit_pct| AttrSpec {
+                        fixed: false,
+                        priority,
+                        share_pct: 0,
+                        limit_pct,
+                    };
+                    let limited = create(&mut table, *parent, &ts(prios.0, Some(*limit_pct)), now);
+                    let other = create(&mut table, *parent, &ts(prios.1, None), now);
+                    ever.extend(limited.iter().chain(&other));
+                    if let (Some(l), Some(o)) = (limited, other) {
+                        let b = if *limited_first { vec![l, o] } else { vec![o, l] };
+                        let t = TaskId(*task);
+                        if bindings[*task as usize].replace(b.clone()).is_some() {
+                            s.both(|s| s.set_binding(t, &b, now));
+                        } else {
+                            s.both(|s| s.add_task(t, &b, now));
+                        }
+                        s.both(|s| s.set_runnable(t, true, now));
+                        let window = Nanos::from_millis(5);
+                        now += window;
+                        s.both(|s| s.charge(t, l, window, &table, now));
+                    }
+                }
             }
             s.pick(&table, now);
             s.both(|s| s.next_release_time(&table, now));

@@ -87,14 +87,6 @@ pub enum AppEvent {
         /// The exited child.
         pid: Pid,
     },
-    /// An inter-process message (a UNIX-domain-socket doorbell, as used by
-    /// FastCGI-style persistent workers).
-    Ipc {
-        /// Sender.
-        from: Pid,
-        /// Application-defined tag.
-        tag: u64,
-    },
 }
 
 /// A simulated application: one handler per process, shared by all of the

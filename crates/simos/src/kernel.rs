@@ -77,33 +77,33 @@ const BALANCE_INTERVAL: Nanos = Nanos::from_millis(5);
 /// Entries idle longer than this are pruned from scheduler bindings.
 const PRUNE_AGE: Nanos = Nanos::from_millis(500);
 
-/// Network-plane configuration: processing discipline, listener queue
-/// depths, admission budgets, socket buffering, and the optional finite
-/// transmit link.
+/// SYN-queue depth of every listener.
+const SYN_BACKLOG: usize = 1024;
+
+/// Accept-queue depth of every listener.
+const ACCEPT_BACKLOG: usize = 128;
+
+/// Half-open connection timeout.
+const SYN_TIMEOUT: Nanos = Nanos::from_secs(5);
+
+/// Socket-buffer bytes charged to a connection's container while the
+/// connection is open (§4.4: containers account for memory such as socket
+/// buffers); a container subtree over its memory limit refuses new
+/// connections.
+pub const SOCKBUF_BYTES: u64 = 16 * 1024;
+
+/// Network-plane configuration: processing discipline, the SYN admission
+/// budget, and the optional finite transmit link.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Network-processing discipline (§3.2, §4.7).
     pub discipline: NetDiscipline,
-    /// SYN-queue depth of new listeners.
-    pub syn_backlog: usize,
-    /// Accept-queue depth of new listeners.
-    pub accept_backlog: usize,
-    /// Half-open connection timeout.
-    pub syn_timeout: Nanos,
-    /// Socket-buffer bytes charged to a connection's container while the
-    /// connection is open (§4.4: containers account for memory such as
-    /// socket buffers); a container subtree over its memory limit refuses
-    /// new connections.
-    pub sockbuf_bytes: u64,
-    /// Per-listener admission budget on half-open (SYN) connections: a
+    /// Admission budget on half-open (SYN) connections, per listener: a
     /// SYN classifying to a listener whose SYN queue already holds this
     /// many entries is dropped at interrupt level, charged to the
     /// *classifying* container (the attacker pays, not the listener).
     /// Zero disables admission control.
     pub syn_budget: usize,
-    /// Per-listener admission budget on the accept queue, enforced the
-    /// same way on the final ACK. Zero disables it.
-    pub accept_budget: usize,
     /// Finite-bandwidth transmit link model. `None` (the default) keeps
     /// the classic infinite-bandwidth wire: packets leave after
     /// `cost.link_latency` with no queueing, no transmit charging, and no
@@ -115,23 +115,16 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             discipline: NetDiscipline::Interrupt,
-            syn_backlog: 1024,
-            accept_backlog: 128,
-            syn_timeout: Nanos::from_secs(5),
-            sockbuf_bytes: 16 * 1024,
             syn_budget: 0,
-            accept_budget: 0,
             link: None,
         }
     }
 }
 
-/// Disk-plane configuration: physical cost model, request ordering, and
-/// the accounted buffer cache.
+/// Disk-plane configuration: request ordering and the accounted buffer
+/// cache. The physical cost model is `DiskParams::default()`.
 #[derive(Clone, Debug)]
 pub struct DiskConfig {
-    /// Physical cost model of the disk.
-    pub params: DiskParams,
     /// Disk request ordering discipline.
     pub sched: DiskSchedKind,
     /// Buffer-cache capacity in bytes; resident files are charged to their
@@ -142,7 +135,6 @@ pub struct DiskConfig {
 impl Default for DiskConfig {
     fn default() -> Self {
         DiskConfig {
-            params: DiskParams::default(),
             sched: DiskSchedKind::Fifo,
             buffer_cache_bytes: 16 * 1024 * 1024,
         }
@@ -179,9 +171,9 @@ impl Default for SchedConfig {
 /// construction surface unchanged.
 #[derive(Clone, Debug)]
 pub struct KernelConfig {
-    /// Network-plane knobs (discipline, backlogs, budgets, link).
+    /// Network-plane knobs (discipline, SYN budget, link).
     pub net: NetConfig,
-    /// Disk-plane knobs (cost model, ordering, buffer cache).
+    /// Disk-plane knobs (ordering, buffer cache).
     pub disk: DiskConfig,
     /// CPU-plane knobs (policy, ncpus, prune interval).
     pub sched: SchedConfig,
@@ -259,11 +251,10 @@ impl KernelConfig {
         self
     }
 
-    /// Sets the per-listener admission budgets (builder style). Zero
-    /// disables the corresponding limit.
-    pub fn with_admission(mut self, syn_budget: usize, accept_budget: usize) -> Self {
+    /// Sets the SYN admission budget of every listener (builder style).
+    /// Zero disables admission control.
+    pub fn with_admission(mut self, syn_budget: usize) -> Self {
         self.net.syn_budget = syn_budget;
-        self.net.accept_budget = accept_budget;
         self
     }
 
@@ -454,9 +445,6 @@ pub struct Kernel {
     link_wire_bytes: u64,
     /// Total packets transmitted over the finite link.
     link_pkts: u64,
-    /// Per-listener admission budgets `(syn, accept)` installed by
-    /// `ListenSpec`; listeners absent here use the global config budgets.
-    listener_budgets: SockTable<Socket, (usize, usize)>,
     /// Cached `trace::enabled()` for the duration of a `run` call (trace
     /// sessions start and finish outside `run`), gating the hot-path
     /// `trace::set_now` updates behind a plain branch instead of a
@@ -497,11 +485,11 @@ impl Kernel {
         // All three planes are built by the rcpolicy registry, so boot
         // and mid-run swaps construct policies identically.
         let scheduler = rcpolicy::build_cpu(cfg.sched.policy, cfg.sched.ncpus);
-        let disk = SimDisk::new(cfg.disk.params, rcpolicy::build_disk(cfg.disk.sched));
+        let disk = SimDisk::new(DiskParams::default(), rcpolicy::build_disk(cfg.disk.sched));
         let disk_cache = BufferCache::new(cfg.disk.buffer_cache_bytes);
         let mut k = Kernel {
             containers: ContainerTable::new(),
-            stack: NetStack::new(cfg.net.syn_timeout),
+            stack: NetStack::new(SYN_TIMEOUT),
             scheduler,
             threads: IdSlab::new(),
             resume_waits: IdSlab::new(),
@@ -539,7 +527,6 @@ impl Kernel {
             link_busy: Nanos::ZERO,
             link_wire_bytes: 0,
             link_pkts: 0,
-            listener_budgets: SockTable::new(),
             trace_on: false,
             spans_on: false,
             net_buf: Vec::new(),
@@ -1118,16 +1105,6 @@ impl Kernel {
     // Container-aware load balancing (multiprocessor only)
     // ------------------------------------------------------------------
 
-    /// Periodic container-aware load balancing. Containers are ranked by
-    /// how far they lag their *global* entitlement over the last window
-    /// (`effective_share × ncpus × window` versus the growth of their
-    /// subtree CPU usage); in that order, each container's runnable
-    /// application threads are spread evenly across CPUs, preferring the
-    /// globally least-loaded CPU as the target. The most underserved
-    /// container therefore claims presence on underused CPUs first, which
-    /// is what keeps fixed shares global while run queues are per-CPU.
-    /// Kernel network threads are pinned to their container's home CPU and
-    /// never migrate.
     /// Picks a thread for an idle CPU to steal: the lowest-id runnable
     /// application thread on the CPU with the deepest runnable backlog
     /// (ties broken toward the lowest CPU id). Only CPUs with at least
@@ -1158,6 +1135,16 @@ impl Kernel {
         best.map(|(_, t, victim)| (t, victim))
     }
 
+    /// Periodic container-aware load balancing. Containers are ranked by
+    /// how far they lag their *global* entitlement over the last window
+    /// (`effective_share × ncpus × window` versus the growth of their
+    /// subtree CPU usage); in that order, each container's runnable
+    /// application threads are spread evenly across CPUs, preferring the
+    /// globally least-loaded CPU as the target. The most underserved
+    /// container therefore claims presence on underused CPUs first, which
+    /// is what keeps fixed shares global while run queues are per-CPU.
+    /// Kernel network threads are pinned to their container's home CPU and
+    /// never migrate.
     fn rebalance(&mut self) {
         let ncpus = self.cfg.sched.ncpus as usize;
         if ncpus > 1 {
@@ -1362,7 +1349,7 @@ impl Kernel {
                 // Disk service is over; the copy work now waits for CPU.
                 span::transition(w.span, Phase::CpuQueue, self.clock);
             }
-            self.deliver_disk_upcall(
+            self.deliver_oob(
                 w.task,
                 WorkItem {
                     cost: self.cfg.cost.file_copy(delivered),
@@ -1392,24 +1379,6 @@ impl Kernel {
                 .schedule(t.max(self.clock), KernelEvent::DiskTick);
             self.disk_tick_armed = true;
         }
-    }
-
-    /// Wakes `task` with disk-read completion work, restoring its previous
-    /// wait (select, event API, ...) after the queue drains — the same
-    /// out-of-band pattern as timers and IPC doorbells.
-    fn deliver_disk_upcall(&mut self, task: TaskId, item: WorkItem) {
-        let Some(th) = self.threads.get_mut(task) else {
-            return;
-        };
-        if th.state == ThreadState::Exited {
-            return;
-        }
-        if let ThreadState::Blocked(w) = th.state.clone() {
-            self.resume_waits.or_insert(task, w);
-        }
-        th.state = ThreadState::Runnable;
-        th.push_work(item);
-        self.scheduler.set_runnable(task, true, self.clock);
     }
 
     fn apply_world_actions(&mut self, actions: &mut Vec<WorldAction>) {
@@ -1522,70 +1491,48 @@ impl Kernel {
                         pkt.span = span::mint(self.clock, cu, Phase::SynWait);
                     }
                 }
-                // Full protocol processing at interrupt level, charged to
-                // no principal (§3.2).
-                self.cpus[cpu].overhead_deficit += self.cfg.cost.rx_cost(pkt.kind);
-                let mut evs = std::mem::take(&mut self.net_buf);
-                self.stack
-                    .handle_classified(demux, pkt, self.clock, &mut evs);
-                self.apply_net_events_interrupt(&mut evs, cpu);
-                self.net_buf = evs;
+                self.process_at_interrupt(demux, pkt, cpu);
             }
             NetDiscipline::Lrp | NetDiscipline::Container => {
                 let Some(sock) = sock else {
                     // No owner: respond at interrupt level (stray packet —
                     // demux is `NoMatch` here, so the reclassification
                     // `handle_packet` would do is skipped).
-                    self.cpus[cpu].overhead_deficit += self.cfg.cost.rx_cost(pkt.kind);
-                    let mut evs = std::mem::take(&mut self.net_buf);
-                    self.stack
-                        .handle_classified(Demux::NoMatch, pkt, self.clock, &mut evs);
-                    self.apply_net_events_interrupt(&mut evs, cpu);
-                    self.net_buf = evs;
+                    self.process_at_interrupt(Demux::NoMatch, pkt, cpu);
                     return;
                 };
                 let Some(owner) = self.sock_owner.get(sock).copied() else {
-                    self.stats.early_drops += 1;
                     let cu = self
                         .stack
                         .container_of(sock)
                         .map(|c| c.as_u64())
                         .unwrap_or(NO_CONTAINER);
-                    if cu != NO_CONTAINER {
-                        *self.drop_charges.entry(cu).or_insert(0) += 1;
-                    }
-                    trace::emit_at(self.clock, || TraceEventKind::PacketDrop {
-                        reason: "no-owner",
-                        container: cu,
-                    });
+                    self.early_drop("no-owner", cu);
                     return;
                 };
                 let principal = self.packet_principal(sock, owner);
-                // Per-container admission control: a handshake packet
-                // classifying to a listener whose SYN or accept queue is
-                // already at its budget is refused here, at interrupt
-                // level, *before* any protocol work is queued — and the
-                // drop is charged to the classifying (attacker's)
-                // container, not to the listener (§5.7 made cheap).
+                // Admission control: a SYN classifying to a listener whose
+                // SYN queue is already at the budget is refused here, at
+                // interrupt level, *before* any protocol work is queued —
+                // and the drop is charged to the classifying (attacker's)
+                // container, not to the listener (§5.7 made cheap). A
+                // budget of zero leaves the stack's own backlog bound (and
+                // the BSD syncache eviction it implies) as the only limit.
                 if let Demux::Listen(listener) = demux {
                     self.stack.expire_syns(listener, self.clock);
-                    if self.admission_reject(listener, &pkt) {
-                        self.stats.early_drops += 1;
-                        let cu = principal.as_u64();
-                        *self.drop_charges.entry(cu).or_insert(0) += 1;
+                    let budget = self.cfg.net.syn_budget;
+                    if pkt.kind == simnet::PacketKind::Syn
+                        && budget > 0
+                        && self.stack.syn_queue_len(listener) >= budget
+                    {
                         let _ = self
                             .containers
                             .charge_rx(principal, pkt.wire_bytes() as u64);
-                        trace::emit_at(self.clock, || TraceEventKind::PacketDrop {
-                            reason: "admission",
-                            container: cu,
-                        });
+                        self.early_drop("admission", principal.as_u64());
                         // The paper's SYN-drop notification (§5.7) fires
                         // for admission drops too, so the application's
                         // reactive defense still sees the flood.
-                        if pkt.kind == simnet::PacketKind::Syn
-                            && self.stack.notify_syn_drops(listener)
-                        {
+                        if self.stack.notify_syn_drops(listener) {
                             self.deliver_oob_upcall(
                                 owner,
                                 AppEvent::SynDropNotice {
@@ -1607,12 +1554,7 @@ impl Kernel {
                     .pending
                     .or_insert(owner, PendingQueues::new(PENDING_CAP));
                 if !q.push(principal, pkt) {
-                    self.stats.early_drops += 1;
-                    *self.drop_charges.entry(principal.as_u64()).or_insert(0) += 1;
-                    trace::emit_at(self.clock, || TraceEventKind::PacketDrop {
-                        reason: "queue-full",
-                        container: principal.as_u64(),
-                    });
+                    self.early_drop("queue-full", principal.as_u64());
                     span::finish(psp, self.clock, Outcome::Dropped);
                     return;
                 }
@@ -1622,45 +1564,39 @@ impl Kernel {
         }
     }
 
-    /// Whether admission control refuses a handshake packet for being
-    /// over the configured per-listener budget. Budgets of zero disable
-    /// the check, leaving the stack's own backlog bounds (and the BSD
-    /// syncache eviction they imply) as the only limit.
-    fn admission_reject(&self, listener: SockId, pkt: &Packet) -> bool {
-        let (syn_budget, accept_budget) = self
-            .listener_budgets
-            .get(listener)
-            .copied()
-            .unwrap_or((self.cfg.net.syn_budget, self.cfg.net.accept_budget));
-        match pkt.kind {
-            simnet::PacketKind::Syn => {
-                syn_budget > 0 && self.stack.syn_queue_len(listener) >= syn_budget
+    /// Full protocol processing of a received packet at interrupt level on
+    /// `cpu`, charged to no principal (§3.2): the receive work and any
+    /// transmit it causes are interrupt work there, and wakeups happen
+    /// immediately.
+    fn process_at_interrupt(&mut self, demux: Demux, pkt: Packet, cpu: usize) {
+        self.cpus[cpu].overhead_deficit += self.cfg.cost.rx_cost(pkt.kind);
+        let mut evs = std::mem::take(&mut self.net_buf);
+        self.stack
+            .handle_classified(demux, pkt, self.clock, &mut evs);
+        for ev in evs.drain(..) {
+            match ev {
+                NetEvent::PacketOut(p) => {
+                    self.cpus[cpu].overhead_deficit += self.cfg.cost.tx_cost(p.kind);
+                    self.transmit(p);
+                }
+                other => self.apply_wakeup_event(other),
             }
-            simnet::PacketKind::Ack => {
-                accept_budget > 0 && self.stack.accept_queue_len(listener) >= accept_budget
-            }
-            _ => false,
         }
+        self.net_buf = evs;
     }
 
-    /// Installs per-listener admission budgets (from a
-    /// [`ListenSpec`](crate::syscall::ListenSpec)); entries of `None` fall
-    /// back to the global config budgets.
-    pub(crate) fn set_listener_budgets(
-        &mut self,
-        listener: SockId,
-        syn_budget: Option<usize>,
-        accept_budget: Option<usize>,
-    ) {
-        if syn_budget.is_some() || accept_budget.is_some() {
-            self.listener_budgets.insert(
-                listener,
-                (
-                    syn_budget.unwrap_or(self.cfg.net.syn_budget),
-                    accept_budget.unwrap_or(self.cfg.net.accept_budget),
-                ),
-            );
+    /// Counts a packet dropped before protocol processing and bills the
+    /// drop to container `cu`, the one the packet classified to
+    /// (`NO_CONTAINER`: none) — the attacker-pays ledger.
+    fn early_drop(&mut self, reason: &'static str, cu: u64) {
+        self.stats.early_drops += 1;
+        if cu != NO_CONTAINER {
+            *self.drop_charges.entry(cu).or_insert(0) += 1;
         }
+        trace::emit_at(self.clock, || TraceEventKind::PacketDrop {
+            reason,
+            container: cu,
+        });
     }
 
     /// The resource principal a received packet is classified to (§4.7):
@@ -1706,17 +1642,6 @@ impl Kernel {
         self.kthreads.insert(pid, tid);
     }
 
-    /// Priority used to order protocol processing between principals
-    /// (§4.7: "the priority ... of these containers determines the order
-    /// in which they are serviced").
-    fn principal_priority(&self, c: ContainerId) -> u32 {
-        match self.containers.policy(c) {
-            Ok(rescon::SchedPolicy::TimeShared { priority }) => priority,
-            Ok(rescon::SchedPolicy::FixedShare { .. }) => 10,
-            Err(_) => 0,
-        }
-    }
-
     /// Gives the process's kernel network thread its next packet if it is
     /// idle, and keeps its scheduler binding equal to the set of pending
     /// principals.
@@ -1748,11 +1673,7 @@ impl Kernel {
     /// arrived (a recurring priority inversion).
     fn kthread_refill_inner(&mut self, pid: Pid, ktid: TaskId, allow_starvable: bool) {
         let containers = &self.containers;
-        let prio_of = |c: ContainerId| match containers.policy(c) {
-            Ok(rescon::SchedPolicy::TimeShared { priority }) => priority,
-            Ok(rescon::SchedPolicy::FixedShare { .. }) => 10,
-            Err(_) => 0,
-        };
+        let prio_of = |c: ContainerId| lent_priority(containers, c);
         if !allow_starvable {
             let next_is_starvable = self
                 .pending
@@ -1777,13 +1698,8 @@ impl Kernel {
                 }
             }
         }
-        let containers = &self.containers;
         let popped = match self.pending.get_mut(pid) {
-            Some(q) => q.pop_highest(|c| match containers.policy(c) {
-                Ok(rescon::SchedPolicy::TimeShared { priority }) => priority,
-                Ok(rescon::SchedPolicy::FixedShare { .. }) => 10,
-                Err(_) => 0,
-            }),
+            Some(q) => q.pop_highest(prio_of),
             None => None,
         };
         match popped {
@@ -1848,21 +1764,6 @@ impl Kernel {
     // Net event application
     // ------------------------------------------------------------------
 
-    /// Applies protocol-processing results in interrupt context on `cpu`:
-    /// transmit costs are interrupt work there; wakeups happen
-    /// immediately.
-    fn apply_net_events_interrupt(&mut self, evs: &mut Vec<NetEvent>, cpu: usize) {
-        for ev in evs.drain(..) {
-            match ev {
-                NetEvent::PacketOut(p) => {
-                    self.cpus[cpu].overhead_deficit += self.cfg.cost.tx_cost(p.kind);
-                    self.transmit(p);
-                }
-                other => self.apply_wakeup_event(other),
-            }
-        }
-    }
-
     /// Applies protocol-processing results on a kernel thread: transmits
     /// are queued as charged work on the same thread.
     fn apply_net_events_kthread(
@@ -1910,10 +1811,9 @@ impl Kernel {
                         // refuse the connection if the container subtree
                         // is hard over its memory limit (after reclaim and
                         // OOM when the memory subsystem is configured).
-                        let sockbuf = self.cfg.net.sockbuf_bytes;
-                        let mut ok = self.charge_kernel_mem(c, MemClass::SockBuf, sockbuf);
+                        let mut ok = self.charge_kernel_mem(c, MemClass::SockBuf, SOCKBUF_BYTES);
                         if ok {
-                            self.sockbuf_charges.insert(conn, (c, sockbuf));
+                            self.sockbuf_charges.insert(conn, (c, SOCKBUF_BYTES));
                             let pcb = self.mem.as_ref().map_or(0, |m| m.params.pcb_bytes);
                             if pcb > 0 {
                                 if self.charge_kernel_mem(c, MemClass::ConnState, pcb) {
@@ -1925,18 +1825,7 @@ impl Kernel {
                         }
                         if !ok {
                             // Roll back whatever part was charged.
-                            self.span_conn_teardown(conn, Outcome::Dropped);
-                            self.release_sockbuf(conn);
-                            let _ = self.containers.unbind_socket(c);
-                            if let Some(rst) = self.stack.close(conn) {
-                                let mut rst = rst;
-                                rst.kind = simnet::PacketKind::Rst;
-                                self.transmit_from(rst, c);
-                            }
-                            self.sock_owner.remove(conn);
-                            if let Some(p) = self.processes.get_mut(owner) {
-                                p.forget_socket(conn);
-                            }
+                            self.reset_conn(conn, Outcome::Dropped);
                             return;
                         }
                     }
@@ -1975,51 +1864,22 @@ impl Kernel {
     /// Wakes whatever is waiting on `sock` becoming ready: `select()`
     /// sleepers, blocking readers/acceptors, and the scalable event API.
     fn notify_socket(&mut self, sock: SockId) {
-        let select_scan = |n: usize| self.cfg.cost.select_scan(n);
         let mut wakes: Vec<(TaskId, WorkItem)> = Vec::new();
         for (tid, th) in self.threads.iter() {
-            let matched = match &th.state {
-                ThreadState::Blocked(WaitFor::Select { socks }) => {
-                    if socks.contains(&sock) {
-                        Some(WorkItem {
-                            cost: select_scan(socks.len()),
-                            op: Op::DeliverSelect {
-                                socks: socks.clone(),
-                            },
-                            charge_to: None,
-                            kernel_mode: true,
-                            span: SpanRef::NONE,
-                        })
-                    } else {
-                        None
-                    }
-                }
-                ThreadState::Blocked(WaitFor::Readable(s)) if *s == sock => Some(WorkItem {
-                    cost: self.cfg.cost.read_syscall,
-                    op: Op::DeliverSelect { socks: vec![sock] },
-                    charge_to: None,
-                    kernel_mode: true,
-                    span: SpanRef::NONE,
-                }),
-                ThreadState::Blocked(WaitFor::Acceptable(l)) if *l == sock => Some(WorkItem {
-                    cost: self.cfg.cost.accept_syscall,
-                    op: Op::DeliverSelect { socks: vec![sock] },
-                    charge_to: None,
-                    kernel_mode: true,
-                    span: SpanRef::NONE,
-                }),
-                _ => None,
+            let ThreadState::Blocked(wait) = &th.state else {
+                continue;
             };
-            if let Some(item) = matched {
-                wakes.push((tid, item));
+            let names_sock = match wait {
+                WaitFor::Select { socks } => socks.contains(&sock),
+                WaitFor::Readable(s) | WaitFor::Acceptable(s) => *s == sock,
+                _ => false,
+            };
+            if names_sock {
+                wakes.push((tid, self.wake_work(th.pid, wait)));
             }
         }
         for (tid, item) in wakes {
-            if let Some(th) = self.threads.get_mut(tid) {
-                th.state = ThreadState::Runnable;
-                th.push_work(item);
-                self.scheduler.set_runnable(tid, true, self.clock);
-            }
+            self.wake(tid, item);
         }
         // Scalable event API.
         if let Some(owner) = self.sock_owner.get(sock).copied() {
@@ -2034,56 +1894,72 @@ impl Kernel {
         }
     }
 
+    /// Wakes the first thread of `pid` parked in the event API, if events
+    /// are queued: one waiter handles the batch.
     fn wake_event_waiter(&mut self, pid: Pid) {
-        let qlen = self
-            .processes
-            .get(pid)
-            .map(|p| p.event_queue.len())
-            .unwrap_or(0);
-        if qlen == 0 {
+        let Some(p) = self.processes.get(pid) else {
+            return;
+        };
+        if p.event_queue.is_empty() {
             return;
         }
-        let cost = self.cfg.cost.event_delivery(qlen);
-        // Indexed walk instead of cloning the thread list: this runs for
-        // every queued socket event, and the clone was a per-event
-        // allocation.
-        let nthreads = self
-            .processes
-            .get(pid)
-            .map(|p| p.threads.len())
-            .unwrap_or(0);
-        for i in 0..nthreads {
-            let Some(tid) = self
-                .processes
-                .get(pid)
-                .and_then(|p| p.threads.get(i).copied())
-            else {
-                break;
-            };
-            let blocked = matches!(
-                self.threads.get(tid).map(|t| &t.state),
-                Some(ThreadState::Blocked(WaitFor::Event))
-            );
-            if blocked {
-                if let Some(th) = self.threads.get_mut(tid) {
-                    th.state = ThreadState::Runnable;
-                    th.push_work(WorkItem {
-                        cost,
-                        op: Op::DeliverEvents,
-                        charge_to: None,
-                        kernel_mode: true,
-                        span: SpanRef::NONE,
-                    });
-                    self.scheduler.set_runnable(tid, true, self.clock);
-                }
-                break; // One waiter handles the batch.
-            }
+        let waiter = p.threads.iter().copied().find(|&t| {
+            self.threads
+                .get(t)
+                .is_some_and(|th| th.state == ThreadState::Blocked(WaitFor::Event))
+        });
+        if let Some(tid) = waiter {
+            let item = self.wake_work(pid, &WaitFor::Event);
+            self.wake(tid, item);
         }
     }
 
-    /// Delivers an out-of-band upcall (SYN-drop notice, child exit) to a
-    /// process's first application thread, waking it if blocked and
-    /// restoring its wait afterwards.
+    /// The work that wakes a thread of `pid` whose `wait` now holds: the
+    /// readiness re-check it completes, costed as the syscall it stands
+    /// for, or the timer's upcall.
+    fn wake_work(&self, pid: Pid, wait: &WaitFor) -> WorkItem {
+        let cm = &self.cfg.cost;
+        let (cost, op) = match wait {
+            WaitFor::Select { socks } => (
+                cm.select_scan(socks.len()),
+                Op::DeliverSelect {
+                    socks: socks.clone(),
+                },
+            ),
+            WaitFor::Readable(s) => (cm.read_syscall, Op::DeliverSelect { socks: vec![*s] }),
+            WaitFor::Acceptable(l) => (cm.accept_syscall, Op::DeliverSelect { socks: vec![*l] }),
+            WaitFor::Event => {
+                let qlen = self.processes.get(pid).map_or(0, |p| p.event_queue.len());
+                (cm.event_delivery(qlen), Op::DeliverEvents)
+            }
+            WaitFor::Writable(s) => (cm.write_syscall, Op::DeliverWritable { sock: *s }),
+            WaitFor::Timer { tag } => (
+                Nanos::from_micros(1),
+                Op::Upcall(AppEvent::Timer { tag: *tag }),
+            ),
+            WaitFor::Idle => unreachable!("an idle wait never holds"),
+        };
+        WorkItem {
+            cost,
+            op,
+            charge_to: None,
+            kernel_mode: true,
+            span: SpanRef::NONE,
+        }
+    }
+
+    /// Ends `task`'s wait: it becomes runnable with `item` (its
+    /// [`wake_work`](Self::wake_work)) queued.
+    fn wake(&mut self, task: TaskId, item: WorkItem) {
+        if let Some(th) = self.threads.get_mut(task) {
+            th.state = ThreadState::Runnable;
+            th.push_work(item);
+        }
+        self.scheduler.set_runnable(task, true, self.clock);
+    }
+
+    /// Delivers a kernel notice (SYN drop, connection reset, OOM kill,
+    /// child exit) to a process's first application thread, out of band.
     fn deliver_oob_upcall(&mut self, pid: Pid, ev: AppEvent) {
         let Some(tid) = self
             .processes
@@ -2092,57 +1968,43 @@ impl Kernel {
         else {
             return;
         };
-        let Some(th) = self.threads.get_mut(tid) else {
-            return;
-        };
-        if let ThreadState::Blocked(w) = th.state.clone() {
-            self.resume_waits.or_insert(tid, w);
-            th.state = ThreadState::Runnable;
-        }
-        th.push_work(WorkItem {
+        let item = WorkItem {
             cost: self.cfg.cost.event_api_base,
             op: Op::Upcall(ev),
             charge_to: None,
             kernel_mode: true,
             span: SpanRef::NONE,
-        });
-        self.scheduler.set_runnable(tid, true, self.clock);
+        };
+        self.deliver_oob(tid, item);
     }
 
-    fn timer_fired(&mut self, task: TaskId, tag: u64) {
+    /// Queues out-of-band `item` on `task`: a kernel notice, a disk
+    /// completion, or a timer that fires while the thread is busy or waits
+    /// on something else. A blocked thread wakes to run it, and its wait is
+    /// restored once its queue drains.
+    fn deliver_oob(&mut self, task: TaskId, item: WorkItem) {
         let Some(th) = self.threads.get_mut(task) else {
             return;
         };
-        match &th.state {
-            ThreadState::Blocked(WaitFor::Timer { tag: t }) if *t == tag => {
-                th.state = ThreadState::Runnable;
-                th.push_work(WorkItem {
-                    cost: Nanos::from_micros(1),
-                    op: Op::Upcall(AppEvent::Timer { tag }),
-                    charge_to: None,
-                    kernel_mode: true,
-                    span: SpanRef::NONE,
-                });
-                self.scheduler.set_runnable(task, true, self.clock);
-            }
-            ThreadState::Exited => {}
-            _ => {
-                // The thread is busy: deliver when it gets there.
-                th.push_work(WorkItem {
-                    cost: Nanos::from_micros(1),
-                    op: Op::Upcall(AppEvent::Timer { tag }),
-                    charge_to: None,
-                    kernel_mode: true,
-                    span: SpanRef::NONE,
-                });
-                if matches!(th.state, ThreadState::Blocked(_)) {
-                    if let ThreadState::Blocked(w) = th.state.clone() {
-                        self.resume_waits.or_insert(task, w);
-                    }
-                    th.state = ThreadState::Runnable;
-                    self.scheduler.set_runnable(task, true, self.clock);
-                }
-            }
+        if let ThreadState::Blocked(w) = std::mem::replace(&mut th.state, ThreadState::Runnable) {
+            self.resume_waits.or_insert(task, w);
+        }
+        th.push_work(item);
+        self.scheduler.set_runnable(task, true, self.clock);
+    }
+
+    fn timer_fired(&mut self, task: TaskId, tag: u64) {
+        let Some(th) = self.threads.get(task) else {
+            return;
+        };
+        let wait = WaitFor::Timer { tag };
+        let item = self.wake_work(th.pid, &wait);
+        if th.state == ThreadState::Blocked(wait) {
+            self.wake(task, item);
+        } else {
+            // The thread is busy, or waits on something else: deliver
+            // when it gets there.
+            self.deliver_oob(task, item);
         }
     }
 
@@ -2229,7 +2091,7 @@ impl Kernel {
                                 let prio = self
                                     .stack
                                     .container_of(s)
-                                    .map(|c| self.principal_priority(c))
+                                    .map(|c| lent_priority(&self.containers, c))
                                     .unwrap_or(10);
                                 (prio, i, s)
                             })
@@ -2261,26 +2123,7 @@ impl Kernel {
                     self.block_or_defer(task, WaitFor::Writable(sock));
                 }
             }
-            Op::CloseSock { sock } => {
-                self.span_conn_teardown(sock, Outcome::Aborted);
-                self.release_sockbuf(sock);
-                let bound = self.stack.container_of(sock);
-                // Capture the transmit principal before the close frees
-                // the socket: the FIN's wire time is still the closer's.
-                let tx_owner = self.tx_principal(sock);
-                if let Some(fin) = self.stack.close(sock) {
-                    self.transmit_from(fin, tx_owner);
-                }
-                if let Some(c) = bound {
-                    // Dropping the socket's container binding may destroy
-                    // the per-connection container (§4.6).
-                    let _ = self.containers.unbind_socket(c);
-                }
-                self.sock_owner.remove(sock);
-                if let Some(p) = self.processes.get_mut(pid) {
-                    p.forget_socket(sock);
-                }
-            }
+            Op::CloseSock { sock } => self.close_conn(sock),
             Op::Block(wait) => {
                 self.resume_waits.remove(task);
                 self.block_or_defer(task, wait);
@@ -2324,14 +2167,13 @@ impl Kernel {
         let _ = world;
     }
 
-    fn sock_ready(&self, s: SockId) -> bool {
+    /// Whether `s` has unread data, an EOF, or an acceptable connection.
+    pub(crate) fn sock_ready(&self, s: SockId) -> bool {
         self.stack.readable(s) || self.stack.accept_queue_len(s) > 0
     }
 
-    /// Blocks a thread on `wait`, unless the condition already holds — in
-    /// which case the wake work is queued immediately.
-    /// Blocks `task` on `wait` — unless out-of-band work (an IPC
-    /// doorbell, a SYN-drop notice, a connection reset) was queued behind
+    /// Blocks `task` on `wait` — unless out-of-band work (a SYN-drop
+    /// notice, a connection reset, a disk completion) was queued behind
     /// the wait, in which case the thread keeps running and the wait is
     /// restored once its queue drains.
     fn block_or_defer(&mut self, task: TaskId, wait: WaitFor) {
@@ -2347,73 +2189,26 @@ impl Kernel {
         }
     }
 
+    /// Blocks a thread on `wait`, unless the condition already holds — in
+    /// which case the wake work is queued immediately.
     fn block_thread(&mut self, task: TaskId, wait: WaitFor) {
-        let ready_now = match &wait {
+        let Some(pid) = self.threads.get(task).map(|t| t.pid) else {
+            return;
+        };
+        let holds = match &wait {
             WaitFor::Select { socks } => socks.iter().any(|&s| self.sock_ready(s)),
             WaitFor::Readable(s) => self.stack.readable(*s),
             WaitFor::Acceptable(l) => self.stack.accept_queue_len(*l) > 0,
-            WaitFor::Event => {
-                let pid = self.threads.get(task).map(|t| t.pid);
-                pid.and_then(|p| self.processes.get(p))
-                    .map(|p| !p.event_queue.is_empty())
-                    .unwrap_or(false)
-            }
+            WaitFor::Event => self
+                .processes
+                .get(pid)
+                .is_some_and(|p| !p.event_queue.is_empty()),
             WaitFor::Writable(s) => self.sock_writable(*s),
             WaitFor::Timer { .. } | WaitFor::Idle => false,
         };
-        if ready_now {
-            let item = match &wait {
-                WaitFor::Select { socks } => WorkItem {
-                    cost: self.cfg.cost.select_scan(socks.len()),
-                    op: Op::DeliverSelect {
-                        socks: socks.clone(),
-                    },
-                    charge_to: None,
-                    kernel_mode: true,
-                    span: SpanRef::NONE,
-                },
-                WaitFor::Readable(s) => WorkItem {
-                    cost: self.cfg.cost.read_syscall,
-                    op: Op::DeliverSelect { socks: vec![*s] },
-                    charge_to: None,
-                    kernel_mode: true,
-                    span: SpanRef::NONE,
-                },
-                WaitFor::Acceptable(l) => WorkItem {
-                    cost: self.cfg.cost.accept_syscall,
-                    op: Op::DeliverSelect { socks: vec![*l] },
-                    charge_to: None,
-                    kernel_mode: true,
-                    span: SpanRef::NONE,
-                },
-                WaitFor::Event => {
-                    let pid = self.threads.get(task).map(|t| t.pid);
-                    let qlen = pid
-                        .and_then(|p| self.processes.get(p))
-                        .map(|p| p.event_queue.len())
-                        .unwrap_or(0);
-                    WorkItem {
-                        cost: self.cfg.cost.event_delivery(qlen),
-                        op: Op::DeliverEvents,
-                        charge_to: None,
-                        kernel_mode: true,
-                        span: SpanRef::NONE,
-                    }
-                }
-                WaitFor::Writable(s) => WorkItem {
-                    cost: self.cfg.cost.write_syscall,
-                    op: Op::DeliverWritable { sock: *s },
-                    charge_to: None,
-                    kernel_mode: true,
-                    span: SpanRef::NONE,
-                },
-                WaitFor::Timer { .. } | WaitFor::Idle => unreachable!(),
-            };
-            if let Some(th) = self.threads.get_mut(task) {
-                th.state = ThreadState::Runnable;
-                th.push_work(item);
-            }
-            self.scheduler.set_runnable(task, true, self.clock);
+        if holds {
+            let item = self.wake_work(pid, &wait);
+            self.wake(task, item);
         } else {
             if let Some(th) = self.threads.get_mut(task) {
                 th.state = ThreadState::Blocked(wait);
@@ -2423,10 +2218,9 @@ impl Kernel {
     }
 
     fn exit_thread(&mut self, task: TaskId) {
-        let Some(mut th) = self.threads.remove(task) else {
+        let Some(th) = self.threads.remove(task) else {
             return;
         };
-        th.state = ThreadState::Exited;
         self.scheduler.remove_task(task);
         self.resume_waits.remove(task);
         self.release_thread_stack(task);
@@ -2453,49 +2247,27 @@ impl Kernel {
         let Some(mut p) = self.processes.remove(pid) else {
             return;
         };
-        // Close all sockets.
-        for sock in p.sockets.clone() {
-            self.release_sockbuf(sock);
-            let bound = self.stack.container_of(sock);
-            match self
+        // Close all sockets. A listener first closes the connections still
+        // queued on it, so their container bindings are released.
+        for sock in std::mem::take(&mut p.sockets) {
+            let listener = self
                 .stack
                 .socket(sock)
-                .map(|s| matches!(s.kind, simnet::SocketKind::Listen(_)))
-            {
-                Some(true) => {
-                    // Drain queued-but-unaccepted connections first so their
-                    // container bindings are released.
-                    while let Some(conn) = self.stack.accept(sock) {
-                        self.span_conn_teardown(conn, Outcome::Aborted);
-                        let tx_owner = self.tx_principal(conn);
-                        if let Some(c) = self.stack.container_of(conn) {
-                            let _ = self.containers.unbind_socket(c);
-                        }
-                        if let Some(fin) = self.stack.close(conn) {
-                            self.transmit_from(fin, tx_owner);
-                        }
-                        self.sock_owner.remove(conn);
-                    }
-                    let tx_owner = self.tx_principal(sock);
-                    for rst in self.stack.close_listen(sock) {
-                        self.transmit_from(rst, tx_owner);
-                    }
-                    self.listener_budgets.remove(sock);
-                    if let Some(c) = bound {
-                        let _ = self.containers.unbind_socket(c);
-                    }
-                }
-                Some(false) => {
-                    self.span_conn_teardown(sock, Outcome::Aborted);
-                    let tx_owner = self.tx_principal(sock);
-                    if let Some(fin) = self.stack.close(sock) {
-                        self.transmit_from(fin, tx_owner);
-                    }
-                    if let Some(c) = bound {
-                        let _ = self.containers.unbind_socket(c);
-                    }
-                }
-                None => {}
+                .is_some_and(|s| matches!(s.kind, simnet::SocketKind::Listen(_)));
+            if !listener {
+                self.close_conn(sock);
+                continue;
+            }
+            while let Some(conn) = self.stack.accept(sock) {
+                self.close_conn(conn);
+            }
+            let bound = self.stack.container_of(sock);
+            let tx_owner = self.tx_principal(sock);
+            for rst in self.stack.close_listen(sock) {
+                self.transmit_from(rst, tx_owner);
+            }
+            if let Some(c) = bound {
+                let _ = self.containers.unbind_socket(c);
             }
             self.sock_owner.remove(sock);
         }
@@ -2516,6 +2288,51 @@ impl Kernel {
         }
         self.pending.remove(pid);
         self.handlers.remove(pid);
+    }
+
+    /// Graceful close of connection `sock`: finishes its open span,
+    /// releases its buffers, sends the FIN (its wire time is still the
+    /// closer's, so the principal is captured before the close frees the
+    /// socket), then drops the socket's container binding, which may
+    /// destroy a per-connection container (§4.6).
+    fn close_conn(&mut self, sock: SockId) {
+        self.span_conn_teardown(sock, Outcome::Aborted);
+        self.release_sockbuf(sock);
+        let bound = self.stack.container_of(sock);
+        let tx_owner = self.tx_principal(sock);
+        if let Some(fin) = self.stack.close(sock) {
+            self.transmit_from(fin, tx_owner);
+        }
+        if let Some(c) = bound {
+            let _ = self.containers.unbind_socket(c);
+        }
+        if let Some(owner) = self.sock_owner.remove(sock) {
+            if let Some(p) = self.processes.get_mut(owner) {
+                p.forget_socket(sock);
+            }
+        }
+    }
+
+    /// Abortive reset of connection `conn` by the kernel (an OOM kill, or
+    /// a refused accept): finishes its open span with `outcome`, releases
+    /// its buffers and container binding, and sends an RST. Returns the
+    /// process that owned the connection.
+    fn reset_conn(&mut self, conn: SockId, outcome: Outcome) -> Option<Pid> {
+        self.span_conn_teardown(conn, outcome);
+        self.release_sockbuf(conn);
+        let tx_owner = self.tx_principal(conn);
+        if let Some(c) = self.stack.container_of(conn) {
+            let _ = self.containers.unbind_socket(c);
+        }
+        if let Some(mut rst) = self.stack.close(conn) {
+            rst.kind = simnet::PacketKind::Rst;
+            self.transmit_from(rst, tx_owner);
+        }
+        let owner = self.sock_owner.remove(conn)?;
+        if let Some(p) = self.processes.get_mut(owner) {
+            p.forget_socket(conn);
+        }
+        Some(owner)
     }
 
     /// Releases the socket-buffer and protocol-state memory charged to a
@@ -2713,23 +2530,7 @@ impl Kernel {
             .collect();
         conns.sort();
         for conn in conns {
-            self.span_conn_teardown(conn, Outcome::Aborted);
-            self.release_sockbuf(conn);
-            let tx_owner = self.tx_principal(conn);
-            if let Some(cb) = self.stack.container_of(conn) {
-                let _ = self.containers.unbind_socket(cb);
-            }
-            if let Some(rst) = self.stack.close(conn) {
-                let mut rst = rst;
-                rst.kind = simnet::PacketKind::Rst;
-                self.transmit_from(rst, tx_owner);
-            }
-            if let Some(owner) = self.sock_owner.remove(conn) {
-                if let Some(p) = self.processes.get_mut(owner) {
-                    p.forget_socket(conn);
-                }
-                pids.insert(owner);
-            }
+            pids.extend(self.reset_conn(conn, Outcome::Aborted));
         }
         // 3. Return the victim's pinned reservations.
         let kpids: Vec<Pid> = self
@@ -3020,27 +2821,16 @@ impl Kernel {
     /// whose backpressure has drained, and queues writability events for
     /// processes with event-API writable interest.
     fn wake_writable(&mut self, owner: u64) {
-        let mut woken: Vec<(TaskId, SockId)> = Vec::new();
+        let mut wakes: Vec<(TaskId, WorkItem)> = Vec::new();
         for (tid, th) in self.threads.iter() {
-            if let ThreadState::Blocked(WaitFor::Writable(s)) = th.state {
-                if self.tx_principal(s).as_u64() == owner && self.sock_writable(s) {
-                    woken.push((tid, s));
+            if let ThreadState::Blocked(wait @ WaitFor::Writable(s)) = &th.state {
+                if self.tx_principal(*s).as_u64() == owner && self.sock_writable(*s) {
+                    wakes.push((tid, self.wake_work(th.pid, wait)));
                 }
             }
         }
-        for (tid, sock) in woken {
-            let cost = self.cfg.cost.write_syscall;
-            if let Some(th) = self.threads.get_mut(tid) {
-                th.state = ThreadState::Runnable;
-                th.push_work(WorkItem {
-                    cost,
-                    op: Op::DeliverWritable { sock },
-                    charge_to: None,
-                    kernel_mode: true,
-                    span: SpanRef::NONE,
-                });
-            }
-            self.scheduler.set_runnable(tid, true, self.clock);
+        for (tid, item) in wakes {
+            self.wake(tid, item);
         }
         let pids: Vec<Pid> = self.processes.keys().collect();
         for pid in pids {
@@ -3231,10 +3021,6 @@ impl Kernel {
         Some(from)
     }
 
-    pub(crate) fn post_ipc(&mut self, from: Pid, to: Pid, tag: u64) {
-        self.deliver_oob_upcall(to, AppEvent::Ipc { from, tag });
-    }
-
     pub(crate) fn reassign_socket(&mut self, sock: SockId, from: Pid, to: Pid) {
         if let Some(p) = self.processes.get_mut(from) {
             p.forget_socket(sock);
@@ -3271,16 +3057,12 @@ impl Kernel {
             .schedule(at.max(self.clock), KernelEvent::WorldTimer(tag));
     }
 
-    /// Opens a listening socket on behalf of a process without charging
-    /// costs (harness setup helper; applications use
-    /// [`SysCtx::listen`]).
-    pub fn setup_listen(
-        &mut self,
-        pid: Pid,
-        spec: ListenSpec,
-        container: Option<ContainerId>,
-    ) -> SockId {
-        let mut container = container.or_else(|| self.process_container(pid));
+    /// Opens a listening socket for `pid`, bound to its default container,
+    /// without charging costs: [`SysCtx::listen`] charges the syscall and
+    /// calls this, and harnesses may call it directly during setup.
+    pub fn setup_listen(&mut self, pid: Pid, spec: ListenSpec) -> SockId {
+        let mut container = self.process_container(pid);
+        // Count the initial binding so later rebinds/closes stay balanced.
         if let Some(c) = container {
             if self.containers.bind_socket(c).is_err() {
                 container = None;
@@ -3290,11 +3072,10 @@ impl Kernel {
             spec.port,
             spec.filter,
             container,
-            self.cfg.net.syn_backlog,
-            self.cfg.net.accept_backlog,
+            SYN_BACKLOG,
+            ACCEPT_BACKLOG,
             spec.notify_syn_drops,
         );
-        self.set_listener_budgets(s, spec.syn_budget, spec.accept_budget);
         self.register_socket(s, pid);
         s
     }
@@ -3434,4 +3215,14 @@ impl Kernel {
             mem_pressure_events: self.mem.as_ref().map_or(0, |m| m.pressure_events),
         }
     }
+}
+
+/// The priority a container lends to the work done for it (§4.7: the
+/// order in which protocol processing serves principals; §5.5: the order
+/// of event delivery): its own if time-shared, 10 if fixed-share, 0 once
+/// destroyed.
+fn lent_priority(containers: &ContainerTable, c: ContainerId) -> u32 {
+    containers
+        .policy(c)
+        .map_or(0, |p| p.priority().unwrap_or(10))
 }

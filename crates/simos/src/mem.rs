@@ -50,9 +50,6 @@ pub struct MemParams {
     /// Optional kernel-wide budget for *pinned* (non-cache) memory. When a
     /// charge would exceed it, cache pages are stolen globally first.
     pub global_budget: Option<u64>,
-    /// Fraction of a subtree's `mem_limit` above which a `MemPressure`
-    /// trace event fires on each successful charge into that subtree.
-    pub pressure_frac: f64,
     /// Kernel CPU cost per reclaimed byte, modelling the page-steal work
     /// the allocating thread performs synchronously. Zero (the default)
     /// keeps reclaim instantaneous — and every existing run
@@ -66,7 +63,6 @@ impl MemParams {
             stack_bytes: 16 * 1024,
             pcb_bytes: 1024,
             global_budget: None,
-            pressure_frac: 0.9,
             reclaim_cost_per_kb: Nanos::ZERO,
         }
     }
@@ -78,11 +74,6 @@ impl MemParams {
 
     pub fn with_global_budget(mut self, bytes: u64) -> Self {
         self.global_budget = Some(bytes);
-        self
-    }
-
-    pub fn with_pressure_frac(mut self, frac: f64) -> Self {
-        self.pressure_frac = frac;
         self
     }
 
@@ -364,15 +355,19 @@ pub fn cache_insert_accounted(
     out
 }
 
+/// Fraction of a subtree's `mem_limit` above which a `MemPressure` trace
+/// event fires on each successful charge into that subtree.
+const PRESSURE_FRAC: f64 = 0.9;
+
 /// After a successful charge into `c`, emit `MemPressure` for every limited
 /// ancestor (including `c` itself) whose subtree usage sits above
-/// `pressure_frac` of its limit.
+/// `PRESSURE_FRAC` of its limit.
 pub fn pressure_check(table: &ContainerTable, acct: &mut MemAccountant, c: ContainerId) {
     let mut cursor = Some(c);
     while let Some(cur) = cursor {
         if let (Ok(attrs), Ok(used)) = (table.attrs(cur), table.subtree_mem(cur)) {
             if let Some(limit) = attrs.mem_limit {
-                let threshold = (limit as f64 * acct.params.pressure_frac) as u64;
+                let threshold = (limit as f64 * PRESSURE_FRAC) as u64;
                 if used > threshold {
                     acct.pressure_events += 1;
                     trace::emit(|| TraceEventKind::MemPressure {
@@ -513,10 +508,12 @@ mod tests {
     #[test]
     fn pressure_fires_above_fraction_of_limit() {
         let mut t = ContainerTable::new();
-        let mut acct = MemAccountant::new(MemParams::new().with_pressure_frac(0.5));
+        let mut acct = MemAccountant::new(MemParams::new());
         let p = limited(None, &mut t, 1000);
         let c = t.create(Some(p), Attributes::time_shared(1)).unwrap();
-        t.charge_mem_class(c, MemClass::Other, 400).unwrap();
+        let threshold = (1000.0 * PRESSURE_FRAC) as u64;
+        t.charge_mem_class(c, MemClass::Other, threshold - 100)
+            .unwrap();
         pressure_check(&t, &mut acct, c);
         assert_eq!(acct.pressure_events, 0);
         t.charge_mem_class(c, MemClass::Other, 200).unwrap();

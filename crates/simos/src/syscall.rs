@@ -42,9 +42,8 @@ pub enum SysError {
 /// [`SysCtx::listen`] (and [`Kernel::setup_listen`]).
 ///
 /// Replaces the old positional `(port, filter, notify_syn_drops)`
-/// argument list and folds in per-listener admission budgets (§5.7): a
-/// listener may bound its own SYN and accept queues independently of the
-/// global [`crate::KernelConfig::with_admission`] defaults.
+/// argument list. SYN admission control is kernel-wide
+/// ([`crate::KernelConfig::with_admission`]).
 ///
 /// # Examples
 ///
@@ -54,8 +53,7 @@ pub enum SysError {
 ///
 /// let spec = ListenSpec::port(80)
 ///     .filter(CidrFilter::any())
-///     .notify_syn_drops()
-///     .syn_budget(64);
+///     .notify_syn_drops();
 /// let _ = spec;
 /// ```
 #[derive(Clone, Debug)]
@@ -63,20 +61,16 @@ pub struct ListenSpec {
     pub(crate) port: u16,
     pub(crate) filter: CidrFilter,
     pub(crate) notify_syn_drops: bool,
-    pub(crate) syn_budget: Option<usize>,
-    pub(crate) accept_budget: Option<usize>,
 }
 
 impl ListenSpec {
     /// Listens on `port`, accepting any foreign address, without SYN-drop
-    /// notification, under the global admission budgets.
+    /// notification.
     pub fn port(port: u16) -> Self {
         ListenSpec {
             port,
             filter: CidrFilter::any(),
             notify_syn_drops: false,
-            syn_budget: None,
-            accept_budget: None,
         }
     }
 
@@ -90,21 +84,6 @@ impl ListenSpec {
     /// listener's SYN queue overflows (§5.7).
     pub fn notify_syn_drops(mut self) -> Self {
         self.notify_syn_drops = true;
-        self
-    }
-
-    /// Bounds this listener's half-open (SYN) queue: excess SYNs are
-    /// dropped at interrupt level and charged to the *classifying*
-    /// container (the attacker pays). Overrides the global default.
-    pub fn syn_budget(mut self, n: usize) -> Self {
-        self.syn_budget = Some(n);
-        self
-    }
-
-    /// Bounds this listener's accept queue the same way, enforced on the
-    /// final handshake ACK. Overrides the global default.
-    pub fn accept_budget(mut self, n: usize) -> Self {
-        self.accept_budget = Some(n);
         self
     }
 }
@@ -199,26 +178,7 @@ impl<'a> SysCtx<'a> {
         self.trace_sys("listen");
         let cost = self.k.cost_model().listen_syscall;
         self.charge(cost);
-        let mut container = self.k.process_container(self.pid);
-        // Count the initial binding so later rebinds/closes stay balanced.
-        if let Some(c) = container {
-            if self.k.containers.bind_socket(c).is_err() {
-                container = None;
-            }
-        }
-        let (syn_b, acc_b) = (self.k.cfg.net.syn_backlog, self.k.cfg.net.accept_backlog);
-        let s = self.k.stack.listen(
-            spec.port,
-            spec.filter,
-            container,
-            syn_b,
-            acc_b,
-            spec.notify_syn_drops,
-        );
-        self.k
-            .set_listener_budgets(s, spec.syn_budget, spec.accept_budget);
-        self.k.register_socket(s, self.pid);
-        s
+        self.k.setup_listen(self.pid, spec)
     }
 
     /// Accepts one established connection, if available. The new socket
@@ -275,7 +235,7 @@ impl<'a> SysCtx<'a> {
     /// Returns `true` if a socket has unread data, an EOF, or an
     /// acceptable connection.
     pub fn sock_ready(&self, sock: SockId) -> bool {
-        self.k.stack.readable(sock) || self.k.stack.accept_queue_len(sock) > 0
+        self.k.sock_ready(sock)
     }
 
     /// Queues at most `bytes` for transmission, returning how many were
@@ -380,7 +340,7 @@ impl<'a> SysCtx<'a> {
                 p.event_interest.push(sock);
             }
             // A socket that is already ready must not be missed.
-            if self.k.stack.readable(sock) || self.k.stack.accept_queue_len(sock) > 0 {
+            if self.k.sock_ready(sock) {
                 if let Some(p) = self.k.process_mut(self.pid) {
                     p.queue_event(sock);
                 }
@@ -541,18 +501,6 @@ impl<'a> SysCtx<'a> {
     /// passing); subsequent readiness events go to the receiver.
     pub fn pass_socket(&mut self, sock: SockId, to: Pid) {
         self.k.reassign_socket(sock, self.pid, to);
-    }
-
-    /// Sends an out-of-band message to another process (modelling a
-    /// UNIX-domain-socket doorbell; used by FastCGI-style persistent
-    /// workers). The receiver gets [`crate::AppEvent::Ipc`] on its first
-    /// thread; costs one write syscall on the sender.
-    pub fn send_ipc(&mut self, to: Pid, tag: u64) {
-        self.trace_sys("send_ipc");
-        let cost = self.k.cost_model().write_syscall;
-        self.charge(cost);
-        let from = self.pid;
-        self.k.post_ipc(from, to, tag);
     }
 
     /// Terminates the calling thread after queued work completes; the

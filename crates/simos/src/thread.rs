@@ -114,8 +114,6 @@ pub enum ThreadState {
     Runnable,
     /// Waiting for a condition.
     Blocked(WaitFor),
-    /// Finished.
-    Exited,
 }
 
 /// What kind of thread this is.

@@ -1,13 +1,13 @@
-//! Focused kernel-feature tests: timers, IPC, memory limits, process
-//! teardown, and scheduler-binding pruning.
+//! Focused kernel-feature tests: timers, memory limits, process teardown,
+//! and scheduler-binding pruning.
 
 use rescon::Attributes;
 use sched::TaskId;
 use simcore::Nanos;
 use simnet::{CidrFilter, FlowKey, IpAddr, Packet, PacketKind, SockId};
+use simos::kernel::SOCKBUF_BYTES;
 use simos::{
-    AppEvent, AppHandler, Kernel, KernelConfig, ListenSpec, NullWorld, Pid, SysCtx, World,
-    WorldAction,
+    AppEvent, AppHandler, Kernel, KernelConfig, ListenSpec, NullWorld, SysCtx, World, WorldAction,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -30,9 +30,6 @@ impl AppHandler for Recorder {
                     .borrow_mut()
                     .push(format!("timer{tag}@{}", sys.now().as_micros()));
                 sys.sleep_until(Nanos::MAX, 99);
-            }
-            AppEvent::Ipc { from, tag } => {
-                self.log.borrow_mut().push(format!("ipc {from} {tag}"));
             }
             _ => {}
         }
@@ -57,55 +54,6 @@ fn timers_fire_at_their_deadline() {
     let entries = log.borrow().clone();
     assert_eq!(entries[0], "start");
     assert!(entries[1].starts_with("timer7@50"), "{entries:?}");
-}
-
-/// A sender process that pings a peer over IPC.
-struct Pinger {
-    peer: Rc<RefCell<Option<Pid>>>,
-}
-
-impl AppHandler for Pinger {
-    fn on_event(&mut self, sys: &mut SysCtx<'_>, _t: TaskId, ev: AppEvent) {
-        if let AppEvent::Start = ev {
-            if let Some(peer) = *self.peer.borrow() {
-                sys.send_ipc(peer, 42);
-            }
-            sys.sleep_until(Nanos::MAX, 0);
-        }
-    }
-}
-
-#[test]
-fn ipc_doorbell_wakes_a_parked_process() {
-    let log = Rc::new(RefCell::new(Vec::new()));
-    let peer = Rc::new(RefCell::new(None));
-    let mut k = Kernel::new(KernelConfig::unmodified());
-    let receiver = k.spawn_process(
-        Box::new(Recorder {
-            log: log.clone(),
-            deadline: Nanos::MAX,
-        }),
-        "recv",
-        None,
-        Attributes::time_shared(10),
-        None,
-    );
-    *peer.borrow_mut() = Some(receiver);
-    k.spawn_process(
-        Box::new(Pinger { peer }),
-        "ping",
-        None,
-        Attributes::time_shared(10),
-        None,
-    );
-    k.run(&mut NullWorld, Nanos::from_millis(5));
-    let entries = log.borrow().clone();
-    assert!(
-        entries
-            .iter()
-            .any(|e| e.starts_with("ipc pid") && e.ends_with("42")),
-        "{entries:?}"
-    );
 }
 
 /// A minimal accepting server whose connections share one limited
@@ -139,9 +87,7 @@ impl AppHandler for LimitServer {
 fn socket_buffer_memory_limit_refuses_excess_connections() {
     // The process's default container gets a memory limit of 4 sockbufs.
     let accepted = Rc::new(RefCell::new(0u64));
-    let mut cfg = KernelConfig::resource_containers();
-    cfg.net.sockbuf_bytes = 16 * 1024;
-    let mut k = Kernel::new(cfg);
+    let mut k = Kernel::new(KernelConfig::resource_containers());
     k.spawn_process(
         Box::new(LimitServer {
             listener: None,
@@ -149,7 +95,7 @@ fn socket_buffer_memory_limit_refuses_excess_connections() {
         }),
         "srv",
         None,
-        Attributes::time_shared(10).with_mem_limit(4 * 16 * 1024),
+        Attributes::time_shared(10).with_mem_limit(4 * SOCKBUF_BYTES),
         None,
     );
 
@@ -374,7 +320,7 @@ impl AppHandler for TwoClassSink {
 /// the well-behaved class is charged nothing.
 #[test]
 fn admission_drops_charge_the_classifying_container() {
-    let mut k = Kernel::new(KernelConfig::resource_containers().with_admission(4, 0));
+    let mut k = Kernel::new(KernelConfig::resource_containers().with_admission(4));
     k.spawn_process(
         Box::new(TwoClassSink {
             listeners: Vec::new(),

@@ -14,15 +14,12 @@ use simos::{
 use std::cell::RefCell;
 use std::rc::Rc;
 
-const SOCKBUF: u64 = 16 * 1024;
+const SOCKBUF: u64 = simos::kernel::SOCKBUF_BYTES;
 const PCB: u64 = 1024;
 const N_CONNS: u64 = 3;
 
 fn mem_kernel() -> Kernel {
-    let mut cfg =
-        KernelConfig::resource_containers().with_mem(MemParams::new().with_pcb_bytes(PCB));
-    cfg.net.sockbuf_bytes = SOCKBUF;
-    Kernel::new(cfg)
+    Kernel::new(KernelConfig::resource_containers().with_mem(MemParams::new().with_pcb_bytes(PCB)))
 }
 
 fn conn_bytes(k: &Kernel) -> (u64, u64) {

@@ -126,7 +126,7 @@ pub fn run_synflood_fault(params: SynfloodFaultParams) -> SynfloodFaultResult {
 
     let mut kcfg = KernelConfig::resource_containers()
         .with_ncpus(params.ncpus.max(1))
-        .with_admission(params.syn_budget, 0);
+        .with_admission(params.syn_budget);
     if params.faults {
         kcfg = kcfg.with_fault(params.plan());
     }

@@ -22,7 +22,7 @@
 //!   container syscall surface (§4.6), software interrupts, and the cost
 //!   model calibrated to §5.3.
 //! - [`httpsim`] — the server applications: event-driven (thttpd-style),
-//!   thread-pool, pre-forked, CGI workers, the SYN-flood defense.
+//!   thread-pool, CGI workers, the SYN-flood defense.
 //! - [`workload`] — clients, attackers, and one driver per experiment in
 //!   the evaluation (§5.3–§5.8).
 //! - [`rctrace`] — observability: session control for the kernel-wide
@@ -63,8 +63,8 @@ pub use workload;
 /// The most commonly used items, one `use` away.
 pub mod prelude {
     pub use httpsim::{
-        encode_request, ClassSpec, EventApi, EventDrivenServer, FileBacking, PreforkServer,
-        ReqKind, ServerConfig, ThreadPoolServer,
+        encode_request, ClassSpec, EventApi, EventDrivenServer, FileBacking, ReqKind, ServerConfig,
+        ThreadPoolServer,
     };
     pub use rctrace::{chrome_trace_json, metrics_json, TraceConfig, TraceSession};
     pub use rescon::{Attributes, ContainerTable, SchedPolicy, SchedulerBinding};

@@ -162,7 +162,7 @@ fn run_fault_mix(mix: &Mix, seed: u64, link: bool, spans: bool) -> FaultRun {
     }
     .with_ncpus(2)
     .with_fault(fault_plan(seed))
-    .with_admission(32, 0);
+    .with_admission(32);
     if link {
         kernel = kernel.with_link(40_000_000, QdiscKind::Wfq);
     }

@@ -81,6 +81,13 @@ pub enum FileBacking {
 /// continuations (connection ids stay well below this).
 const DISK_TAG: u64 = 1 << 63;
 
+/// CGI response size in bytes.
+const CGI_RESPONSE_BYTES: u64 = 1024;
+/// Prefix length the SYN-flood defense isolates a flood source under.
+const DEFENSE_MASK: u8 = 16;
+/// SYN-drop notices from one prefix before the defense isolates it.
+const DEFENSE_THRESHOLD: u32 = 16;
+
 /// CGI sandbox configuration (§5.6): a fixed-share parent container with a
 /// CPU limit, under which every CGI request's container is reparented.
 #[derive(Clone, Copy, Debug)]
@@ -111,17 +118,12 @@ pub struct ServerConfig {
     pub classes: Vec<ClassSpec>,
     /// CPU burned by each CGI request (§5.6: "about 2 seconds").
     pub cgi_cpu: Nanos,
-    /// CGI response size.
-    pub cgi_response_bytes: u64,
     /// Optional CGI sandbox (§5.6). Ignored when containers are disabled.
     pub cgi_sandbox: Option<CgiSandbox>,
-    /// Enable the SYN-flood defense (§5.7): isolate flooding prefixes
-    /// behind a priority-zero filtered listener.
+    /// Enable the SYN-flood defense (§5.7): isolate a /16 prefix behind
+    /// a priority-zero filtered listener after 16 SYN-drop notices from
+    /// it.
     pub defense: bool,
-    /// Prefix length used when isolating a flood source.
-    pub defense_mask: u8,
-    /// SYN-drop notices from one prefix before it is isolated.
-    pub defense_threshold: u32,
     /// How static documents are backed (resident or on the simulated
     /// disk).
     pub files: FileBacking,
@@ -155,11 +157,8 @@ impl Default for ServerConfig {
             container_per_connection: true,
             classes: vec![ClassSpec::default_class()],
             cgi_cpu: Nanos::from_secs(2),
-            cgi_response_bytes: 1024,
             cgi_sandbox: None,
             defense: false,
-            defense_mask: 16,
-            defense_threshold: 32,
             files: FileBacking::AlwaysCached,
             conn_parent: None,
             cgi_container_parent: None,
@@ -320,7 +319,7 @@ impl EventDrivenServer {
             // spoofed sources, so established peers are distinguishable).
             if self.cfg.defense {
                 if let Some(peer) = sys.peer_addr(conn) {
-                    let mask = CidrFilter::new(peer, self.cfg.defense_mask);
+                    let mask = CidrFilter::new(peer, DEFENSE_MASK);
                     let prefix = peer.0 & mask.mask();
                     if !self.known_good.contains(&prefix) {
                         self.known_good.push(prefix);
@@ -502,7 +501,7 @@ impl EventDrivenServer {
         let worker = CgiWorker::new(
             conn,
             self.cfg.cgi_cpu,
-            self.cfg.cgi_response_bytes,
+            CGI_RESPONSE_BYTES,
             container.map(|(_, id)| id),
             self.stats.clone(),
         );
@@ -648,21 +647,21 @@ impl EventDrivenServer {
         if !self.cfg.defense || !sys.containers_enabled() {
             return;
         }
-        let mask = CidrFilter::new(src, self.cfg.defense_mask);
+        let mask = CidrFilter::new(src, DEFENSE_MASK);
         let prefix = src.0 & mask.mask();
         if self.isolated.contains(&prefix) || self.known_good.contains(&prefix) {
             return;
         }
         let n = self.drop_counts.entry(prefix).or_insert(0);
         *n += 1;
-        if *n < self.cfg.defense_threshold {
+        if *n < DEFENSE_THRESHOLD {
             return;
         }
         // §5.7: isolate the misbehaving clients on a filtered listener
         // bound to a container with numeric priority zero.
         self.isolated.push(prefix);
         self.stats.borrow_mut().isolations += 1;
-        let flt = CidrFilter::new(IpAddr(prefix), self.cfg.defense_mask);
+        let flt = CidrFilter::new(IpAddr(prefix), DEFENSE_MASK);
         let l = sys.listen(ListenSpec::port(self.cfg.port).filter(flt));
         if let Ok(fd) = sys.create_container(None, Attributes::time_shared(0).named("isolated")) {
             let _ = sys.bind_socket(l, fd);

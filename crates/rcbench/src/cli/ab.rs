@@ -115,7 +115,6 @@ fn run_span_arm(sched: &CpuSchedule, reduced: bool) -> Result<ArmResult, String>
         paid_parse_cost: Some(simcore::Nanos::from_millis(1)),
         scheduler: Some(sched.initial),
         cpu_swaps: sched.swaps.clone(),
-        ..SpanTenantsParams::default()
     });
     let session = rctrace::finish().ok_or("no trace session captured")?;
     Ok(ArmResult {
@@ -138,7 +137,6 @@ fn run_qos_arm(qdisc: QdiscKind, reduced: bool) -> Result<ArmResult, String> {
         blast_clients: if reduced { 12 } else { 18 },
         secs: if reduced { 4 } else { 8 },
         qdisc,
-        ..QosTenantsParams::default()
     });
     let session = rctrace::finish().ok_or("no trace session captured")?;
     println!(

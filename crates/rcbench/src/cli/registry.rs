@@ -10,12 +10,11 @@
 //! naming and validation, writing, exit codes.
 
 use rctrace::{TraceConfig, TraceSession};
-use simcore::Nanos;
 use simos::{DiskSchedKind, QdiscKind};
 use workload::scenarios::{
     run_cluster_tenants_traced, run_disk_tenants, run_memhog_tenants, run_qos_tenants,
-    run_smp_tenants, run_synflood_fault, ClusterTenantsParams, ClusterTenantsResult,
-    DiskTenantsParams, MemhogTenantsParams, QosTenantsParams, SmpTenantsParams,
+    run_smp_tenants, run_synflood_fault, synflood_fault, ClusterTenantsParams,
+    ClusterTenantsResult, DiskTenantsParams, QosTenantsParams, SmpTenantsParams,
     SynfloodFaultParams,
 };
 
@@ -311,7 +310,6 @@ fn run_disk(args: &ScenarioArgs) -> Result<Outcome, String> {
         hog_clients,
         secs,
         sched,
-        ..DiskTenantsParams::default()
     };
 
     let mut rep = Report::new("disk-bandwidth isolation: 70/30 fixed-share tenants");
@@ -404,9 +402,7 @@ fn run_smp(args: &ScenarioArgs) -> Result<Outcome, String> {
     let params = SmpTenantsParams {
         ncpus,
         clients_per_tenant: if args.reduced { 16 } else { 24 },
-        parse_cost: Nanos::from_micros(200),
         secs: if args.reduced { 4 } else { 10 },
-        ..SmpTenantsParams::default()
     };
 
     let mut session = None;
@@ -560,7 +556,7 @@ fn run_fault(args: &ScenarioArgs) -> Result<Outcome, String> {
         "synflood_fault ncpus={} seed={}: {:.0} req/s (baseline {:.0}) | p99 {:.2} ms \
          (baseline {:.2}) | {} net + {} client faults | {} syns, {} early drops, \
          attacker pays {:.1}% | {} isolations",
-        params.ncpus,
+        synflood_fault::NCPUS,
         params.fault_seed,
         r.throughput,
         base.throughput,
@@ -613,14 +609,10 @@ fn run_fault(args: &ScenarioArgs) -> Result<Outcome, String> {
 }
 
 fn run_mem(args: &ScenarioArgs) -> Result<Outcome, String> {
-    let params = MemhogTenantsParams {
-        secs: if args.reduced { 6 } else { 12 },
-        ..MemhogTenantsParams::default()
-    };
-
+    let secs = if args.reduced { 6 } else { 12 };
     let mut session = None;
     let r = traced(&mut session, TraceConfig::default(), || {
-        run_memhog_tenants(params)
+        run_memhog_tenants(secs)
     });
 
     let headline = vec![format!(

@@ -7,9 +7,10 @@
 //! holds a policy that can be replaced mid-run. The paper frames resource
 //! containers as *mechanism*, explicitly separate from scheduling
 //! *policy* (§4.4); a swap makes that separation operational. The kernel
-//! swaps each plane through its own entry point (`Kernel::set_cpu_policy`,
-//! `set_disk_policy`, `set_link_policy`): the detaching policy exports
-//! its in-flight state as policy-neutral snapshots
+//! swaps each plane through one entry point, called by the code driving
+//! the kernel (`Kernel::set_cpu_policy`, `set_disk_policy`,
+//! `set_link_policy`; applications have no swap syscall): the detaching
+//! policy exports its in-flight state as policy-neutral snapshots
 //! ([`sched::PerCpu::export_tasks`], [`simdisk::IoSched::drain`],
 //! [`simnet::LinkSched::drain`]) and a freshly built replacement replays
 //! them.

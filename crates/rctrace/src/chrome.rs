@@ -475,16 +475,11 @@ fn emit_session(
                 wanted,
                 ..
             } => {
-                let by = if refusing == NO_CONTAINER {
-                    "budget".to_string()
-                } else {
-                    format!("c{refusing}")
-                };
                 evs.push(instant(
                     pid_for(container),
                     at,
                     "mem",
-                    &format!("mem refused {wanted}B ({by})"),
+                    &format!("mem refused {wanted}B (c{refusing})"),
                 ));
             }
             TraceEventKind::SloViolation {

@@ -11,7 +11,7 @@
 //!   used for containers, threads, sockets, and connections.
 //! - [`rng`]: a seedable random-number wrapper ([`SimRng`]) so that an
 //!   entire simulation is reproducible from a single `u64` seed.
-//! - [`stats`]: histograms, running summaries, and time-weighted averages
+//! - [`stats`]: histograms and running summaries
 //!   used by the experiment harnesses.
 //! - [`trace`]: typed, zero-cost-when-disabled kernel tracing — a bounded
 //!   ring of structured [`TraceEvent`]s every subsystem records its
@@ -41,6 +41,6 @@ pub use event::{EventQueue, RefQueue};
 pub use fault::{ClientFault, DiskFault, FaultCounts, FaultInjector, FaultPlan, NetFault};
 pub use rng::SimRng;
 pub use span::{Outcome, Phase, RequestId, SpanBuffer, SpanLedger, SpanRef};
-pub use stats::{Counter, Histogram, Summary, TimeWeighted};
+pub use stats::{Histogram, Summary};
 pub use time::Nanos;
 pub use trace::{ChargeKind, TraceBuffer, TraceEvent, TraceEventKind, NO_CONTAINER};

@@ -1,13 +1,11 @@
 //! Statistics collectors used by the experiment harnesses.
 //!
-//! Three collectors cover everything the evaluation needs:
+//! Two collectors cover everything the evaluation needs:
 //!
 //! - [`Summary`]: running count/mean/min/max plus exact quantiles (it keeps
 //!   the samples; experiment sample counts are modest).
 //! - [`Histogram`]: log-bucketed latency histogram for cheap, allocation-free
 //!   accumulation on hot paths.
-//! - [`TimeWeighted`]: time-weighted average of a piecewise-constant signal
-//!   (e.g. queue depth, CPU share).
 
 use crate::time::Nanos;
 
@@ -91,17 +89,6 @@ impl Summary {
             scratch.select_nth_unstable_by(rank - 1, |a, b| a.partial_cmp(b).expect("NaN sample"));
         *v
     }
-
-    /// Returns the population standard deviation, or 0.0 with < 2 samples.
-    pub fn stddev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var =
-            self.samples.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / self.samples.len() as f64;
-        var.sqrt()
-    }
 }
 
 /// A log-bucketed histogram of durations.
@@ -180,104 +167,6 @@ impl Histogram {
     }
 }
 
-/// A time-weighted average of a piecewise-constant signal.
-///
-/// Call [`TimeWeighted::set`] whenever the signal changes; the collector
-/// integrates `value × dt` between updates.
-#[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    last_time: Nanos,
-    last_value: f64,
-    integral: f64,
-    start: Nanos,
-    started: bool,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        TimeWeighted {
-            last_time: Nanos::ZERO,
-            last_value: 0.0,
-            integral: 0.0,
-            start: Nanos::ZERO,
-            started: false,
-        }
-    }
-}
-
-impl TimeWeighted {
-    /// Creates a collector with an initial value of zero.
-    pub fn new() -> Self {
-        TimeWeighted::default()
-    }
-
-    /// Updates the signal to `value` at time `now`.
-    pub fn set(&mut self, now: Nanos, value: f64) {
-        if !self.started {
-            self.start = now;
-            self.started = true;
-        } else {
-            let dt = now.saturating_sub(self.last_time);
-            self.integral += self.last_value * dt.as_secs_f64();
-        }
-        self.last_time = now;
-        self.last_value = value;
-    }
-
-    /// Returns the time-weighted average over `[first set, now]`.
-    pub fn average(&self, now: Nanos) -> f64 {
-        if !self.started {
-            return 0.0;
-        }
-        let dt = now.saturating_sub(self.last_time);
-        let integral = self.integral + self.last_value * dt.as_secs_f64();
-        let span = now.saturating_sub(self.start).as_secs_f64();
-        if span <= 0.0 {
-            self.last_value
-        } else {
-            integral / span
-        }
-    }
-}
-
-/// A monotonically increasing event counter with a rate helper.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Counter {
-    n: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.n += 1;
-    }
-
-    /// Adds `k`.
-    pub fn add(&mut self, k: u64) {
-        self.n += k;
-    }
-
-    /// Returns the count.
-    pub fn get(self) -> u64 {
-        self.n
-    }
-
-    /// Returns the count divided by the elapsed time, in events/second.
-    pub fn rate_per_sec(self, elapsed: Nanos) -> f64 {
-        let s = elapsed.as_secs_f64();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.n as f64 / s
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,15 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_stddev() {
-        let mut s = Summary::new();
-        s.record(2.0);
-        assert_eq!(s.stddev(), 0.0);
-        s.record(4.0);
-        assert!((s.stddev() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn histogram_mean_and_max() {
         let mut h = Histogram::new();
         h.record(Nanos::from_micros(10));
@@ -357,30 +237,5 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.mean(), Nanos::ZERO);
         assert_eq!(h.quantile_upper_bound(0.5), Nanos::ZERO);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new();
-        tw.set(Nanos::from_secs(0), 1.0);
-        tw.set(Nanos::from_secs(1), 3.0);
-        // 1.0 for 1s, then 3.0 for 1s => average 2.0 at t=2s.
-        assert!((tw.average(Nanos::from_secs(2)) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_weighted_before_start() {
-        let tw = TimeWeighted::new();
-        assert_eq!(tw.average(Nanos::from_secs(1)), 0.0);
-    }
-
-    #[test]
-    fn counter_rate() {
-        let mut c = Counter::new();
-        c.add(500);
-        c.incr();
-        assert_eq!(c.get(), 501);
-        assert!((c.rate_per_sec(Nanos::from_millis(500)) - 1002.0).abs() < 1e-9);
-        assert_eq!(c.rate_per_sec(Nanos::ZERO), 0.0);
     }
 }

@@ -34,11 +34,9 @@ use crate::packet::Packet;
 /// ```
 #[derive(Clone, Debug)]
 pub struct PendingQueues<P: Ord + Copy> {
+    /// Only principals with at least one pending packet have an entry.
     queues: BTreeMap<P, VecDeque<Packet>>,
     capacity: usize,
-    dropped: u64,
-    drops_by_principal: BTreeMap<P, u64>,
-    queued: u64,
 }
 
 impl<P: Ord + Copy> PendingQueues<P> {
@@ -47,50 +45,30 @@ impl<P: Ord + Copy> PendingQueues<P> {
         PendingQueues {
             queues: BTreeMap::new(),
             capacity: capacity.max(1),
-            dropped: 0,
-            drops_by_principal: BTreeMap::new(),
-            queued: 0,
         }
     }
 
-    /// Appends a packet to `principal`'s queue. Returns `false` (and
-    /// counts an early drop against `principal`) if the queue is full.
+    /// Appends a packet to `principal`'s queue. Returns `false` (an early
+    /// drop, which the caller bills to `principal`) if the queue is full.
     pub fn push(&mut self, principal: P, packet: Packet) -> bool {
         let q = self.queues.entry(principal).or_default();
         if q.len() >= self.capacity {
-            self.dropped += 1;
-            *self.drops_by_principal.entry(principal).or_insert(0) += 1;
             return false;
         }
         q.push_back(packet);
-        self.queued += 1;
         true
     }
 
     /// Removes and returns the oldest packet of the highest-ranked
     /// principal, where rank is supplied by `priority` (higher value =
     /// served first). Ties go to the smaller principal key.
-    pub fn pop_highest(&mut self, mut priority: impl FnMut(P) -> u32) -> Option<(P, Packet)> {
-        let mut best: Option<(u32, P)> = None;
-        for (&p, q) in &self.queues {
-            if q.is_empty() {
-                continue;
-            }
-            let rank = priority(p);
-            let better = match best {
-                None => true,
-                Some((br, _)) => rank > br,
-            };
-            if better {
-                best = Some((rank, p));
-            }
+    pub fn pop_highest(&mut self, priority: impl FnMut(P) -> u32) -> Option<(P, Packet)> {
+        let p = self.peek_highest(priority)?;
+        let q = self.queues.get_mut(&p).expect("picked principal is queued");
+        let pkt = q.pop_front().expect("queued principal has a packet");
+        if q.is_empty() {
+            self.queues.remove(&p);
         }
-        let (_, p) = best?;
-        let pkt = self
-            .queues
-            .get_mut(&p)
-            .and_then(|q| q.pop_front())
-            .expect("picked principal has a packet");
         Some((p, pkt))
     }
 
@@ -98,16 +76,9 @@ impl<P: Ord + Copy> PendingQueues<P> {
     /// without removing anything.
     pub fn peek_highest(&self, mut priority: impl FnMut(P) -> u32) -> Option<P> {
         let mut best: Option<(u32, P)> = None;
-        for (&p, q) in &self.queues {
-            if q.is_empty() {
-                continue;
-            }
+        for &p in self.queues.keys() {
             let rank = priority(p);
-            let better = match best {
-                None => true,
-                Some((br, _)) => rank > br,
-            };
-            if better {
+            if best.is_none_or(|(br, _)| rank > br) {
                 best = Some((rank, p));
             }
         }
@@ -117,58 +88,12 @@ impl<P: Ord + Copy> PendingQueues<P> {
     /// Returns the principals that currently have pending packets, in key
     /// order.
     pub fn pending_principals(&self) -> Vec<P> {
-        self.queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&p, _)| p)
-            .collect()
-    }
-
-    /// Returns the number of pending packets for `principal`.
-    pub fn len_of(&self, principal: P) -> usize {
-        self.queues.get(&principal).map(|q| q.len()).unwrap_or(0)
-    }
-
-    /// Returns the total number of pending packets.
-    pub fn total_len(&self) -> usize {
-        self.queues.values().map(|q| q.len()).sum()
+        self.queues.keys().copied().collect()
     }
 
     /// Returns `true` if nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.total_len() == 0
-    }
-
-    /// Drops a principal's queue entirely (principal destroyed). Returns
-    /// the number of packets discarded.
-    pub fn remove_principal(&mut self, principal: P) -> usize {
-        self.queues.remove(&principal).map(|q| q.len()).unwrap_or(0)
-    }
-
-    /// Total packets dropped at classification time (queue full).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Packets dropped at classification time because `principal`'s own
-    /// queue was full — the charge record that makes the attacker-pays
-    /// invariant assertable: each early drop is billed to the principal
-    /// the packet classified to, never to whoever shares the interface.
-    pub fn dropped_of(&self, principal: P) -> u64 {
-        self.drops_by_principal
-            .get(&principal)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Per-principal early-drop counts, in key order.
-    pub fn drops_by_principal(&self) -> impl Iterator<Item = (P, u64)> + '_ {
-        self.drops_by_principal.iter().map(|(&p, &n)| (p, n))
-    }
-
-    /// Total packets ever queued successfully.
-    pub fn queued(&self) -> u64 {
-        self.queued
+        self.queues.is_empty()
     }
 }
 
@@ -230,41 +155,19 @@ mod tests {
         assert!(!q.push(1, pkt(3)));
         // Another principal still has room.
         assert!(q.push(2, pkt(4)));
-        assert_eq!(q.dropped(), 1);
-        assert_eq!(q.queued(), 3);
-        assert_eq!(q.len_of(1), 2);
-        assert_eq!(q.total_len(), 3);
+        assert_eq!(q.pending_principals(), vec![1, 2]);
     }
 
     #[test]
-    fn drops_are_counted_per_principal() {
-        let mut q: PendingQueues<u32> = PendingQueues::new(1);
-        // Principal 1 overflows twice, principal 2 once, principal 3 never.
-        assert!(q.push(1, pkt(1)));
-        assert!(!q.push(1, pkt(2)));
-        assert!(!q.push(1, pkt(3)));
-        assert!(q.push(2, pkt(4)));
-        assert!(!q.push(2, pkt(5)));
-        assert!(q.push(3, pkt(6)));
-        assert_eq!(q.dropped(), 3);
-        assert_eq!(q.dropped_of(1), 2);
-        assert_eq!(q.dropped_of(2), 1);
-        assert_eq!(q.dropped_of(3), 0);
-        assert_eq!(q.dropped_of(99), 0);
-        let per: Vec<(u32, u64)> = q.drops_by_principal().collect();
-        assert_eq!(per, vec![(1, 2), (2, 1)]);
-        // The global counter is exactly the per-principal sum.
-        assert_eq!(q.dropped(), per.iter().map(|(_, n)| n).sum::<u64>());
-    }
-
-    #[test]
-    fn remove_principal_discards() {
+    fn emptied_principal_leaves_the_map() {
         let mut q: PendingQueues<u32> = PendingQueues::new(10);
         q.push(1, pkt(1));
-        q.push(1, pkt(2));
-        assert_eq!(q.remove_principal(1), 2);
+        q.push(2, pkt(2));
+        assert_eq!(q.pop_highest(|p| p).unwrap().0, 2);
+        assert_eq!(q.pending_principals(), vec![1]);
+        assert_eq!(q.pop_highest(|p| p).unwrap().0, 1);
         assert!(q.is_empty());
-        assert_eq!(q.remove_principal(1), 0);
+        assert_eq!(q.peek_highest(|p| p), None);
     }
 
     #[test]

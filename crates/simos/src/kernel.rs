@@ -306,8 +306,6 @@ enum KernelEvent {
 struct DiskWaiter {
     task: TaskId,
     tag: u64,
-    /// Insert the file into the buffer cache on completion.
-    cache: bool,
     /// Request span waiting on this read (`0` = none).
     span: u64,
 }
@@ -382,14 +380,17 @@ pub struct Kernel {
     pending: IdSlab<Pid, PendingQueues<ContainerId>>,
     kthreads: IdSlab<Pid, TaskId>,
     sock_owner: SockTable<Socket, Pid>,
-    /// Socket-buffer memory charged per connection (released on close).
-    sockbuf_charges: SockTable<Socket, (ContainerId, u64)>,
-    /// Protocol-control-block memory charged per connection when the
-    /// memory subsystem is configured (class `ConnState`).
-    pcb_charges: SockTable<Socket, (ContainerId, u64)>,
-    /// Kernel-stack memory charged per thread when the memory subsystem
-    /// is configured (class `ThreadStack`), released at thread exit.
-    stack_charges: IdSlab<TaskId, (ContainerId, u64)>,
+    /// The container charged `SOCKBUF_BYTES` of socket-buffer memory per
+    /// connection (released on close).
+    sockbuf_charges: SockTable<Socket, ContainerId>,
+    /// The container charged `mem::PCB_BYTES` of protocol-control-block
+    /// memory per connection when the memory subsystem is configured
+    /// (class `ConnState`).
+    pcb_charges: SockTable<Socket, ContainerId>,
+    /// The container charged `mem::STACK_BYTES` of kernel stack per thread
+    /// when the memory subsystem is configured (class `ThreadStack`),
+    /// released at thread exit.
+    stack_charges: IdSlab<TaskId, ContainerId>,
     /// Pinned memory reserved via `kmem_reserve` per process (class
     /// `Other`), released explicitly, at exit, or by an OOM kill.
     kmem_charges: IdSlab<Pid, (ContainerId, u64)>,
@@ -815,7 +816,7 @@ impl Kernel {
                 if self.cpus[cpu].clock != min_clock {
                     continue;
                 }
-                match self.step_cpu(cpu, until, world) {
+                match self.step_cpu(cpu, until) {
                     StepOutcome::Progress => continue 'outer,
                     StepOutcome::Idle(t) => {
                         idle_cpus += 1;
@@ -866,7 +867,7 @@ impl Kernel {
     /// One scheduling step on `cpu`, whose clock sits at the frontier:
     /// pay overhead debt, else run the picked thread, else report when the
     /// CPU could next have work.
-    fn step_cpu(&mut self, cpu: usize, until: Nanos, world: &mut dyn World) -> StepOutcome {
+    fn step_cpu(&mut self, cpu: usize, until: Nanos) -> StepOutcome {
         let now = self.cpus[cpu].clock;
         // Pay interrupt / overhead debt ahead of scheduled work.
         if !self.cpus[cpu].overhead_deficit.is_zero() {
@@ -973,7 +974,7 @@ impl Kernel {
                     .map(|t| t.remaining.is_zero())
                     .unwrap_or(false);
                 if finished {
-                    self.complete_item(pick.task, world);
+                    self.complete_item(pick.task);
                 } else if span.id != 0 {
                     // Preempted mid-item: the request is back to waiting
                     // for the CPU.
@@ -1300,15 +1301,8 @@ impl Kernel {
             &self.containers,
             self.clock,
         );
-        self.disk_waiters.insert(
-            req,
-            DiskWaiter {
-                task,
-                tag,
-                cache: true,
-                span,
-            },
-        );
+        self.disk_waiters
+            .insert(req, DiskWaiter { task, tag, span });
         self.arm_disk_tick();
     }
 
@@ -1325,7 +1319,7 @@ impl Kernel {
             let Some(w) = self.disk_waiters.remove(&c.req) else {
                 continue;
             };
-            if c.ok && w.cache && self.containers.contains(c.charge_to) {
+            if c.ok && self.containers.contains(c.charge_to) {
                 if let Some(acct) = self.mem.as_mut() {
                     let _ = mem::cache_insert_accounted(
                         &mut self.disk_cache,
@@ -1813,11 +1807,10 @@ impl Kernel {
                         // OOM when the memory subsystem is configured).
                         let mut ok = self.charge_kernel_mem(c, MemClass::SockBuf, SOCKBUF_BYTES);
                         if ok {
-                            self.sockbuf_charges.insert(conn, (c, SOCKBUF_BYTES));
-                            let pcb = self.mem.as_ref().map_or(0, |m| m.params.pcb_bytes);
-                            if pcb > 0 {
-                                if self.charge_kernel_mem(c, MemClass::ConnState, pcb) {
-                                    self.pcb_charges.insert(conn, (c, pcb));
+                            self.sockbuf_charges.insert(conn, c);
+                            if self.mem.is_some() {
+                                if self.charge_kernel_mem(c, MemClass::ConnState, mem::PCB_BYTES) {
+                                    self.pcb_charges.insert(conn, c);
                                 } else {
                                     ok = false;
                                 }
@@ -2035,7 +2028,7 @@ impl Kernel {
     // Work-item completion
     // ------------------------------------------------------------------
 
-    fn complete_item(&mut self, task: TaskId, world: &mut dyn World) {
+    fn complete_item(&mut self, task: TaskId) {
         let Some(th) = self.threads.get_mut(task) else {
             return;
         };
@@ -2123,7 +2116,7 @@ impl Kernel {
                     self.block_or_defer(task, WaitFor::Writable(sock));
                 }
             }
-            Op::CloseSock { sock } => self.close_conn(sock),
+            Op::CloseSock { sock } => self.close_sock(sock),
             Op::Block(wait) => {
                 self.resume_waits.remove(task);
                 self.block_or_defer(task, wait);
@@ -2164,7 +2157,6 @@ impl Kernel {
                 }
             }
         }
-        let _ = world;
     }
 
     /// Whether `s` has unread data, an EOF, or an acceptable connection.
@@ -2247,29 +2239,8 @@ impl Kernel {
         let Some(mut p) = self.processes.remove(pid) else {
             return;
         };
-        // Close all sockets. A listener first closes the connections still
-        // queued on it, so their container bindings are released.
         for sock in std::mem::take(&mut p.sockets) {
-            let listener = self
-                .stack
-                .socket(sock)
-                .is_some_and(|s| matches!(s.kind, simnet::SocketKind::Listen(_)));
-            if !listener {
-                self.close_conn(sock);
-                continue;
-            }
-            while let Some(conn) = self.stack.accept(sock) {
-                self.close_conn(conn);
-            }
-            let bound = self.stack.container_of(sock);
-            let tx_owner = self.tx_principal(sock);
-            for rst in self.stack.close_listen(sock) {
-                self.transmit_from(rst, tx_owner);
-            }
-            if let Some(c) = bound {
-                let _ = self.containers.unbind_socket(c);
-            }
-            self.sock_owner.remove(sock);
+            self.close_sock(sock);
         }
         // Release container descriptors; then the default container.
         p.containers.close_all(&mut self.containers);
@@ -2290,6 +2261,42 @@ impl Kernel {
         self.handlers.remove(pid);
     }
 
+    /// Graceful close of socket `sock`: a connection goes through
+    /// `close_conn`; a listener first closes the connections still queued
+    /// on it, so their container bindings are released, then leaves the
+    /// stack, drops its container binding and is forgotten by its owner.
+    fn close_sock(&mut self, sock: SockId) {
+        let listener = self
+            .stack
+            .socket(sock)
+            .is_some_and(|s| matches!(s.kind, simnet::SocketKind::Listen(_)));
+        if !listener {
+            self.close_conn(sock);
+            return;
+        }
+        while let Some(conn) = self.stack.accept(sock) {
+            self.close_conn(conn);
+        }
+        let bound = self.stack.container_of(sock);
+        let tx_owner = self.tx_principal(sock);
+        for rst in self.stack.close_listen(sock) {
+            self.transmit_from(rst, tx_owner);
+        }
+        if let Some(c) = bound {
+            let _ = self.containers.unbind_socket(c);
+        }
+        self.forget_owner(sock);
+    }
+
+    /// Removes `sock` from its owning process's socket list.
+    fn forget_owner(&mut self, sock: SockId) -> Option<Pid> {
+        let owner = self.sock_owner.remove(sock)?;
+        if let Some(p) = self.processes.get_mut(owner) {
+            p.forget_socket(sock);
+        }
+        Some(owner)
+    }
+
     /// Graceful close of connection `sock`: finishes its open span,
     /// releases its buffers, sends the FIN (its wire time is still the
     /// closer's, so the principal is captured before the close frees the
@@ -2306,11 +2313,7 @@ impl Kernel {
         if let Some(c) = bound {
             let _ = self.containers.unbind_socket(c);
         }
-        if let Some(owner) = self.sock_owner.remove(sock) {
-            if let Some(p) = self.processes.get_mut(owner) {
-                p.forget_socket(sock);
-            }
-        }
+        self.forget_owner(sock);
     }
 
     /// Abortive reset of connection `conn` by the kernel (an OOM kill, or
@@ -2328,26 +2331,22 @@ impl Kernel {
             rst.kind = simnet::PacketKind::Rst;
             self.transmit_from(rst, tx_owner);
         }
-        let owner = self.sock_owner.remove(conn)?;
-        if let Some(p) = self.processes.get_mut(owner) {
-            p.forget_socket(conn);
-        }
-        Some(owner)
+        self.forget_owner(conn)
     }
 
     /// Releases the socket-buffer and protocol-state memory charged to a
     /// connection, if any.
     fn release_sockbuf(&mut self, sock: SockId) {
-        if let Some((c, bytes)) = self.sockbuf_charges.remove(sock) {
+        if let Some(c) = self.sockbuf_charges.remove(sock) {
             let _ = self
                 .containers
-                .release_mem_class(c, MemClass::SockBuf, bytes);
+                .release_mem_class(c, MemClass::SockBuf, SOCKBUF_BYTES);
             if let Some(acct) = self.mem.as_mut() {
-                acct.note_release(MemClass::SockBuf, bytes);
+                acct.note_release(MemClass::SockBuf, SOCKBUF_BYTES);
             }
         }
-        if let Some((c, bytes)) = self.pcb_charges.remove(sock) {
-            self.release_kernel_mem(c, MemClass::ConnState, bytes);
+        if let Some(c) = self.pcb_charges.remove(sock) {
+            self.release_kernel_mem(c, MemClass::ConnState, mem::PCB_BYTES);
         }
     }
 
@@ -2422,14 +2421,11 @@ impl Kernel {
     /// the memory subsystem is off). Returns `false` on refusal; on
     /// success the charge is remembered for release at thread exit.
     fn charge_thread_stack(&mut self, tid: TaskId, c: ContainerId) -> bool {
-        let Some(bytes) = self.mem.as_ref().map(|m| m.params.stack_bytes) else {
-            return true;
-        };
-        if bytes == 0 {
+        if self.mem.is_none() {
             return true;
         }
-        if self.charge_kernel_mem(c, MemClass::ThreadStack, bytes) {
-            self.stack_charges.insert(tid, (c, bytes));
+        if self.charge_kernel_mem(c, MemClass::ThreadStack, mem::STACK_BYTES) {
+            self.stack_charges.insert(tid, c);
             true
         } else {
             false
@@ -2437,8 +2433,8 @@ impl Kernel {
     }
 
     fn release_thread_stack(&mut self, tid: TaskId) {
-        if let Some((c, bytes)) = self.stack_charges.remove(tid) {
-            self.release_kernel_mem(c, MemClass::ThreadStack, bytes);
+        if let Some(c) = self.stack_charges.remove(tid) {
+            self.release_kernel_mem(c, MemClass::ThreadStack, mem::STACK_BYTES);
         }
     }
 
@@ -2525,7 +2521,7 @@ impl Kernel {
         let mut conns: Vec<SockId> = self
             .sockbuf_charges
             .iter()
-            .filter(|&(_, &(c, _))| c == victim_id)
+            .filter(|&(_, &c)| c == victim_id)
             .map(|(s, _)| s)
             .collect();
         conns.sort();

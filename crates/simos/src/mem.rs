@@ -10,8 +10,8 @@
 //! The accountant adds two behaviours on top of the hierarchy limits that
 //! [`ContainerTable`] already enforces:
 //!
-//! - **Reclaim.** When a charge would push a subtree over its `mem_limit`
-//!   (or the kernel over its global budget), the accountant first steals
+//! - **Reclaim.** When a charge would push a subtree over its `mem_limit`,
+//!   the accountant first steals
 //!   reclaimable memory — LRU buffer-cache pages owned by the violating
 //!   subtree — before refusing. Every steal is traced as a `Reclaim` event
 //!   charged against the over-limit subtree.
@@ -38,18 +38,17 @@ use simcore::Nanos;
 use simdisk::{BufferCache, CacheOutcome};
 use std::collections::HashSet;
 
+/// Bytes charged per thread for its kernel stack (class
+/// [`MemClass::ThreadStack`]), released when the thread exits.
+pub const STACK_BYTES: u64 = 16 * 1024;
+
+/// Bytes of protocol control block charged per established connection
+/// (class [`MemClass::ConnState`]), on top of the socket buffer.
+pub const PCB_BYTES: u64 = 1024;
+
 /// Static parameters of the kernel memory subsystem.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MemParams {
-    /// Bytes charged per thread for its kernel stack (class
-    /// [`MemClass::ThreadStack`]), released when the thread exits.
-    pub stack_bytes: u64,
-    /// Bytes of protocol control block charged per established connection
-    /// (class [`MemClass::ConnState`]), on top of the socket buffer.
-    pub pcb_bytes: u64,
-    /// Optional kernel-wide budget for *pinned* (non-cache) memory. When a
-    /// charge would exceed it, cache pages are stolen globally first.
-    pub global_budget: Option<u64>,
     /// Kernel CPU cost per reclaimed byte, modelling the page-steal work
     /// the allocating thread performs synchronously. Zero (the default)
     /// keeps reclaim instantaneous — and every existing run
@@ -60,21 +59,8 @@ pub struct MemParams {
 impl MemParams {
     pub fn new() -> Self {
         MemParams {
-            stack_bytes: 16 * 1024,
-            pcb_bytes: 1024,
-            global_budget: None,
             reclaim_cost_per_kb: Nanos::ZERO,
         }
-    }
-
-    pub fn with_pcb_bytes(mut self, bytes: u64) -> Self {
-        self.pcb_bytes = bytes;
-        self
-    }
-
-    pub fn with_global_budget(mut self, bytes: u64) -> Self {
-        self.global_budget = Some(bytes);
-        self
     }
 
     pub fn with_reclaim_cost_per_kb(mut self, cost: Nanos) -> Self {
@@ -92,7 +78,8 @@ impl Default for MemParams {
 /// Why a hard allocation could not be satisfied even after reclaim.
 ///
 /// `refusing` is the raw key of the container whose limit was hit, or
-/// [`NO_CONTAINER`] when the kernel-wide budget was the binding constraint.
+/// [`NO_CONTAINER`] when the charge failed for another reason (such as a
+/// dead container).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemFailure {
     pub refusing: u64,
@@ -224,8 +211,7 @@ fn subtree_members(table: &ContainerTable, root_key: u64) -> HashSet<u64> {
 }
 
 /// Charge `bytes` of `class` memory to container `c`, stealing reclaimable
-/// cache pages from the violating subtree (or, for the global budget, from
-/// anywhere) until the charge fits. On success the table and the accountant
+/// cache pages from the violating subtree until the charge fits. On success the table and the accountant
 /// are both updated. On failure nothing is charged and the returned
 /// [`MemFailure`] names the binding constraint; a `MemRefused` trace event
 /// records the refused attempt.
@@ -237,27 +223,6 @@ pub fn charge_with_reclaim(
     class: MemClass,
     bytes: u64,
 ) -> Result<(), MemFailure> {
-    // Kernel-wide budget: pinned charges must fit under it; clean cache
-    // pages are the slack that gets squeezed out first.
-    if let Some(budget) = acct.params.global_budget {
-        while acct.total.saturating_add(bytes) > budget {
-            if reclaim_step(table, cache, acct, NO_CONTAINER, |_| true).is_none() {
-                let fail = MemFailure {
-                    refusing: NO_CONTAINER,
-                    limit: budget,
-                    used: acct.total,
-                };
-                trace::emit(|| TraceEventKind::MemRefused {
-                    container: c.as_u64(),
-                    refusing: NO_CONTAINER,
-                    limit: budget,
-                    used: acct.total,
-                    wanted: bytes,
-                });
-                return Err(fail);
-            }
-        }
-    }
     // Hierarchy limits: steal LRU pages owned by the violating subtree.
     // Re-check after every steal — the binding ancestor can change as its
     // subtree shrinks.
@@ -446,29 +411,6 @@ mod tests {
         assert_eq!(err.limit, 1000);
         assert_eq!(t.usage(c).unwrap().mem_bytes, 0);
         assert_eq!(acct.total(), 0);
-    }
-
-    #[test]
-    fn global_budget_squeezes_cache_then_refuses() {
-        let mut t = ContainerTable::new();
-        let mut cache = BufferCache::new(1 << 20);
-        let mut acct = MemAccountant::new(MemParams::new().with_global_budget(1000));
-        let c = t.create(None, Attributes::time_shared(1)).unwrap();
-        assert!(matches!(
-            cache.insert(1, 600, c, &mut t),
-            CacheOutcome::Cached
-        ));
-        acct.note_charge(MemClass::CachePage, 600);
-        // 900 pinned bytes fit only after the 600-byte page is stolen.
-        charge_with_reclaim(&mut t, &mut cache, &mut acct, c, MemClass::Other, 900).unwrap();
-        assert_eq!(acct.total(), 900);
-        assert_eq!(acct.reclaims, 1);
-        // Nothing left to squeeze: the next pinned charge is refused.
-        let err = charge_with_reclaim(&mut t, &mut cache, &mut acct, c, MemClass::Other, 200)
-            .unwrap_err();
-        assert_eq!(err.refusing, NO_CONTAINER);
-        assert_eq!(err.limit, 1000);
-        assert_eq!(acct.total(), 900);
     }
 
     #[test]

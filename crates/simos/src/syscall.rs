@@ -15,11 +15,11 @@ use sched::TaskId;
 use simcore::span::{self, Phase};
 use simcore::trace::{self, TraceEventKind, NO_CONTAINER};
 use simcore::{Nanos, SpanRef};
-use simnet::{CidrFilter, QdiscKind, SockId};
+use simnet::{CidrFilter, SockId};
 
 use crate::app::AppHandler;
 use crate::ids::Pid;
-use crate::kernel::{DiskSchedKind, Kernel, SchedPolicyKind};
+use crate::kernel::Kernel;
 use crate::thread::{Op, WaitFor, WorkItem};
 
 /// Errors returned by data-plane socket syscalls (`send`, `read`,
@@ -31,9 +31,8 @@ pub enum SysError {
     /// Unknown, closed, or wrong-kind socket.
     BadSocket,
     /// A kernel memory reservation could not be satisfied: the requesting
-    /// container's subtree is over its `mem_limit` (or the global budget
-    /// is exhausted) and reclaim plus container-targeted OOM freed too
-    /// little (§4.4). Only returned when the kernel was built with
+    /// container's subtree is over its `mem_limit` and reclaim plus
+    /// container-targeted OOM freed too little (§4.4). Only returned when the kernel was built with
     /// [`crate::MemParams`].
     NoMem,
 }
@@ -304,7 +303,9 @@ impl<'a> SysCtx<'a> {
         self.k.link_configured()
     }
 
-    /// Closes a connection after all previously queued work completes.
+    /// Closes a connection or a listener after all previously queued work
+    /// completes. Closing a listener also closes the connections still
+    /// queued on it.
     ///
     /// # Errors
     ///
@@ -729,40 +730,6 @@ impl<'a> SysCtx<'a> {
         self.charge(cost);
         let id = self.resolve_fd(fd)?;
         self.k.containers.usage(id)
-    }
-
-    // ------------------------------------------------------------------
-    // Policy plane (rcpolicy): mid-run scheduler swaps
-    // ------------------------------------------------------------------
-
-    /// Hot-swaps the CPU scheduling policy
-    /// ([`Kernel::set_cpu_policy`]). Control-plane: takes effect
-    /// immediately; in-flight state is drained through a policy-neutral
-    /// snapshot. Returns the detached policy's name.
-    pub fn set_cpu_policy(&mut self, kind: SchedPolicyKind) -> &'static str {
-        self.trace_sys("set_cpu_policy");
-        let cost = self.k.cost_model().rc_attrs;
-        self.charge(cost);
-        self.k.set_cpu_policy(kind)
-    }
-
-    /// Hot-swaps the disk request-ordering policy
-    /// ([`Kernel::set_disk_policy`]). Returns the detached policy's name.
-    pub fn set_disk_policy(&mut self, kind: DiskSchedKind) -> &'static str {
-        self.trace_sys("set_disk_policy");
-        let cost = self.k.cost_model().rc_attrs;
-        self.charge(cost);
-        self.k.set_disk_policy(kind)
-    }
-
-    /// Hot-swaps the link queueing discipline
-    /// ([`Kernel::set_link_policy`]). Returns the detached policy's name,
-    /// or `None` when no finite link is configured.
-    pub fn set_link_policy(&mut self, qdisc: QdiscKind) -> Option<&'static str> {
-        self.trace_sys("set_link_policy");
-        let cost = self.k.cost_model().rc_attrs;
-        self.charge(cost);
-        self.k.set_link_policy(qdisc)
     }
 
     /// Sets the calling thread's resource binding (§4.6 "Binding a thread

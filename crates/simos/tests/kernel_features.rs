@@ -128,6 +128,61 @@ fn socket_buffer_memory_limit_refuses_excess_connections() {
     k.containers.check_invariants();
 }
 
+/// Closing a listener takes it out of the stack: a later SYN for its
+/// port finds no listener, so no handshake starts and nothing is queued
+/// for a socket that no process owns.
+#[test]
+fn closed_listener_leaves_the_stack() {
+    /// Listens, closes the listener at once, then sleeps.
+    struct CloseListener(Rc<RefCell<Option<SockId>>>);
+    impl AppHandler for CloseListener {
+        fn on_event(&mut self, sys: &mut SysCtx<'_>, _t: TaskId, ev: AppEvent) {
+            if let AppEvent::Start = ev {
+                let l = sys.listen(ListenSpec::port(80));
+                sys.close(l).expect("a live listener closes");
+                *self.0.borrow_mut() = Some(l);
+                sys.sleep_until(Nanos::MAX, 0);
+            }
+        }
+    }
+    /// One client SYN at its timer; counts the SYN-ACKs that come back.
+    struct OneSyn(u32);
+    impl World for OneSyn {
+        fn on_packet(&mut self, pkt: Packet, _n: Nanos, _a: &mut Vec<WorldAction>) {
+            if pkt.kind == PacketKind::SynAck {
+                self.0 += 1;
+            }
+        }
+        fn on_timer(&mut self, _tag: u64, _n: Nanos, a: &mut Vec<WorldAction>) {
+            a.push(WorldAction::SendPacket {
+                pkt: Packet::new(
+                    FlowKey::new(IpAddr::new(10, 0, 0, 1), 2000, 80),
+                    PacketKind::Syn,
+                ),
+                delay: Nanos::ZERO,
+            });
+        }
+    }
+    let listener = Rc::new(RefCell::new(None));
+    let mut k = Kernel::new(KernelConfig::unmodified());
+    k.spawn_process(
+        Box::new(CloseListener(listener.clone())),
+        "srv",
+        None,
+        Attributes::time_shared(10),
+        None,
+    );
+    k.arm_world_timer(0, Nanos::from_millis(1));
+    let mut world = OneSyn(0);
+    k.run(&mut world, Nanos::from_millis(10));
+    let listener = listener.borrow().expect("server started");
+    assert!(
+        k.stack.socket(listener).is_none(),
+        "closed listener still in the stack"
+    );
+    assert_eq!(world.0, 0, "a closed listener answered a SYN");
+}
+
 #[test]
 fn process_exit_releases_all_kernel_state() {
     /// Starts, listens, then exits immediately.

@@ -15,11 +15,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 const SOCKBUF: u64 = simos::kernel::SOCKBUF_BYTES;
-const PCB: u64 = 1024;
+const PCB: u64 = simos::mem::PCB_BYTES;
 const N_CONNS: u64 = 3;
 
 fn mem_kernel() -> Kernel {
-    Kernel::new(KernelConfig::resource_containers().with_mem(MemParams::new().with_pcb_bytes(PCB)))
+    Kernel::new(KernelConfig::resource_containers().with_mem(MemParams::new()))
 }
 
 fn conn_bytes(k: &Kernel) -> (u64, u64) {
@@ -182,7 +182,10 @@ fn process_exit_releases_connections_and_stacks() {
     assert_eq!(*accepted.borrow(), N_CONNS);
     assert_eq!(conn_bytes(&k), (N_CONNS * SOCKBUF, N_CONNS * PCB));
     let stacks = k.mem_acct().unwrap().class_bytes(MemClass::ThreadStack);
-    assert!(stacks > 0, "live threads must hold charged stacks");
+    assert!(
+        stacks > 0 && stacks % simos::mem::STACK_BYTES == 0,
+        "live threads must hold whole charged stacks: {stacks}"
+    );
     // The server exits at 10 ms with all three connections open.
     k.run(&mut Clients, Nanos::from_millis(50));
     assert_eq!(conn_bytes(&k), (0, 0), "exit leaked connection memory");

@@ -41,23 +41,25 @@ use crate::clients::{ClientSpec, HttpClients};
 
 /// Default WRR weight for an active replica.
 const BASE_WEIGHT: u32 = 10;
+/// Target global CPU fraction per tenant.
+const SHARES: [f64; 2] = [0.7, 0.3];
+/// How many nodes each tenant's servers start on (nodes `0..k`), capped
+/// at the node count: gold everywhere, bronze on two nodes.
+const INITIAL_REPLICAS: [usize; 2] = [usize::MAX, 2];
+/// Worker threads per server replica.
+const POOL_SIZE: u32 = 8;
+/// Control epoch: share rebalance and orchestrator cadence.
+const EPOCH: Nanos = Nanos::from_secs(1);
+/// Proportional gain of the global share balancer.
+const GAIN: f64 = 0.8;
 
 /// Parameters of the cluster tenant experiment.
 #[derive(Clone, Debug)]
 pub struct ClusterTenantsParams {
-    /// Number of backend kernel nodes.
+    /// Number of single-CPU backend kernel nodes.
     pub nodes: u32,
-    /// CPUs per backend node.
-    pub ncpus_per_node: u32,
-    /// Target global CPU fraction per tenant (summing to at most 1).
-    pub shares: Vec<f64>,
-    /// How many nodes each tenant's servers start on (nodes `0..k`);
-    /// capped at `nodes`.
-    pub initial_replicas: Vec<usize>,
     /// Closed-loop clients per tenant (hosted at the frontend).
     pub clients_per_tenant: usize,
-    /// Worker threads per server replica.
-    pub pool_size: u32,
     /// CPU burned parsing/handling each request.
     pub parse_cost: Nanos,
     /// Client idle time between a response and the next connection
@@ -69,12 +71,8 @@ pub struct ClusterTenantsParams {
     pub backoff: Nanos,
     /// Simulated run length.
     pub secs: u64,
-    /// Control epoch: share rebalance and orchestrator cadence.
-    pub epoch: Nanos,
     /// Final measurement window (the last `measure_secs` of the run).
     pub measure_secs: u64,
-    /// Proportional gain of the global share balancer.
-    pub gain: f64,
     /// Run the control loops; `false` = drift baseline (static shares,
     /// no placement).
     pub rebalance: bool,
@@ -87,19 +85,13 @@ impl Default for ClusterTenantsParams {
     fn default() -> Self {
         ClusterTenantsParams {
             nodes: 8,
-            ncpus_per_node: 1,
-            shares: vec![0.7, 0.3],
-            initial_replicas: vec![usize::MAX, 2],
             clients_per_tenant: 50_000,
-            pool_size: 8,
             parse_cost: Nanos::from_micros(200),
             think: Nanos::from_secs(1),
             timeout: Nanos::from_secs(1),
             backoff: Nanos::from_millis(100),
             secs: 20,
-            epoch: Nanos::from_secs(1),
             measure_secs: 5,
-            gain: 0.8,
             rebalance: true,
             lane: LaneSpec::new(Nanos::from_micros(200), 10_000_000_000),
         }
@@ -224,7 +216,7 @@ fn spawn_replica(
     k.spawn_process(
         Box::new(ThreadPoolServer::new(
             8000 + t as u16,
-            params.pool_size,
+            POOL_SIZE,
             params.parse_cost,
             1024,
             false,
@@ -256,49 +248,31 @@ fn run_cluster_tenants_inner(
     params: ClusterTenantsParams,
     trace: Option<rctrace::TraceConfig>,
 ) -> (ClusterTenantsResult, Vec<(String, rctrace::TraceSession)>) {
-    let nt = params.shares.len();
-    assert!(nt >= 1, "need at least one tenant");
-    assert!(nt <= 200, "tenant address blocks are /8s above 20.0.0.0");
+    let nt = SHARES.len();
     let nodes = params.nodes.max(1);
     let end = Nanos::from_secs(params.secs.max(4));
     let measure_start = end.saturating_sub(Nanos::from_secs(params.measure_secs.max(1)));
-    let epoch = if params.epoch.is_zero() {
-        Nanos::from_secs(1)
-    } else {
-        params.epoch
-    };
-    let share_sum: f64 = params.shares.iter().sum();
-    let configured: Vec<f64> = params.shares.iter().map(|s| s / share_sum).collect();
+    let share_sum: f64 = SHARES.iter().sum();
+    let configured: Vec<f64> = SHARES.iter().map(|s| s / share_sum).collect();
 
     // Initial layout: tenant t's servers on nodes 0..k.
-    let initial: Vec<usize> = (0..nt)
-        .map(|t| {
-            params
-                .initial_replicas
-                .get(t)
-                .copied()
-                .unwrap_or(usize::MAX)
-                .clamp(1, nodes as usize)
-        })
+    let initial: Vec<usize> = INITIAL_REPLICAS
+        .iter()
+        .map(|&replicas| replicas.clamp(1, nodes as usize))
         .collect();
 
     // Backend nodes: identical resource-container kernels. Backends own
     // no foreign prefixes — the frontend owns the whole client space, so
     // every server reply egresses over the lanes back to it.
     let specs: Vec<NodeSpec> = (0..nodes)
-        .map(|n| {
-            NodeSpec::new(
-                format!("node{n}"),
-                KernelConfig::resource_containers().with_ncpus(params.ncpus_per_node.max(1)),
-            )
-        })
+        .map(|n| NodeSpec::new(format!("node{n}"), KernelConfig::resource_containers()))
         .collect();
 
     // Closed-loop non-persistent clients, one address block per tenant,
     // start times spread over the first second so the connection storm
     // ramps instead of spiking.
     let mut client_specs = Vec::with_capacity(nt * params.clients_per_tenant);
-    for (t, _) in params.shares.iter().enumerate() {
+    for t in 0..nt {
         let n = params.clients_per_tenant.max(1);
         for i in 0..n {
             let start = Nanos::from_micros(10)
@@ -337,7 +311,7 @@ fn run_cluster_tenants_inner(
     }
     for (t, &replicas) in initial.iter().enumerate() {
         for n in 0..replicas as u32 {
-            spawn_replica(&mut world, t, NodeId(n), params.shares[t], &params);
+            spawn_replica(&mut world, t, NodeId(n), SHARES[t], &params);
         }
     }
 
@@ -348,7 +322,7 @@ fn run_cluster_tenants_inner(
                 target: configured[t],
             })
             .collect(),
-        params.gain,
+        GAIN,
     );
     let targets = shares.targets();
     let mut orch = Orchestrator::new(
@@ -358,7 +332,6 @@ fn run_cluster_tenants_inner(
             .collect(),
     );
 
-    let ncpus = params.ncpus_per_node.max(1) as f64;
     let mut prev_busy = vec![Nanos::ZERO; nodes as usize];
     let mut prev_at = Nanos::ZERO;
     let mut window_cpu0: Vec<Nanos> = vec![Nanos::ZERO; nt];
@@ -368,7 +341,7 @@ fn run_cluster_tenants_inner(
 
     let mut now = Nanos::ZERO;
     while now < end {
-        let next = (now + epoch).min(end).min(if now < measure_start {
+        let next = (now + EPOCH).min(end).min(if now < measure_start {
             measure_start
         } else {
             end
@@ -391,7 +364,7 @@ fn run_cluster_tenants_inner(
         for (n, b) in busy.iter_mut().enumerate() {
             let s = world.kernel(NodeId(n as u32)).stats();
             let used = s.charged_cpu + s.interrupt_cpu + s.overhead_cpu;
-            *b = used.saturating_sub(prev_busy[n]).as_secs_f64() / (dt * ncpus).max(1e-9);
+            *b = used.saturating_sub(prev_busy[n]).as_secs_f64() / dt.max(1e-9);
             prev_busy[n] = used;
         }
 

@@ -3,7 +3,7 @@
 //! The paper's prototype charges CPU to resource containers; §7 argues the
 //! same abstraction covers "other system resources, such as disk
 //! bandwidth". This experiment demonstrates it on the simulated disk: two
-//! tenants with fixed shares (default 0.7 / 0.3) run disk-bound web
+//! tenants with fixed shares (0.7 / 0.3) run disk-bound web
 //! servers — a *hog* streaming large files and a *victim* serving small
 //! ones, both sweeping document sets too large to cache — and we measure
 //! how the disk's busy time divides between them.
@@ -20,30 +20,28 @@ use rescon::{Attributes, ContainerId};
 use simcore::Nanos;
 use simos::{DiskSchedKind, Kernel, KernelConfig};
 
-use super::tenant_client;
-use crate::clients::{ClientSpec, HttpClients};
+use super::{tenant_client, Window};
+use crate::clients::ClientSpec;
+
+/// Fixed disk/CPU shares of [hog, victim].
+const SHARES: [f64; 2] = [0.7, 0.3];
+/// Closed-loop clients driving the victim tenant.
+const VICTIM_CLIENTS: usize = 8;
+/// File sizes in KiB of [hog, victim]: large sequential reads against
+/// small files.
+const FILE_KIB: [u64; 2] = [64, 4];
+/// Documents each client of [hog, victim] sweeps. The hog's are never
+/// cached; the victim's are sized to defeat the cache, giving the steady
+/// miss rate of a tenant whose working set does not quite fit.
+const DOCS: [u32; 2] = [4096, 1024];
+/// Buffer-cache capacity in bytes.
+const CACHE_BYTES: u64 = 2 * 1024 * 1024;
 
 /// Parameters of the two-tenant disk experiment.
 #[derive(Clone, Debug)]
 pub struct DiskTenantsParams {
-    /// Fixed disk/CPU shares of (hog, victim).
-    pub shares: (f64, f64),
     /// Closed-loop clients driving the hog tenant (the swept variable).
     pub hog_clients: usize,
-    /// Closed-loop clients driving the victim tenant.
-    pub victim_clients: usize,
-    /// Hog file size in KiB (large sequential reads).
-    pub hog_file_kib: u64,
-    /// Victim file size in KiB (small files).
-    pub victim_file_kib: u64,
-    /// Documents each hog client sweeps (large → never cached).
-    pub hog_docs: u32,
-    /// Documents each victim client sweeps (sized to defeat the cache,
-    /// giving the steady miss rate of a tenant whose working set does not
-    /// quite fit).
-    pub victim_docs: u32,
-    /// Buffer-cache capacity in bytes.
-    pub cache_bytes: u64,
     /// I/O scheduler under test.
     pub sched: DiskSchedKind,
     /// Simulated run length.
@@ -53,14 +51,7 @@ pub struct DiskTenantsParams {
 impl Default for DiskTenantsParams {
     fn default() -> Self {
         DiskTenantsParams {
-            shares: (0.7, 0.3),
             hog_clients: 8,
-            victim_clients: 8,
-            hog_file_kib: 64,
-            victim_file_kib: 4,
-            hog_docs: 4096,
-            victim_docs: 1024,
-            cache_bytes: 2 * 1024 * 1024,
             sched: DiskSchedKind::Share,
             secs: 12,
         }
@@ -86,17 +77,14 @@ pub struct DiskTenantsResult {
 
 /// Runs the two-tenant disk experiment and reports the disk-time split.
 pub fn run_disk_tenants(params: DiskTenantsParams) -> DiskTenantsResult {
-    let secs = params.secs.max(4);
-    let end = Nanos::from_secs(secs);
-    let warmup = Nanos::from_secs(2).min(end / 4);
+    let window = Window::new(params.secs);
 
     let mut cfg = KernelConfig::resource_containers();
     cfg.disk.sched = params.sched;
-    cfg.disk.buffer_cache_bytes = params.cache_bytes;
+    cfg.disk.buffer_cache_bytes = CACHE_BYTES;
     let mut k = Kernel::new(cfg);
 
-    let shares = [params.shares.0, params.shares.1];
-    let tenants: Vec<ContainerId> = shares
+    let tenants: Vec<ContainerId> = SHARES
         .iter()
         .enumerate()
         .map(|(g, &share)| {
@@ -114,13 +102,12 @@ pub fn run_disk_tenants(params: DiskTenantsParams) -> DiskTenantsResult {
     // disk — the hierarchical case (per-connection containers *under* a
     // fixed-share tenant) is covered by the scheduler's use of effective
     // shares, but a single queue per tenant is what the split measures.
-    let file_kib = [params.hog_file_kib, params.victim_file_kib];
     for (g, &tenant) in tenants.iter().enumerate() {
         let cfg = ServerConfig {
             port: 8000 + g as u16,
             conn_parent: Some(tenant),
             container_per_connection: false,
-            response_bytes: file_kib[g] * 1024,
+            response_bytes: FILE_KIB[g] * 1024,
             files: FileBacking::Disk {
                 file_base: (g as u64) << 32,
             },
@@ -137,41 +124,34 @@ pub fn run_disk_tenants(params: DiskTenantsParams) -> DiskTenantsResult {
 
     // Clients: each sweeps its own slice of the tenant's document space
     // so no two clients share documents.
-    let n_clients = [params.hog_clients, params.victim_clients];
-    let docs = [params.hog_docs, params.victim_docs];
+    let n_clients = [params.hog_clients, VICTIM_CLIENTS];
     let specs: Vec<ClientSpec> = (0..tenants.len())
         .flat_map(|g| {
             (0..n_clients[g]).map(move |i| ClientSpec {
-                doc: i as u32 * docs[g],
-                ..tenant_client(g, i).cycling_docs(docs[g])
+                doc: i as u32 * DOCS[g],
+                ..tenant_client(g, i).cycling_docs(DOCS[g])
             })
         })
         .collect();
-    let mut world = HttpClients::new(specs, warmup, end);
-    world.arm(&mut k);
+    let mut world = window.clients(&mut k, specs);
 
-    // Warmup, snapshot per-tenant disk time, measure.
-    k.run(&mut world, warmup);
-    let disk0: Vec<Nanos> = tenants
-        .iter()
-        .map(|&t| k.containers.subtree_disk(t).unwrap())
-        .collect();
-    let busy0 = k.disk.total_busy();
-    k.run(&mut world, end);
-    let deltas: Vec<Nanos> = tenants
-        .iter()
-        .zip(&disk0)
-        .map(|(&t, &d0)| k.containers.subtree_disk(t).unwrap() - d0)
-        .collect();
+    // Per-tenant disk time, then the disk's busy time.
+    let mut deltas = window.measure(&mut k, &mut world, |k| {
+        tenants
+            .iter()
+            .map(|&t| k.containers.subtree_disk(t).unwrap())
+            .chain([k.disk.total_busy()])
+            .collect()
+    });
+    let busy = deltas.pop().expect("busy time");
     let total: Nanos = deltas.iter().copied().sum();
-    let busy = k.disk.total_busy() - busy0;
 
-    let share_sum: f64 = shares.iter().sum();
+    let share_sum: f64 = SHARES.iter().sum();
     DiskTenantsResult {
         sched: k.disk.sched_name().to_string(),
-        configured: shares.iter().map(|s| s / share_sum).collect(),
+        configured: SHARES.iter().map(|s| s / share_sum).collect(),
         disk_fractions: deltas.iter().map(|&d| d.ratio(total)).collect(),
-        utilization: busy.ratio(end - warmup),
+        utilization: busy.ratio(window.duration()),
         throughputs: (0..tenants.len())
             .map(|g| world.metrics.throughput(g))
             .collect(),
@@ -190,7 +170,6 @@ mod tests {
             hog_clients,
             secs: 6,
             sched,
-            ..DiskTenantsParams::default()
         })
     }
 

@@ -23,7 +23,8 @@ use simcore::Nanos;
 use simnet::IpAddr;
 use simos::{Kernel, KernelConfig};
 
-use crate::clients::{ClientSpec, HttpClients};
+use super::Window;
+use crate::clients::ClientSpec;
 
 /// The systems compared in Figures 12/13.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -92,9 +93,7 @@ pub struct Fig12Result {
 
 /// Runs one Figure 12/13 point.
 pub fn run_fig12(params: Fig12Params) -> Fig12Result {
-    let secs = params.secs.max(4);
-    let end = Nanos::from_secs(secs);
-    let warmup = Nanos::from_secs(2).min(end / 4);
+    let window = Window::new(params.secs);
 
     let (kernel, sandbox) = match params.system {
         Fig12System::Unmodified => (KernelConfig::unmodified(), None),
@@ -153,25 +152,17 @@ pub fn run_fig12(params: Fig12Params) -> Fig12Result {
                 .starting_at(Nanos::from_micros(100 + 11 * i as u64)),
         );
     }
-    let mut clients = HttpClients::new(specs, warmup, end);
-    clients.arm(&mut k);
+    let mut clients = window.clients(&mut k, specs);
+    let cgi = window.measure(&mut k, &mut clients, |k| {
+        vec![cgi_root_container(k, cgi_acct)
+            .and_then(|c| k.containers.subtree_cpu(c).ok())
+            .unwrap_or(Nanos::ZERO)]
+    });
 
-    // Warmup, snapshot CGI CPU, measure.
-    k.run(&mut clients, warmup);
-    let cgi_root = cgi_root_container(&k, cgi_acct);
-    let cgi0 = cgi_root
-        .map(|c| k.containers.subtree_cpu(c).unwrap_or(Nanos::ZERO))
-        .unwrap_or(Nanos::ZERO);
-    k.run(&mut clients, end);
-    let cgi1 = cgi_root
-        .map(|c| k.containers.subtree_cpu(c).unwrap_or(Nanos::ZERO))
-        .unwrap_or(Nanos::ZERO);
-
-    let window = end - warmup;
     let cgi_completed = stats.borrow().cgi_completed;
     Fig12Result {
         static_throughput: clients.metrics.throughput(0),
-        cgi_cpu_share: (cgi1.saturating_sub(cgi0)).ratio(window),
+        cgi_cpu_share: cgi[0].ratio(window.duration()),
         cgi_completed,
     }
 }

@@ -89,8 +89,6 @@ pub fn run_fig14(params: Fig14Params) -> Fig14Result {
     let mut k = Kernel::new(kernel);
     let cfg = ServerConfig {
         defense: params.defended,
-        defense_mask: 16,
-        defense_threshold: 16,
         classes: vec![ClassSpec {
             name: "default".to_string(),
             filter: CidrFilter::any(),

@@ -29,54 +29,32 @@ use sched::TaskId;
 use simcore::Nanos;
 use simos::{AppEvent, AppHandler, Kernel, KernelConfig, MemParams, SysCtx};
 
-use super::tenant_client;
-use crate::clients::{ClientSpec, HttpClients};
+use super::{tenant_client, Window};
+use crate::clients::ClientSpec;
 
-/// Parameters of the two-tenant memory experiment.
-#[derive(Clone, Debug)]
-pub struct MemhogTenantsParams {
-    /// Fixed CPU/disk shares of (guaranteed, hog).
-    pub shares: (f64, f64),
-    /// `mem_limit` on the hog tenant's subtree, in bytes.
-    pub hog_mem_limit: u64,
-    /// Closed-loop clients driving the guaranteed tenant.
-    pub g_clients: usize,
-    /// Documents each guaranteed client sweeps (its private slice).
-    pub g_docs: u32,
-    /// Guaranteed-tenant file size in KiB (working set = clients × docs ×
-    /// size, sized to fit the cache).
-    pub g_file_kib: u64,
-    /// Bytes of pinned kernel memory the hog leaks per period.
-    pub hog_chunk: u64,
-    /// Hog leak/read period in microseconds.
-    pub hog_period_us: u64,
-    /// Distinct files the hog streams through the cache.
-    pub hog_files: u32,
-    /// Hog file size in KiB.
-    pub hog_file_kib: u64,
-    /// Buffer-cache capacity in bytes.
-    pub cache_bytes: u64,
-    /// Simulated run length.
-    pub secs: u64,
-}
-
-impl Default for MemhogTenantsParams {
-    fn default() -> Self {
-        MemhogTenantsParams {
-            shares: (0.7, 0.3),
-            hog_mem_limit: 256 * 1024,
-            g_clients: 8,
-            g_docs: 16,
-            g_file_kib: 4,
-            hog_chunk: 16 * 1024,
-            hog_period_us: 2_000,
-            hog_files: 128,
-            hog_file_kib: 8,
-            cache_bytes: 2 * 1024 * 1024,
-            secs: 10,
-        }
-    }
-}
+/// Fixed CPU/disk shares of (guaranteed, hog).
+const SHARES: (f64, f64) = (0.7, 0.3);
+/// `mem_limit` on the hog tenant's subtree, in bytes.
+const HOG_MEM_LIMIT: u64 = 256 * 1024;
+/// Closed-loop clients driving the guaranteed tenant.
+const G_CLIENTS: usize = 8;
+/// Documents each guaranteed client sweeps (its private slice).
+const G_DOCS: u32 = 16;
+/// Guaranteed-tenant file size in KiB (working set = clients × docs ×
+/// size, sized to fit the cache).
+const G_FILE_KIB: u64 = 4;
+/// Bytes of pinned kernel memory the hog leaks per period.
+const HOG_CHUNK: u64 = 16 * 1024;
+/// Hog leak/read period.
+const HOG_PERIOD: Nanos = Nanos::from_micros(2_000);
+/// Distinct files the hog streams through the cache.
+const HOG_FILES: u32 = 128;
+/// Hog file size in KiB.
+const HOG_FILE_KIB: u64 = 8;
+/// First file id of the hog's files, clear of the guaranteed tenant's.
+const HOG_FILE_BASE: u64 = 1 << 32;
+/// Buffer-cache capacity in bytes.
+const CACHE_BYTES: u64 = 2 * 1024 * 1024;
 
 /// Guaranteed-tenant measurements for one run.
 #[derive(Clone, Debug)]
@@ -135,24 +113,11 @@ pub struct MemhogTenantsResult {
     pub mem: MemCounters,
 }
 
-#[derive(Debug, Default)]
-struct MemHogStats {
-    reserve_ok: u64,
-    nomem: u64,
-    kills: u64,
-    reads: u64,
-}
-
-type SharedHogStats = Rc<RefCell<MemHogStats>>;
+type SharedHogStats = Rc<RefCell<HogSnapshot>>;
 
 /// A tenant that leaks pinned kernel memory and streams files through the
 /// buffer cache on a fixed period, shrugging off OOM kills and carrying on.
 struct MemHog {
-    chunk: u64,
-    period: Nanos,
-    files: u32,
-    file_kib: u64,
-    file_base: u64,
     next_file: u32,
     stats: SharedHogStats,
 }
@@ -161,18 +126,18 @@ impl AppHandler for MemHog {
     fn on_event(&mut self, sys: &mut SysCtx<'_>, _thread: TaskId, event: AppEvent) {
         match event {
             AppEvent::Start => {
-                let deadline = sys.now() + self.period;
+                let deadline = sys.now() + HOG_PERIOD;
                 sys.sleep_until(deadline, 0);
             }
             AppEvent::Timer { .. } => {
-                match sys.kmem_reserve(self.chunk) {
+                match sys.kmem_reserve(HOG_CHUNK) {
                     Ok(()) => self.stats.borrow_mut().reserve_ok += 1,
                     Err(_) => self.stats.borrow_mut().nomem += 1,
                 }
-                let file = self.file_base + self.next_file as u64;
-                self.next_file = (self.next_file + 1) % self.files.max(1);
-                sys.read_file(file, self.file_kib * 1024, 1, None);
-                let deadline = sys.now() + self.period;
+                let file = HOG_FILE_BASE + self.next_file as u64;
+                self.next_file = (self.next_file + 1) % HOG_FILES;
+                sys.read_file(file, HOG_FILE_KIB * 1024, 1, None);
+                let deadline = sys.now() + HOG_PERIOD;
                 sys.sleep_until(deadline, 0);
             }
             AppEvent::FileRead { .. } => {
@@ -194,21 +159,16 @@ struct RunOutcome {
     mem: MemCounters,
 }
 
-fn run_once(params: &MemhogTenantsParams, with_hog: bool) -> RunOutcome {
-    let secs = params.secs.max(4);
-    let end = Nanos::from_secs(secs);
-    let warmup = Nanos::from_secs(2).min(end / 4);
+fn run_once(secs: u64, with_hog: bool) -> RunOutcome {
+    let window = Window::new(secs);
 
     let mut cfg = KernelConfig::resource_containers().with_mem(MemParams::new());
-    cfg.disk.buffer_cache_bytes = params.cache_bytes;
+    cfg.disk.buffer_cache_bytes = CACHE_BYTES;
     let mut k = Kernel::new(cfg);
 
     let guaranteed = k
         .containers
-        .create(
-            None,
-            Attributes::fixed_share(params.shares.0).named("guaranteed"),
-        )
+        .create(None, Attributes::fixed_share(SHARES.0).named("guaranteed"))
         .expect("guaranteed tenant");
 
     let g_stats = shared_stats();
@@ -216,7 +176,7 @@ fn run_once(params: &MemhogTenantsParams, with_hog: bool) -> RunOutcome {
         port: 8000,
         conn_parent: Some(guaranteed),
         container_per_connection: false,
-        response_bytes: params.g_file_kib * 1024,
+        response_bytes: G_FILE_KIB * 1024,
         files: FileBacking::Disk { file_base: 0 },
         ..ServerConfig::default()
     };
@@ -228,24 +188,19 @@ fn run_once(params: &MemhogTenantsParams, with_hog: bool) -> RunOutcome {
         None,
     );
 
-    let hog_stats: SharedHogStats = Rc::new(RefCell::new(MemHogStats::default()));
+    let hog_stats: SharedHogStats = Rc::new(RefCell::new(HogSnapshot::default()));
     if with_hog {
         let hog = k
             .containers
             .create(
                 None,
-                Attributes::fixed_share(params.shares.1)
-                    .with_mem_limit(params.hog_mem_limit)
+                Attributes::fixed_share(SHARES.1)
+                    .with_mem_limit(HOG_MEM_LIMIT)
                     .named("memhog"),
             )
             .expect("hog tenant");
         k.spawn_process(
             Box::new(MemHog {
-                chunk: params.hog_chunk,
-                period: Nanos::from_micros(params.hog_period_us.max(1)),
-                files: params.hog_files,
-                file_kib: params.hog_file_kib,
-                file_base: 1 << 32,
                 next_file: 0,
                 stats: hog_stats.clone(),
             }),
@@ -258,16 +213,16 @@ fn run_once(params: &MemhogTenantsParams, with_hog: bool) -> RunOutcome {
 
     // Guaranteed-tenant clients: each sweeps a private slice of the
     // document space, sized so the union fits the buffer cache.
-    let specs = (0..params.g_clients)
+    let specs = (0..G_CLIENTS)
         .map(|i| ClientSpec {
-            doc: i as u32 * params.g_docs,
-            ..tenant_client(0, i).cycling_docs(params.g_docs)
+            doc: i as u32 * G_DOCS,
+            ..tenant_client(0, i).cycling_docs(G_DOCS)
         })
         .collect();
-    let mut world = HttpClients::new(specs, warmup, end);
-    world.arm(&mut k);
+    let mut world = window.clients(&mut k, specs);
 
-    k.run(&mut world, end);
+    // One uninterrupted run: nothing is snapshotted at the warmup.
+    k.run(&mut world, window.end);
 
     let stats = g_stats.borrow();
     let m = &world.metrics;
@@ -286,23 +241,15 @@ fn run_once(params: &MemhogTenantsParams, with_hog: bool) -> RunOutcome {
         refusals: acct.refusals,
         pressure_events: acct.pressure_events,
     };
-    let h = hog_stats.borrow();
-    RunOutcome {
-        tenant,
-        hog: HogSnapshot {
-            reserve_ok: h.reserve_ok,
-            nomem: h.nomem,
-            kills: h.kills,
-            reads: h.reads,
-        },
-        mem,
-    }
+    let hog = hog_stats.borrow().clone();
+    RunOutcome { tenant, hog, mem }
 }
 
-/// Runs the guaranteed tenant solo, then next to the hog, and reports both.
-pub fn run_memhog_tenants(params: MemhogTenantsParams) -> MemhogTenantsResult {
-    let solo = run_once(&params, false);
-    let shared = run_once(&params, true);
+/// Runs the guaranteed tenant solo, then next to the hog, for `secs`
+/// seconds each, and reports both.
+pub fn run_memhog_tenants(secs: u64) -> MemhogTenantsResult {
+    let solo = run_once(secs, false);
+    let shared = run_once(secs, true);
     MemhogTenantsResult {
         solo: solo.tenant,
         shared: shared.tenant,
@@ -316,10 +263,7 @@ mod tests {
     use super::*;
 
     fn reduced() -> MemhogTenantsResult {
-        run_memhog_tenants(MemhogTenantsParams {
-            secs: 6,
-            ..MemhogTenantsParams::default()
-        })
+        run_memhog_tenants(6)
     }
 
     #[test]

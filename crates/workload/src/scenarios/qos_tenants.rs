@@ -22,27 +22,27 @@ use rescon::{Attributes, ContainerId};
 use simcore::Nanos;
 use simos::{Kernel, KernelConfig, QdiscKind};
 
-use super::tenant_client;
-use crate::clients::HttpClients;
+use super::{tenant_client, Window};
+
+/// Transmit weights of [gold, blast] — the paper's §4.1 `NetQos`.
+const WEIGHTS: [u32; 2] = [3, 1];
+/// Closed-loop clients driving the gold tenant.
+const GOLD_CLIENTS: usize = 6;
+/// Static response size in KiB (large enough that the link, not the CPU,
+/// is the bottleneck).
+const RESPONSE_KIB: u64 = 32;
+/// Link bandwidth in Mbit/s.
+const LINK_MBPS: u64 = 80;
+/// Socket-buffer limit of the gold tenant in KiB. The blast tenant never
+/// has one — it queues as fast as its clients complete, which is exactly
+/// the overload FIFO cannot contain.
+const GOLD_SOCKBUF_KIB: u64 = 64;
 
 /// Parameters of the two-tenant link-bandwidth experiment.
 #[derive(Clone, Debug)]
 pub struct QosTenantsParams {
-    /// Transmit weights of (gold, blast) — the paper's §4.1 `NetQos`.
-    pub weights: (u32, u32),
-    /// Closed-loop clients driving the gold tenant.
-    pub gold_clients: usize,
     /// Closed-loop clients driving the blast tenant (the swept variable).
     pub blast_clients: usize,
-    /// Static response size in KiB (large enough that the link, not the
-    /// CPU, is the bottleneck).
-    pub response_kib: u64,
-    /// Link bandwidth in Mbit/s.
-    pub link_mbps: u64,
-    /// Socket-buffer limit of the gold tenant in KiB (`None` = unlimited).
-    /// The blast tenant never has one — it queues as fast as its clients
-    /// complete, which is exactly the overload FIFO cannot contain.
-    pub gold_sockbuf_kib: Option<u64>,
     /// Transmit qdisc under test.
     pub qdisc: QdiscKind,
     /// Simulated run length.
@@ -52,12 +52,7 @@ pub struct QosTenantsParams {
 impl Default for QosTenantsParams {
     fn default() -> Self {
         QosTenantsParams {
-            weights: (3, 1),
-            gold_clients: 6,
             blast_clients: 18,
-            response_kib: 32,
-            link_mbps: 80,
-            gold_sockbuf_kib: Some(64),
             qdisc: QdiscKind::Wfq,
             secs: 8,
         }
@@ -83,16 +78,12 @@ pub struct QosTenantsResult {
 
 /// Runs the two-tenant link experiment and reports the wire-time split.
 pub fn run_qos_tenants(params: QosTenantsParams) -> QosTenantsResult {
-    let secs = params.secs.max(4);
-    let end = Nanos::from_secs(secs);
-    let warmup = Nanos::from_secs(2).min(end / 4);
+    let window = Window::new(params.secs);
 
-    let cfg =
-        KernelConfig::resource_containers().with_link(params.link_mbps * 1_000_000, params.qdisc);
+    let cfg = KernelConfig::resource_containers().with_link(LINK_MBPS * 1_000_000, params.qdisc);
     let mut k = Kernel::new(cfg);
 
-    let weights = [params.weights.0.max(1), params.weights.1.max(1)];
-    let tenants: Vec<ContainerId> = weights
+    let tenants: Vec<ContainerId> = WEIGHTS
         .iter()
         .enumerate()
         .map(|(g, &w)| {
@@ -100,9 +91,7 @@ pub fn run_qos_tenants(params: QosTenantsParams) -> QosTenantsResult {
                 .named(if g == 0 { "gold" } else { "blast" })
                 .with_net_weight(w);
             if g == 0 {
-                if let Some(kib) = params.gold_sockbuf_kib {
-                    attrs = attrs.with_sockbuf_limit(kib * 1024);
-                }
+                attrs = attrs.with_sockbuf_limit(GOLD_SOCKBUF_KIB * 1024);
             }
             k.containers.create(None, attrs).expect("tenant container")
         })
@@ -117,7 +106,7 @@ pub fn run_qos_tenants(params: QosTenantsParams) -> QosTenantsResult {
             port: 8000 + g as u16,
             conn_parent: Some(tenant),
             container_per_connection: false,
-            response_bytes: params.response_kib * 1024,
+            response_bytes: RESPONSE_KIB * 1024,
             files: FileBacking::AlwaysCached,
             ..ServerConfig::default()
         };
@@ -130,38 +119,35 @@ pub fn run_qos_tenants(params: QosTenantsParams) -> QosTenantsResult {
         );
     }
 
-    let n_clients = [params.gold_clients, params.blast_clients];
+    let n_clients = [GOLD_CLIENTS, params.blast_clients];
     let specs = (0..tenants.len())
         .flat_map(|g| (0..n_clients[g]).map(move |i| tenant_client(g, i)))
         .collect();
-    let mut world = HttpClients::new(specs, warmup, end);
-    world.arm(&mut k);
+    let mut world = window.clients(&mut k, specs);
 
-    // Warmup, snapshot per-tenant wire time, measure.
-    k.run(&mut world, warmup);
-    let tx0: Vec<Nanos> = tenants.iter().map(|&t| k.subtree_tx_of(t)).collect();
-    let busy0 = k.link_totals().0;
-    k.run(&mut world, end);
-    let deltas: Vec<Nanos> = tenants
-        .iter()
-        .zip(&tx0)
-        .map(|(&t, &d0)| k.subtree_tx_of(t) - d0)
-        .collect();
+    // Per-tenant wire time, then the link's busy time.
+    let mut deltas = window.measure(&mut k, &mut world, |k| {
+        tenants
+            .iter()
+            .map(|&t| k.subtree_tx_of(t))
+            .chain([k.link_totals().0])
+            .collect()
+    });
+    let busy = deltas.pop().expect("busy time");
     let total: Nanos = deltas.iter().copied().sum();
-    let busy = k.link_totals().0 - busy0;
 
-    let weight_sum: u32 = weights.iter().sum();
+    let weight_sum: u32 = WEIGHTS.iter().sum();
     QosTenantsResult {
         qdisc: match params.qdisc {
             QdiscKind::Fifo => "fifo".to_string(),
             QdiscKind::Wfq => "wfq".to_string(),
         },
-        configured: weights
+        configured: WEIGHTS
             .iter()
             .map(|&w| w as f64 / weight_sum as f64)
             .collect(),
         tx_fractions: deltas.iter().map(|&d| d.ratio(total)).collect(),
-        utilization: busy.ratio(end - warmup),
+        utilization: busy.ratio(window.duration()),
         throughputs: (0..tenants.len())
             .map(|g| world.metrics.throughput(g))
             .collect(),
@@ -180,7 +166,6 @@ mod tests {
             qdisc,
             blast_clients,
             secs: 6,
-            ..QosTenantsParams::default()
         })
     }
 

@@ -21,25 +21,23 @@ use rescon::{Attributes, ContainerId};
 use simcore::Nanos;
 use simos::{Kernel, KernelConfig};
 
-use super::tenant_client;
-use crate::clients::HttpClients;
+use super::{tenant_client, Window};
+
+/// Fixed CPU share of each tenant.
+const SHARES: [f64; 2] = [0.7, 0.3];
+/// CPU burned parsing/handling each request (the knob that makes the
+/// workload CPU-bound).
+const PARSE_COST: Nanos = Nanos::from_micros(200);
 
 /// Parameters of the SMP tenant experiment.
 #[derive(Clone, Debug)]
 pub struct SmpTenantsParams {
     /// Number of simulated CPUs.
     pub ncpus: u32,
-    /// Fixed CPU share per tenant (summing to at most 1).
-    pub shares: Vec<f64>,
     /// Closed-loop persistent clients per tenant (enough runnable workers
-    /// to cover every CPU).
+    /// to cover every CPU). Each tenant's server pool has one worker per
+    /// client: each keep-alive connection parks on its worker.
     pub clients_per_tenant: usize,
-    /// Worker threads per tenant's server pool; `0` means one per client
-    /// (each keep-alive connection parks on its worker).
-    pub pool_size: u32,
-    /// CPU burned parsing/handling each request (the knob that makes the
-    /// workload CPU-bound).
-    pub parse_cost: Nanos,
     /// Simulated run length.
     pub secs: u64,
 }
@@ -48,10 +46,7 @@ impl Default for SmpTenantsParams {
     fn default() -> Self {
         SmpTenantsParams {
             ncpus: 4,
-            shares: vec![0.7, 0.3],
             clients_per_tenant: 24,
-            pool_size: 0,
-            parse_cost: Nanos::from_micros(200),
             secs: 10,
         }
     }
@@ -80,23 +75,14 @@ pub struct SmpTenantsResult {
 
 /// Runs the SMP tenant experiment on the RC kernel with `ncpus` CPUs.
 pub fn run_smp_tenants(params: SmpTenantsParams) -> SmpTenantsResult {
-    let n = params.shares.len();
-    assert!(n >= 1, "need at least one tenant");
+    let n = SHARES.len();
     let ncpus = params.ncpus.max(1);
-    let pool = if params.pool_size == 0 {
-        params.clients_per_tenant as u32
-    } else {
-        params.pool_size
-    };
-    let secs = params.secs.max(4);
-    let end = Nanos::from_secs(secs);
-    let warmup = Nanos::from_secs(2).min(end / 4);
+    let window = Window::new(params.secs);
 
     let mut k = Kernel::new(KernelConfig::resource_containers().with_ncpus(ncpus));
 
     // Top-level tenant containers with fixed shares.
-    let tenants: Vec<ContainerId> = params
-        .shares
+    let tenants: Vec<ContainerId> = SHARES
         .iter()
         .enumerate()
         .map(|(t, &share)| {
@@ -117,8 +103,8 @@ pub fn run_smp_tenants(params: SmpTenantsParams) -> SmpTenantsResult {
         k.spawn_process(
             Box::new(ThreadPoolServer::new(
                 8000 + t as u16,
-                pool,
-                params.parse_cost,
+                params.clients_per_tenant as u32,
+                PARSE_COST,
                 1024,
                 false,
                 stats,
@@ -137,28 +123,20 @@ pub fn run_smp_tenants(params: SmpTenantsParams) -> SmpTenantsResult {
                 .map(move |i| tenant_client(t, i).with_kind(httpsim::ReqKind::StaticKeepAlive))
         })
         .collect();
-    let mut world = HttpClients::new(specs, warmup, end);
-    world.arm(&mut k);
-
-    // Warmup, snapshot per-tenant CPU, measure.
-    k.run(&mut world, warmup);
-    let cpu0: Vec<Nanos> = tenants
-        .iter()
-        .map(|&t| k.containers.subtree_cpu(t).unwrap())
-        .collect();
-    k.run(&mut world, end);
-    let deltas: Vec<Nanos> = tenants
-        .iter()
-        .zip(&cpu0)
-        .map(|(&t, &c0)| k.containers.subtree_cpu(t).unwrap() - c0)
-        .collect();
+    let mut world = window.clients(&mut k, specs);
+    let deltas = window.measure(&mut k, &mut world, |k| {
+        tenants
+            .iter()
+            .map(|&t| k.containers.subtree_cpu(t).unwrap())
+            .collect()
+    });
     let total: Nanos = deltas.iter().copied().sum();
 
-    let share_sum: f64 = params.shares.iter().sum();
+    let share_sum: f64 = SHARES.iter().sum();
     let throughputs: Vec<f64> = (0..n).map(|t| world.metrics.throughput(t)).collect();
     SmpTenantsResult {
         ncpus,
-        configured: params.shares.iter().map(|s| s / share_sum).collect(),
+        configured: SHARES.iter().map(|s| s / share_sum).collect(),
         measured: deltas.iter().map(|&d| d.ratio(total)).collect(),
         total_throughput: throughputs.iter().sum(),
         throughputs,
@@ -183,7 +161,6 @@ mod tests {
             ncpus,
             clients_per_tenant: 16,
             secs: 4,
-            ..SmpTenantsParams::default()
         }
     }
 

@@ -22,29 +22,30 @@ use rescon::{Attributes, ContainerId};
 use simcore::Nanos;
 use simos::{Kernel, KernelConfig, MemParams, QdiscKind, SchedPolicyKind};
 
-use super::tenant_client;
-use crate::clients::{ClientSpec, HttpClients};
+use super::{tenant_client, Window};
+use crate::clients::ClientSpec;
+
+/// Response sizes in KiB of [paid, free].
+const RESPONSE_KIB: [u64; 2] = [4, 32];
+/// Documents each tenant sweeps: the paid tenant's set fits the buffer
+/// cache, the free tenant's defeats it.
+const DOCS: [u32; 2] = [64, 4096];
+/// Link bandwidth in Mbit/s.
+const LINK_MBPS: u64 = 80;
+/// Buffer-cache capacity in bytes.
+const CACHE_BYTES: u64 = 2 * 1024 * 1024;
+/// Kernel-memory limit of the free tenant's subtree.
+const FREE_MEM_LIMIT: u64 = 512 * 1024;
+/// Kernel buffers reserved per in-flight request.
+const REQUEST_KMEM: u64 = 64 * 1024;
+/// Kernel CPU per KiB of cache reclaimed (the modelled stall).
+const RECLAIM_COST_PER_KIB: Nanos = Nanos::from_micros(2);
 
 /// Parameters of the two-tenant span scenario.
 #[derive(Clone, Debug)]
 pub struct SpanTenantsParams {
     /// Closed-loop clients driving (paid, free).
     pub clients: (usize, usize),
-    /// Response sizes in KiB (paid, free).
-    pub response_kib: (u64, u64),
-    /// Documents each tenant sweeps: the paid tenant's set fits the
-    /// buffer cache, the free tenant's defeats it.
-    pub docs: (u32, u32),
-    /// Link bandwidth in Mbit/s.
-    pub link_mbps: u64,
-    /// Buffer-cache capacity in bytes.
-    pub cache_bytes: u64,
-    /// Kernel-memory limit of the free tenant's subtree.
-    pub free_mem_limit: u64,
-    /// Kernel buffers reserved per in-flight request.
-    pub request_kmem: u64,
-    /// Kernel CPU per KiB of cache reclaimed (the modelled stall).
-    pub reclaim_cost_per_kib: Nanos,
     /// Latency SLOs: (paid p99 bound, free p99 bound). The free bound is
     /// the injected violation — set it below the disk's service floor.
     /// The same bounds double as the tenants' declared latency-target
@@ -72,13 +73,6 @@ impl Default for SpanTenantsParams {
     fn default() -> Self {
         SpanTenantsParams {
             clients: (6, 12),
-            response_kib: (4, 32),
-            docs: (64, 4096),
-            link_mbps: 80,
-            cache_bytes: 2 * 1024 * 1024,
-            free_mem_limit: 512 * 1024,
-            request_kmem: 64 * 1024,
-            reclaim_cost_per_kib: Nanos::from_micros(2),
             slo_ms: (400, 2),
             secs: 8,
             paid_cached: false,
@@ -114,14 +108,13 @@ pub const TENANT_NAMES: [&str; 2] = ["paid", "free"];
 /// active the per-tenant SLOs are registered with its online monitor;
 /// span recording itself is the session's choice ([`rctrace::TraceConfig::spans`]).
 pub fn run_span_tenants(params: SpanTenantsParams) -> SpanTenantsResult {
-    let secs = params.secs.max(4);
-    let end = Nanos::from_secs(secs);
-    let warmup = Nanos::from_secs(2).min(end / 4);
+    let window = Window::new(params.secs);
+    let end = window.end;
 
     let mut cfg = KernelConfig::resource_containers()
-        .with_link(params.link_mbps * 1_000_000, QdiscKind::Wfq)
-        .with_mem(MemParams::new().with_reclaim_cost_per_kb(params.reclaim_cost_per_kib));
-    cfg.disk.buffer_cache_bytes = params.cache_bytes;
+        .with_link(LINK_MBPS * 1_000_000, QdiscKind::Wfq)
+        .with_mem(MemParams::new().with_reclaim_cost_per_kb(RECLAIM_COST_PER_KIB));
+    cfg.disk.buffer_cache_bytes = CACHE_BYTES;
     if let Some(kind) = params.scheduler {
         cfg = cfg.with_scheduler(kind);
     }
@@ -142,13 +135,12 @@ pub fn run_span_tenants(params: SpanTenantsParams) -> SpanTenantsResult {
                 attrs = attrs.with_deadline(Nanos::from_millis(slo_ms[g]));
             }
             if g == 1 {
-                attrs = attrs.with_mem_limit(params.free_mem_limit);
+                attrs = attrs.with_mem_limit(FREE_MEM_LIMIT);
             }
             k.containers.create(None, attrs).expect("tenant container")
         })
         .collect();
 
-    let response_kib = [params.response_kib.0, params.response_kib.1];
     for (g, &tenant) in tenants.iter().enumerate() {
         let mut cfg = ServerConfig {
             port: 8000 + g as u16,
@@ -162,7 +154,7 @@ pub fn run_span_tenants(params: SpanTenantsParams) -> SpanTenantsResult {
                 name: format!("{}-web", TENANT_NAMES[g]),
                 ..ClassSpec::default_class()
             }],
-            response_bytes: response_kib[g] * 1024,
+            response_bytes: RESPONSE_KIB[g] * 1024,
             files: if g == 0 && params.paid_cached {
                 FileBacking::AlwaysCached
             } else {
@@ -170,7 +162,7 @@ pub fn run_span_tenants(params: SpanTenantsParams) -> SpanTenantsResult {
                     file_base: (g as u64) << 32,
                 }
             },
-            request_kmem: params.request_kmem,
+            request_kmem: REQUEST_KMEM,
             ..ServerConfig::default()
         };
         if g == 0 {
@@ -188,17 +180,15 @@ pub fn run_span_tenants(params: SpanTenantsParams) -> SpanTenantsResult {
     }
 
     let n_clients = [params.clients.0, params.clients.1];
-    let docs = [params.docs.0, params.docs.1];
     let specs: Vec<ClientSpec> = (0..tenants.len())
         .flat_map(|g| {
             (0..n_clients[g]).map(move |i| ClientSpec {
-                doc: i as u32 * docs[g],
-                ..tenant_client(g, i).cycling_docs(docs[g])
+                doc: i as u32 * DOCS[g],
+                ..tenant_client(g, i).cycling_docs(DOCS[g])
             })
         })
         .collect();
-    let mut world = HttpClients::new(specs, warmup, end);
-    world.arm(&mut k);
+    let mut world = window.clients(&mut k, specs);
 
     // Let the servers boot (they create their class containers at first
     // schedule, before the first client timer at 10 us), then register

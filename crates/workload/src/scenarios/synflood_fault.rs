@@ -24,11 +24,14 @@ use crate::clients::{ClientSpec, HttpClients};
 use crate::scenarios::fig14::{good_addr, ATTACK_BASE};
 use crate::synflood::{FloodedClients, SynFlood};
 
+/// Number of simulated CPUs.
+pub const NCPUS: u32 = 4;
+/// Per-listener SYN-queue admission budget.
+const SYN_BUDGET: usize = 64;
+
 /// Parameters of one `synflood_fault` run.
 #[derive(Clone, Debug)]
 pub struct SynfloodFaultParams {
-    /// Number of simulated CPUs.
-    pub ncpus: u32,
     /// Well-behaved closed-loop clients.
     pub clients: usize,
     /// Aggregate SYN-flood rate in SYNs/second (0 = no flood).
@@ -37,8 +40,6 @@ pub struct SynfloodFaultParams {
     pub fault_seed: u64,
     /// Inject faults at all (false = fault-free baseline).
     pub faults: bool,
-    /// Per-listener SYN-queue admission budget (0 = off).
-    pub syn_budget: usize,
     /// Simulated run length.
     pub secs: u64,
 }
@@ -46,12 +47,10 @@ pub struct SynfloodFaultParams {
 impl Default for SynfloodFaultParams {
     fn default() -> Self {
         SynfloodFaultParams {
-            ncpus: 4,
             clients: 12,
             syn_rate: 8_000.0,
             fault_seed: 7,
             faults: true,
-            syn_budget: 64,
             secs: 12,
         }
     }
@@ -125,8 +124,8 @@ pub fn run_synflood_fault(params: SynfloodFaultParams) -> SynfloodFaultResult {
     let warmup = Nanos::from_secs(7).min(end / 2);
 
     let mut kcfg = KernelConfig::resource_containers()
-        .with_ncpus(params.ncpus.max(1))
-        .with_admission(params.syn_budget);
+        .with_ncpus(NCPUS)
+        .with_admission(SYN_BUDGET);
     if params.faults {
         kcfg = kcfg.with_fault(params.plan());
     }
@@ -135,8 +134,6 @@ pub fn run_synflood_fault(params: SynfloodFaultParams) -> SynfloodFaultResult {
     let mut k = Kernel::new(kcfg);
     let cfg = ServerConfig {
         defense: true,
-        defense_mask: 16,
-        defense_threshold: 16,
         classes: vec![ClassSpec {
             name: "default".to_string(),
             filter: CidrFilter::any(),

@@ -14,8 +14,8 @@ use rescon::{Attributes, ContainerId};
 use simcore::Nanos;
 use simos::{Kernel, KernelConfig};
 
-use super::tenant_client;
-use crate::clients::{ClientSpec, HttpClients};
+use super::{tenant_client, Window};
+use crate::clients::ClientSpec;
 
 /// Parameters of the virtual-server experiment.
 #[derive(Clone, Debug)]
@@ -58,9 +58,7 @@ pub struct VsResult {
 pub fn run_virtual_servers(params: VsParams) -> VsResult {
     assert_eq!(params.shares.len(), params.clients_per_guest.len());
     let n = params.shares.len();
-    let secs = params.secs.max(4);
-    let end = Nanos::from_secs(secs);
-    let warmup = Nanos::from_secs(2).min(end / 4);
+    let window = Window::new(params.secs);
 
     let mut k = Kernel::new(KernelConfig::resource_containers());
 
@@ -116,21 +114,13 @@ pub fn run_virtual_servers(params: VsParams) -> VsResult {
             });
         }
     }
-    let mut world = HttpClients::new(specs, warmup, end);
-    world.arm(&mut k);
-
-    // Warmup, snapshot per-guest CPU, measure.
-    k.run(&mut world, warmup);
-    let cpu0: Vec<Nanos> = guests
-        .iter()
-        .map(|&g| k.containers.subtree_cpu(g).unwrap())
-        .collect();
-    k.run(&mut world, end);
-    let deltas: Vec<Nanos> = guests
-        .iter()
-        .zip(&cpu0)
-        .map(|(&g, &c0)| k.containers.subtree_cpu(g).unwrap() - c0)
-        .collect();
+    let mut world = window.clients(&mut k, specs);
+    let deltas = window.measure(&mut k, &mut world, |k| {
+        guests
+            .iter()
+            .map(|&g| k.containers.subtree_cpu(g).unwrap())
+            .collect()
+    });
     let total: Nanos = deltas.iter().copied().sum();
 
     let share_sum: f64 = params.shares.iter().sum();

@@ -179,7 +179,6 @@ fn share_io_sched_protects_victim_tenant_from_disk_hog() {
             hog_clients: 24,
             secs: 6,
             sched,
-            ..DiskTenantsParams::default()
         })
     };
     let fifo = run(DiskSchedKind::Fifo);

@@ -113,14 +113,10 @@ fn check_conserved(table: &ContainerTable, cache: &BufferCache, acct: &MemAccoun
     }
 }
 
-fn run_ops(ops: &[Op], global_budget: Option<u64>) {
+fn run_ops(ops: &[Op]) {
     let mut table = ContainerTable::new();
     let mut cache = BufferCache::new(64 * 1024);
-    let mut params = MemParams::new();
-    if let Some(b) = global_budget {
-        params = params.with_global_budget(b);
-    }
-    let mut acct = MemAccountant::new(params);
+    let mut acct = MemAccountant::new(MemParams::new());
 
     let mut live: Vec<ContainerId> = vec![table.root()];
     // Successful hard charges, so releases always balance a real charge.
@@ -220,15 +216,6 @@ proptest! {
     /// Conservation under hierarchy limits only.
     #[test]
     fn memory_is_conserved_under_reclaim(ops in prop::collection::vec(op_strategy(), 1..80)) {
-        run_ops(&ops, None);
-    }
-
-    /// Conservation with a kernel-wide budget squeezing the cache too.
-    #[test]
-    fn memory_is_conserved_under_global_budget(
-        ops in prop::collection::vec(op_strategy(), 1..80),
-        budget_kib in 16u64..128,
-    ) {
-        run_ops(&ops, Some(budget_kib * 1024));
+        run_ops(&ops);
     }
 }

@@ -83,7 +83,6 @@ fn event_container(kind: &TraceEventKind) -> Option<u64> {
         | TraceEventKind::FaultDiskSpike { container, .. }
         | TraceEventKind::LinkQueue { container, .. }
         | TraceEventKind::LinkStart { container, .. }
-        | TraceEventKind::LinkDrop { container, .. }
         | TraceEventKind::MemPressure { container, .. }
         | TraceEventKind::MemRefused { container, .. }
         | TraceEventKind::SloViolation { container, .. } => Some(container),
@@ -322,14 +321,6 @@ fn emit_session(
                     micros(at),
                     micros(wire.as_nanos()),
                     quote(&name_of(container)),
-                ));
-            }
-            TraceEventKind::LinkDrop { port, container } => {
-                evs.push(instant(
-                    pid_for(container),
-                    at,
-                    "link",
-                    &format!("link drop :{port}"),
                 ));
             }
             TraceEventKind::ContainerCreate { container, .. } => {

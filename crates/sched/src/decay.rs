@@ -20,6 +20,11 @@ use simcore::Nanos;
 use crate::api::{CoreScheduler, Pick, TaskId};
 use crate::usage_decay::UsageDecay;
 
+/// The slice a pick grants.
+const QUANTUM: Nanos = Nanos::from_millis(10);
+/// The half-life of a principal's decayed usage.
+const HALF_LIFE: Nanos = Nanos::from_millis(500);
+
 /// The accounting key: the process's container, or the task itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum UsageKey {
@@ -74,8 +79,6 @@ pub struct DecayUsageScheduler {
     /// the index cached per task.
     usages: Vec<UsageSlot>,
     index: HashMap<UsageKey, u32>,
-    quantum: Nanos,
-    half_life: Nanos,
 }
 
 impl Default for DecayUsageScheduler {
@@ -88,17 +91,10 @@ impl DecayUsageScheduler {
     /// Creates a scheduler with a 10 ms quantum and 500 ms usage
     /// half-life (typical UNIX time-sharing constants).
     pub fn new() -> Self {
-        Self::with_params(Nanos::from_millis(10), Nanos::from_millis(500))
-    }
-
-    /// Creates a scheduler with explicit quantum and usage half-life.
-    pub fn with_params(quantum: Nanos, half_life: Nanos) -> Self {
         DecayUsageScheduler {
             tasks: IdSlab::new(),
             usages: Vec::new(),
             index: HashMap::new(),
-            quantum,
-            half_life,
         }
     }
 
@@ -153,7 +149,7 @@ impl CoreScheduler for DecayUsageScheduler {
                 .filter(|t| t.runnable)
                 .map(|t| self.usage_of(t.key, now))
                 .collect();
-            let mut usage = UsageDecay::new(self.half_life);
+            let mut usage = UsageDecay::new(HALF_LIFE);
             if !runnable.is_empty() {
                 let mean = runnable.iter().sum::<f64>() / runnable.len() as f64;
                 usage.charge(Nanos::from_nanos((mean * 1e9) as u64), now);
@@ -190,7 +186,7 @@ impl CoreScheduler for DecayUsageScheduler {
         // The baseline scheduler does not understand container *sets*; it
         // only re-derives the task's principal.
         let key = Self::key_for(task, binding);
-        let fresh = UsageDecay::new(self.half_life);
+        let fresh = UsageDecay::new(HALF_LIFE);
         if self.tasks.get(task).is_some_and(|t| t.key != key) {
             let usage = self.slot_for(key, fresh);
             if let Some(t) = self.tasks.get_mut(task) {
@@ -259,11 +255,11 @@ impl CoreScheduler for DecayUsageScheduler {
             .last_scheduled = now;
         trace::emit_at(now, || TraceEventKind::SchedPick {
             task: task.0,
-            slice: self.quantum,
+            slice: QUANTUM,
         });
         Some(Pick {
             task,
-            slice: self.quantum,
+            slice: QUANTUM,
         })
     }
 

@@ -27,6 +27,9 @@ use simcore::Nanos;
 
 use crate::api::{CoreScheduler, Pick, TaskId};
 
+/// The slice a pick grants; a job re-releases when it runs out.
+const QUANTUM: Nanos = Nanos::from_millis(1);
+
 /// Relative deadline assumed for work without a declared target: long
 /// enough that any declared target beats it, short enough that
 /// best-effort work keeps rotating.
@@ -68,7 +71,6 @@ struct EdfTask {
 /// ```
 pub struct EdfScheduler {
     tasks: IdSlab<TaskId, EdfTask>,
-    quantum: Nanos,
 }
 
 impl Default for EdfScheduler {
@@ -80,14 +82,8 @@ impl Default for EdfScheduler {
 impl EdfScheduler {
     /// Creates an EDF scheduler with a 1 ms quantum.
     pub fn new() -> Self {
-        Self::with_quantum(Nanos::from_millis(1))
-    }
-
-    /// Creates an EDF scheduler with an explicit quantum.
-    pub fn with_quantum(quantum: Nanos) -> Self {
         EdfScheduler {
             tasks: IdSlab::new(),
-            quantum,
         }
     }
 
@@ -186,11 +182,11 @@ impl CoreScheduler for EdfScheduler {
             .min()?;
         trace::emit_at(now, || TraceEventKind::SchedPick {
             task: task.0,
-            slice: self.quantum,
+            slice: QUANTUM,
         });
         Some(Pick {
             task,
-            slice: self.quantum,
+            slice: QUANTUM,
         })
     }
 

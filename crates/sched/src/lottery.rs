@@ -10,6 +10,9 @@ use simcore::{Nanos, SimRng};
 use crate::api::{CoreScheduler, Pick, TaskId};
 use crate::stride::StrideScheduler;
 
+/// The slice a pick grants.
+const QUANTUM: Nanos = Nanos::from_millis(1);
+
 #[derive(Debug)]
 struct LotteryTask {
     binding: Vec<ContainerId>,
@@ -38,7 +41,6 @@ struct LotteryTask {
 pub struct LotteryScheduler {
     tasks: IdSlab<TaskId, LotteryTask>,
     rng: SimRng,
-    quantum: Nanos,
 }
 
 impl LotteryScheduler {
@@ -47,7 +49,6 @@ impl LotteryScheduler {
         LotteryScheduler {
             tasks: IdSlab::new(),
             rng: SimRng::seed_from(seed),
-            quantum: Nanos::from_millis(1),
         }
     }
 }
@@ -118,11 +119,11 @@ impl CoreScheduler for LotteryScheduler {
         }
         trace::emit_at(now, || TraceEventKind::SchedPick {
             task: winner.0,
-            slice: self.quantum,
+            slice: QUANTUM,
         });
         Some(Pick {
             task: winner,
-            slice: self.quantum,
+            slice: QUANTUM,
         })
     }
 

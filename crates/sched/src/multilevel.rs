@@ -51,6 +51,11 @@ use crate::api::{CoreScheduler, Pick, TaskId};
 use crate::bucket::TokenBucket;
 use crate::usage_decay::UsageDecay;
 
+/// The slice a pick grants.
+const QUANTUM: Nanos = Nanos::from_millis(1);
+/// The half-life of a container's decayed usage.
+const HALF_LIFE: Nanos = Nanos::from_millis(500);
+
 /// A live container of a task's scheduler binding, as the table stood at
 /// the task's cache epoch, or a group of unlimited time-shared siblings.
 #[derive(Debug)]
@@ -282,8 +287,6 @@ pub struct MultiLevelScheduler {
     /// Pool members, with priority, of the nodes on the pick path; each
     /// node's members sit above its parent's.
     pool: Vec<(TaskId, u32)>,
-    quantum: Nanos,
-    half_life: Nanos,
 }
 
 impl Default for MultiLevelScheduler {
@@ -296,11 +299,6 @@ impl MultiLevelScheduler {
     /// Creates a scheduler with a 1 ms quantum and a 500 ms usage
     /// half-life.
     pub fn new() -> Self {
-        Self::with_params(Nanos::from_millis(1), Nanos::from_millis(500))
-    }
-
-    /// Creates a scheduler with explicit quantum and usage half-life.
-    pub fn with_params(quantum: Nanos, half_life: Nanos) -> Self {
         MultiLevelScheduler {
             tasks: IdSlab::new(),
             runnable: Vec::new(),
@@ -311,8 +309,6 @@ impl MultiLevelScheduler {
             cands: Vec::new(),
             marked: Vec::new(),
             pool: Vec::new(),
-            quantum,
-            half_life,
         }
     }
 
@@ -579,11 +575,11 @@ impl CoreScheduler for MultiLevelScheduler {
             .or_else(|| self.pick_node(table, root, now, true))?;
         trace::emit_at(now, || TraceEventKind::SchedPick {
             task: task.0,
-            slice: self.quantum,
+            slice: QUANTUM,
         });
         Some(Pick {
             task,
-            slice: self.quantum,
+            slice: QUANTUM,
         })
     }
 
@@ -598,11 +594,10 @@ impl CoreScheduler for MultiLevelScheduler {
         let dt_sec = dt.as_secs_f64();
         // The kernel charges the table first, so `container` is live and
         // may claim its slot.
-        let half_life = self.half_life;
         self.slots
             .claim(container)
             .usage
-            .get_or_insert_with(|| UsageDecay::new(half_life))
+            .get_or_insert_with(|| UsageDecay::new(HALF_LIFE))
             .charge(dt, now);
 
         // Walk the chain from the charged container to the root, advancing

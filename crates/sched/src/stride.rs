@@ -14,6 +14,9 @@ use simcore::Nanos;
 
 use crate::api::{CoreScheduler, Pick, TaskId};
 
+/// The slice a pick grants.
+const QUANTUM: Nanos = Nanos::from_millis(1);
+
 #[derive(Debug)]
 struct StrideTask {
     binding: Vec<ContainerId>,
@@ -40,7 +43,6 @@ struct StrideTask {
 /// ```
 pub struct StrideScheduler {
     tasks: IdSlab<TaskId, StrideTask>,
-    quantum: Nanos,
     /// Global virtual time: max pass ever charged; wakers join here.
     vtime: f64,
 }
@@ -54,14 +56,8 @@ impl Default for StrideScheduler {
 impl StrideScheduler {
     /// Creates a stride scheduler with a 1 ms quantum.
     pub fn new() -> Self {
-        Self::with_quantum(Nanos::from_millis(1))
-    }
-
-    /// Creates a stride scheduler with an explicit quantum.
-    pub fn with_quantum(quantum: Nanos) -> Self {
         StrideScheduler {
             tasks: IdSlab::new(),
-            quantum,
             vtime: 0.0,
         }
     }
@@ -136,11 +132,11 @@ impl CoreScheduler for StrideScheduler {
         let (_, task) = best?;
         trace::emit_at(now, || TraceEventKind::SchedPick {
             task: task.0,
-            slice: self.quantum,
+            slice: QUANTUM,
         });
         Some(Pick {
             task,
-            slice: self.quantum,
+            slice: QUANTUM,
         })
     }
 

@@ -37,6 +37,6 @@ pub mod world;
 
 pub use frontend::{Frontend, TenantRoute};
 pub use link::{Lane, LaneSpec};
-pub use orchestrator::{Action, Orchestrator, OrchestratorConfig};
+pub use orchestrator::{Action, Orchestrator};
 pub use share::{GlobalShare, TenantShare};
 pub use world::{Node, NodeId, NodeSpec, World, FRONTEND};

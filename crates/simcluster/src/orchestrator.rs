@@ -22,29 +22,14 @@ use std::collections::BTreeSet;
 
 use crate::world::NodeId;
 
-/// Orchestrator tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct OrchestratorConfig {
-    /// A tenant lags when `target − measured > lag_threshold`.
-    pub lag_threshold: f64,
-    /// Consecutive lagging epochs before acting.
-    pub patience: u32,
-    /// A node is saturated when its busy fraction is at least this.
-    pub saturation: f64,
-    /// Never drain a tenant below this many active replicas.
-    pub min_replicas: usize,
-}
-
-impl Default for OrchestratorConfig {
-    fn default() -> Self {
-        OrchestratorConfig {
-            lag_threshold: 0.05,
-            patience: 2,
-            saturation: 0.80,
-            min_replicas: 1,
-        }
-    }
-}
+/// A tenant lags when `target − measured > LAG_THRESHOLD`.
+const LAG_THRESHOLD: f64 = 0.05;
+/// Consecutive lagging epochs before acting.
+const PATIENCE: u32 = 2;
+/// A node is saturated when its busy fraction is at least this.
+const SATURATION: f64 = 0.80;
+/// Never drain a tenant below this many active replicas.
+const MIN_REPLICAS: usize = 1;
 
 /// A placement decision for the harness to execute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,7 +61,6 @@ struct Streaks {
 
 /// The placement orchestrator.
 pub struct Orchestrator {
-    cfg: OrchestratorConfig,
     /// Active (non-drained) replica nodes per tenant.
     replicas: Vec<BTreeSet<u32>>,
     streaks: Vec<Streaks>,
@@ -85,17 +69,13 @@ pub struct Orchestrator {
 impl Orchestrator {
     /// An orchestrator for `initial_replicas[tenant]` = the nodes each
     /// tenant starts on.
-    pub fn new(cfg: OrchestratorConfig, initial_replicas: Vec<Vec<NodeId>>) -> Self {
+    pub fn new(initial_replicas: Vec<Vec<NodeId>>) -> Self {
         let streaks = vec![Streaks::default(); initial_replicas.len()];
         let replicas = initial_replicas
             .into_iter()
             .map(|nodes| nodes.into_iter().map(|n| n.0).collect())
             .collect();
-        Orchestrator {
-            cfg,
-            replicas,
-            streaks,
-        }
+        Orchestrator { replicas, streaks }
     }
 
     /// The active replica nodes of a tenant.
@@ -114,10 +94,10 @@ impl Orchestrator {
             let err = targets[t] - measured[t];
             {
                 let s = &mut self.streaks[t];
-                if err > self.cfg.lag_threshold {
+                if err > LAG_THRESHOLD {
                     s.lagging += 1;
                     s.over = 0;
-                } else if -err > self.cfg.lag_threshold {
+                } else if -err > LAG_THRESHOLD {
                     s.over += 1;
                     s.lagging = 0;
                 } else {
@@ -126,14 +106,13 @@ impl Orchestrator {
                 }
             }
             let s = self.streaks[t];
-            if s.lagging >= self.cfg.patience && self.saturated(t, node_busy) {
+            if s.lagging >= PATIENCE && self.saturated(t, node_busy) {
                 if let Some(node) = self.spread_target(t, node_busy) {
                     self.replicas[t].insert(node.0);
                     self.streaks[t].lagging = 0;
                     actions.push(Action::Place { tenant: t, node });
                 }
-            } else if s.over >= self.cfg.patience && self.replicas[t].len() > self.cfg.min_replicas
-            {
+            } else if s.over >= PATIENCE && self.replicas[t].len() > MIN_REPLICAS {
                 if let Some(node) = self.drain_target(t, node_busy) {
                     self.replicas[t].remove(&node.0);
                     self.streaks[t].over = 0;
@@ -150,7 +129,7 @@ impl Orchestrator {
     fn saturated(&self, tenant: usize, node_busy: &[f64]) -> bool {
         self.replicas[tenant]
             .iter()
-            .all(|&n| node_busy.get(n as usize).copied().unwrap_or(0.0) >= self.cfg.saturation)
+            .all(|&n| node_busy.get(n as usize).copied().unwrap_or(0.0) >= SATURATION)
     }
 
     /// Least-busy node without a replica of the tenant (lowest id ties).
@@ -188,15 +167,7 @@ mod tests {
 
     #[test]
     fn places_only_after_patience_and_saturation() {
-        let mut o = Orchestrator::new(
-            OrchestratorConfig {
-                lag_threshold: 0.05,
-                patience: 2,
-                saturation: 0.8,
-                min_replicas: 1,
-            },
-            vec![vec![NodeId(0)]],
-        );
+        let mut o = Orchestrator::new(vec![vec![NodeId(0)]]);
         let busy = [0.95, 0.2, 0.4];
         // First lagging epoch: patience not yet met.
         assert!(o.tick(&[0.10], &[0.30], &busy).is_empty());
@@ -213,7 +184,7 @@ mod tests {
 
     #[test]
     fn no_placement_with_local_headroom() {
-        let mut o = Orchestrator::new(OrchestratorConfig::default(), vec![vec![NodeId(0)]]);
+        let mut o = Orchestrator::new(vec![vec![NodeId(0)]]);
         let busy = [0.30, 0.10];
         for _ in 0..5 {
             assert!(o.tick(&[0.05], &[0.50], &busy).is_empty());
@@ -222,13 +193,7 @@ mod tests {
 
     #[test]
     fn drains_busiest_replica_when_over_target() {
-        let mut o = Orchestrator::new(
-            OrchestratorConfig {
-                patience: 2,
-                ..OrchestratorConfig::default()
-            },
-            vec![vec![NodeId(0), NodeId(1), NodeId(2)]],
-        );
+        let mut o = Orchestrator::new(vec![vec![NodeId(0), NodeId(1), NodeId(2)]]);
         let busy = [0.5, 0.9, 0.7];
         assert!(o.tick(&[0.80], &[0.30], &busy).is_empty());
         assert_eq!(

@@ -8,8 +8,9 @@
 //! closes the loop: each epoch it measures every tenant's charge growth
 //! across all nodes, compares the global fraction against the target, and
 //! nudges the per-node weights multiplicatively
-//! (`w *= 1 + gain·(target − measured)`), renormalizing per node and
-//! actuating through `ContainerTable::set_attrs` — the same
+//! (`w *= 1 + GAIN·(target − measured)`, with `GAIN` = 0.8),
+//! renormalizing per node and actuating through
+//! `ContainerTable::set_attrs` — the same
 //! observe-then-re-parameterize loop as C-Balancer's
 //! profile-then-rebalance, expressed over resource-container attributes.
 
@@ -32,8 +33,6 @@ pub struct TenantShare {
 /// The periodic cross-node share balancer.
 pub struct GlobalShare {
     tenants: Vec<TenantShare>,
-    /// Proportional gain on the multiplicative weight update.
-    gain: f64,
     /// Per-`(tenant, node)` weight, seeded from the target.
     weights: HashMap<(usize, u32), f64>,
     /// Per-`(tenant, node)` subtree CPU at the previous epoch.
@@ -48,15 +47,16 @@ const MIN_W: f64 = 0.02;
 const MAX_W: f64 = 50.0;
 /// Per-node share headroom left for non-tenant (root/system) work.
 const HEADROOM: f64 = 0.95;
+/// Proportional gain on the multiplicative weight update (0.5–2.0
+/// converges in a handful of epochs; higher oscillates).
+const GAIN: f64 = 0.8;
 
 impl GlobalShare {
-    /// A balancer for `tenants` with proportional gain `gain`
-    /// (0.5–2.0 converges in a handful of epochs; higher oscillates).
-    pub fn new(tenants: Vec<TenantShare>, gain: f64) -> Self {
+    /// A balancer for `tenants`.
+    pub fn new(tenants: Vec<TenantShare>) -> Self {
         let measured = vec![0.0; tenants.len()];
         GlobalShare {
             tenants,
-            gain,
             weights: HashMap::new(),
             prev: HashMap::new(),
             measured,
@@ -127,7 +127,7 @@ impl GlobalShare {
                     .weights
                     .entry((t, n))
                     .or_insert(tenant.target.max(MIN_W));
-                *w = (*w * (1.0 + self.gain * err)).clamp(MIN_W, MAX_W);
+                *w = (*w * (1.0 + GAIN * err)).clamp(MIN_W, MAX_W);
             }
         }
         // 3. Actuate: renormalize per node over the tenants present there

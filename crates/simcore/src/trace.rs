@@ -195,14 +195,6 @@ pub enum TraceEventKind {
         /// Time the packet occupies the link.
         wire: Nanos,
     },
-    /// An outbound packet was dropped by the transmit link scheduler
-    /// (rate cap or queue bound).
-    LinkDrop {
-        /// Destination port of the dropped packet.
-        port: u16,
-        /// Container charged for the drop.
-        container: u64,
-    },
     /// The buffer cache served a lookup from memory.
     CacheHit {
         /// File identifier.

@@ -4,8 +4,8 @@
 //! Service time for a read is
 //!
 //! ```text
-//! service = (seek + rotation, if the head moves to a different file)
-//!         + bytes / transfer_rate
+//! service = (SEEK + ROTATION, if the head moves to a different file)
+//!         + bytes / TRANSFER_RATE
 //! ```
 //!
 //! so back-to-back reads of the same file stream at the transfer rate
@@ -36,53 +36,27 @@ use crate::iosched::{IoSched, QueuedRequest};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReqId(pub u64);
 
-/// Physical cost knobs for the simulated disk.
-///
-/// The defaults approximate a late-1990s server disk (the hardware era of
-/// the paper's testbed): 5 ms average seek, 10k RPM (3 ms average
-/// rotational latency), 20 MB/s media rate.
-#[derive(Clone, Copy, Debug)]
-pub struct DiskParams {
-    /// Average seek time paid when the head moves between files.
-    pub seek: Nanos,
-    /// Average rotational latency paid along with a seek.
-    pub rotation: Nanos,
-    /// Media transfer rate in bytes per second.
-    pub transfer_rate: u64,
-}
+// The physical cost model approximates a late-1990s server disk (the
+// hardware era of the paper's testbed).
 
-impl Default for DiskParams {
-    fn default() -> Self {
-        DiskParams {
-            seek: Nanos::from_micros(5_000),
-            rotation: Nanos::from_micros(3_000),
-            transfer_rate: 20 * 1024 * 1024,
-        }
-    }
-}
+/// Average seek time paid when the head moves between files: 5 ms.
+const SEEK: Nanos = Nanos::from_micros(5_000);
+/// Average rotational latency paid along with a seek: 3 ms (10k RPM).
+const ROTATION: Nanos = Nanos::from_micros(3_000);
+/// Media transfer rate in bytes per second: 20 MiB/s.
+const TRANSFER_RATE: u64 = 20 * 1024 * 1024;
 
-impl DiskParams {
-    /// A fast disk for unit tests: 100 µs positioning, 100 MB/s.
-    pub fn fast() -> Self {
-        DiskParams {
-            seek: Nanos::from_micros(50),
-            rotation: Nanos::from_micros(50),
-            transfer_rate: 100 * 1024 * 1024,
-        }
-    }
-
-    /// Service time for reading `bytes` of `file` given the previous head
-    /// position.
-    pub fn service(&self, file: u64, bytes: u64, last_file: Option<u64>) -> Nanos {
-        let positioning = if last_file == Some(file) {
-            Nanos::ZERO
-        } else {
-            self.seek + self.rotation
-        };
-        let transfer =
-            Nanos::from_nanos((bytes as u128 * 1_000_000_000 / self.transfer_rate as u128) as u64);
-        positioning + transfer
-    }
+/// Service time for reading `bytes` of `file` given the previous head
+/// position.
+fn service(file: u64, bytes: u64, last_file: Option<u64>) -> Nanos {
+    let positioning = if last_file == Some(file) {
+        Nanos::ZERO
+    } else {
+        SEEK + ROTATION
+    };
+    let transfer =
+        Nanos::from_nanos((bytes as u128 * 1_000_000_000 / TRANSFER_RATE as u128) as u64);
+    positioning + transfer
 }
 
 /// A read request as submitted by the kernel.
@@ -138,10 +112,10 @@ struct InFlight {
 /// ```
 /// use rescon::ContainerTable;
 /// use simcore::Nanos;
-/// use simdisk::{DiskParams, DiskRequest, FifoIoSched, SimDisk};
+/// use simdisk::{DiskRequest, FifoIoSched, SimDisk};
 ///
 /// let mut table = ContainerTable::new();
-/// let mut disk = SimDisk::new(DiskParams::fast(), Box::new(FifoIoSched::new()));
+/// let mut disk = SimDisk::new(Box::new(FifoIoSched::new()));
 /// disk.submit(
 ///     DiskRequest { file: 7, bytes: 8192, charge_to: table.root(), intr_cpu: 0, span: 0 },
 ///     &table,
@@ -154,7 +128,6 @@ struct InFlight {
 /// assert_eq!(table.usage(table.root()).unwrap().disk_time, disk.total_busy());
 /// ```
 pub struct SimDisk {
-    params: DiskParams,
     sched: Box<dyn IoSched>,
     inflight: Option<InFlight>,
     /// File of the most recently started request (head position).
@@ -165,10 +138,9 @@ pub struct SimDisk {
 }
 
 impl SimDisk {
-    /// Creates an idle disk with the given cost model and queue discipline.
-    pub fn new(params: DiskParams, sched: Box<dyn IoSched>) -> Self {
+    /// Creates an idle disk with the given queue discipline.
+    pub fn new(sched: Box<dyn IoSched>) -> Self {
         SimDisk {
-            params,
             sched,
             inflight: None,
             last_file: None,
@@ -210,7 +182,7 @@ impl SimDisk {
             fail,
             span: req.span,
         };
-        self.sched.enqueue(queued, table);
+        self.sched.enqueue(queued);
         trace::emit_at(now, || TraceEventKind::DiskQueue {
             req: id.0,
             file: req.file,
@@ -274,10 +246,10 @@ impl SimDisk {
 
     fn start_next(&mut self, table: &ContainerTable, start: Nanos) {
         debug_assert!(self.inflight.is_none());
-        let Some(req) = self.sched.dequeue(table) else {
+        let Some(req) = self.sched.dequeue() else {
             return;
         };
-        let service = self.params.service(req.file, req.bytes, self.last_file) + req.extra_service;
+        let service = service(req.file, req.bytes, self.last_file) + req.extra_service;
         self.sched.charge(req.charge_to, service, table);
         trace::emit_at(start, || TraceEventKind::DiskStart {
             req: req.id.0,
@@ -331,22 +303,13 @@ impl SimDisk {
     /// its finish time is already fixed, so it completes (and charges)
     /// under the device, not the discipline. Returns the name of the
     /// discipline that was replaced.
-    pub fn replace_sched(
-        &mut self,
-        mut sched: Box<dyn IoSched>,
-        table: &ContainerTable,
-    ) -> &'static str {
+    pub fn replace_sched(&mut self, mut sched: Box<dyn IoSched>) -> &'static str {
         let old = self.sched.name();
         for req in self.sched.drain() {
-            sched.enqueue(req, table);
+            sched.enqueue(req);
         }
         self.sched = sched;
         old
-    }
-
-    /// The cost model in use.
-    pub fn params(&self) -> &DiskParams {
-        &self.params
     }
 }
 
@@ -366,22 +329,21 @@ mod tests {
 
     #[test]
     fn sequential_reads_skip_positioning() {
-        let p = DiskParams::fast();
         assert_eq!(
-            p.service(1, 0, Some(1)),
+            service(1, 0, Some(1)),
             Nanos::ZERO,
             "same file, no bytes: free"
         );
-        let first = p.service(1, 4096, None);
-        let next = p.service(1, 4096, Some(1));
-        assert_eq!(first - next, p.seek + p.rotation);
+        let first = service(1, 4096, None);
+        let next = service(1, 4096, Some(1));
+        assert_eq!(first - next, SEEK + ROTATION);
     }
 
     #[test]
     fn replace_sched_preserves_queue_and_inflight() {
         let mut table = ContainerTable::new();
         let c = table.create(None, Attributes::fixed_share(0.5)).unwrap();
-        let mut disk = SimDisk::new(DiskParams::fast(), Box::new(ShareIoSched::new()));
+        let mut disk = SimDisk::new(Box::new(ShareIoSched::new()));
         for i in 0..4 {
             disk.submit(
                 DiskRequest {
@@ -398,7 +360,7 @@ mod tests {
         assert!(disk.busy());
         assert_eq!(disk.queue_len(), 3);
         let finish = disk.next_completion_time().unwrap();
-        let old = disk.replace_sched(Box::new(FifoIoSched::new()), &table);
+        let old = disk.replace_sched(Box::new(FifoIoSched::new()));
         assert_eq!(old, "share");
         assert_eq!(disk.sched_name(), "fifo");
         // Queue intact, in-flight untouched.
@@ -418,7 +380,7 @@ mod tests {
     fn single_request_charges_owner() {
         let mut table = ContainerTable::new();
         let c = table.create(None, Attributes::time_shared(5)).unwrap();
-        let mut disk = SimDisk::new(DiskParams::fast(), Box::new(FifoIoSched::new()));
+        let mut disk = SimDisk::new(Box::new(FifoIoSched::new()));
         disk.submit(
             DiskRequest {
                 file: 1,
@@ -442,7 +404,7 @@ mod tests {
     #[test]
     fn work_conserving_back_to_back() {
         let mut table = ContainerTable::new();
-        let mut disk = SimDisk::new(DiskParams::fast(), Box::new(FifoIoSched::new()));
+        let mut disk = SimDisk::new(Box::new(FifoIoSched::new()));
         let root = table.root();
         for i in 0..3 {
             disk.submit(
@@ -473,7 +435,7 @@ mod tests {
         let mut table = ContainerTable::new();
         let big = table.create(None, Attributes::fixed_share(0.7)).unwrap();
         let small = table.create(None, Attributes::fixed_share(0.3)).unwrap();
-        let mut disk = SimDisk::new(DiskParams::fast(), Box::new(ShareIoSched::new()));
+        let mut disk = SimDisk::new(Box::new(ShareIoSched::new()));
         // Keep both backlogged: resubmit on completion.
         let mut now = Nanos::ZERO;
         for _ in 0..4 {
@@ -518,8 +480,8 @@ mod tests {
     fn injected_faults_still_charge_full_service() {
         let mut table = ContainerTable::new();
         let c = table.create(None, Attributes::time_shared(5)).unwrap();
-        let mut disk = SimDisk::new(DiskParams::fast(), Box::new(FifoIoSched::new()));
-        let base = DiskParams::fast().service(1, 4096, None);
+        let mut disk = SimDisk::new(Box::new(FifoIoSched::new()));
+        let base = service(1, 4096, None);
         let spike = Nanos::from_micros(700);
         disk.submit_with_fault(
             DiskRequest {
@@ -565,7 +527,7 @@ mod tests {
     fn destroyed_container_bills_root() {
         let mut table = ContainerTable::new();
         let c = table.create(None, Attributes::time_shared(5)).unwrap();
-        let mut disk = SimDisk::new(DiskParams::fast(), Box::new(FifoIoSched::new()));
+        let mut disk = SimDisk::new(Box::new(FifoIoSched::new()));
         disk.submit(
             DiskRequest {
                 file: 1,

@@ -42,10 +42,10 @@ pub struct QueuedRequest {
 /// Dispatch order policy for pending disk requests.
 pub trait IoSched {
     /// Adds a request to the queue.
-    fn enqueue(&mut self, req: QueuedRequest, table: &ContainerTable);
+    fn enqueue(&mut self, req: QueuedRequest);
 
     /// Removes and returns the next request to serve, or `None` if idle.
-    fn dequeue(&mut self, table: &ContainerTable) -> Option<QueuedRequest>;
+    fn dequeue(&mut self) -> Option<QueuedRequest>;
 
     /// Informs the scheduler of the actual service time of a dispatched
     /// request, so proportional-share disciplines can advance virtual time.
@@ -86,9 +86,9 @@ pub trait IoSched {
 ///     id: ReqId(0), file: 1, bytes: 4096, charge_to: table.root(), intr_cpu: 0,
 ///     extra_service: Nanos::ZERO, fail: false, span: 0,
 /// };
-/// q.enqueue(req, &table);
-/// assert_eq!(q.dequeue(&table), Some(req));
-/// assert!(q.dequeue(&table).is_none());
+/// q.enqueue(req);
+/// assert_eq!(q.dequeue(), Some(req));
+/// assert!(q.dequeue().is_none());
 /// ```
 #[derive(Debug, Default)]
 pub struct FifoIoSched {
@@ -103,11 +103,11 @@ impl FifoIoSched {
 }
 
 impl IoSched for FifoIoSched {
-    fn enqueue(&mut self, req: QueuedRequest, _table: &ContainerTable) {
+    fn enqueue(&mut self, req: QueuedRequest) {
         self.queue.push_back(req);
     }
 
-    fn dequeue(&mut self, _table: &ContainerTable) -> Option<QueuedRequest> {
+    fn dequeue(&mut self) -> Option<QueuedRequest> {
         self.queue.pop_front()
     }
 
@@ -168,7 +168,7 @@ impl ShareIoSched {
 }
 
 impl IoSched for ShareIoSched {
-    fn enqueue(&mut self, req: QueuedRequest, _table: &ContainerTable) {
+    fn enqueue(&mut self, req: QueuedRequest) {
         let vtime = self.vtime;
         let q = self
             .queues
@@ -185,7 +185,7 @@ impl IoSched for ShareIoSched {
         self.queued += 1;
     }
 
-    fn dequeue(&mut self, _table: &ContainerTable) -> Option<QueuedRequest> {
+    fn dequeue(&mut self) -> Option<QueuedRequest> {
         let mut best: Option<(f64, ContainerId)> = None;
         for (&id, q) in &self.queues {
             if q.queue.is_empty() {
@@ -261,10 +261,10 @@ mod tests {
         let table = ContainerTable::new();
         let mut q = FifoIoSched::new();
         for i in 0..5 {
-            q.enqueue(req(i, table.root()), &table);
+            q.enqueue(req(i, table.root()));
         }
         for i in 0..5 {
-            assert_eq!(q.dequeue(&table).unwrap().id, ReqId(i));
+            assert_eq!(q.dequeue().unwrap().id, ReqId(i));
         }
         assert!(q.is_empty());
     }
@@ -280,15 +280,15 @@ mod tests {
         let mut served = HashMap::new();
         let mut next_id = 0u64;
         for _ in 0..4 {
-            q.enqueue(req(next_id, big), &table);
-            q.enqueue(req(next_id + 1, small), &table);
+            q.enqueue(req(next_id, big));
+            q.enqueue(req(next_id + 1, small));
             next_id += 2;
         }
         for _ in 0..1000 {
-            let r = q.dequeue(&table).unwrap();
+            let r = q.dequeue().unwrap();
             q.charge(r.charge_to, service, &table);
             *served.entry(r.charge_to).or_insert(0u64) += 1;
-            q.enqueue(req(next_id, r.charge_to), &table);
+            q.enqueue(req(next_id, r.charge_to));
             next_id += 1;
         }
         let b = served[&big] as f64;
@@ -306,23 +306,23 @@ mod tests {
         let service = Nanos::from_millis(5);
         // `a` runs alone for a long stretch.
         for i in 0..100 {
-            q.enqueue(req(i, a), &table);
-            let r = q.dequeue(&table).unwrap();
+            q.enqueue(req(i, a));
+            let r = q.dequeue().unwrap();
             q.charge(r.charge_to, service, &table);
         }
         // `b` arrives; it must not monopolize the disk to "catch up".
         let mut b_served = 0;
         let mut next_id = 100u64;
-        q.enqueue(req(next_id, a), &table);
-        q.enqueue(req(next_id + 1, b), &table);
+        q.enqueue(req(next_id, a));
+        q.enqueue(req(next_id + 1, b));
         next_id += 2;
         for _ in 0..100 {
-            let r = q.dequeue(&table).unwrap();
+            let r = q.dequeue().unwrap();
             q.charge(r.charge_to, service, &table);
             if r.charge_to == b {
                 b_served += 1;
             }
-            q.enqueue(req(next_id, r.charge_to), &table);
+            q.enqueue(req(next_id, r.charge_to));
             next_id += 1;
         }
         assert!((40..=60).contains(&b_served), "b_served = {b_served}");
@@ -338,8 +338,8 @@ mod tests {
         // Interleaved arrivals from two containers.
         for i in 0..6 {
             let owner = if i % 2 == 0 { a } else { b };
-            fifo.enqueue(req(i, owner), &table);
-            share.enqueue(req(i, owner), &table);
+            fifo.enqueue(req(i, owner));
+            share.enqueue(req(i, owner));
         }
         let fd = fifo.drain();
         let sd = share.drain();
@@ -358,10 +358,10 @@ mod tests {
         let mut table = ContainerTable::new();
         let a = table.create(None, Attributes::time_shared(5)).unwrap();
         let mut q = ShareIoSched::new();
-        q.enqueue(req(0, a), &table);
-        q.enqueue(req(1, table.root()), &table);
+        q.enqueue(req(0, a));
+        q.enqueue(req(1, table.root()));
         assert_eq!(q.len(), 2);
-        q.dequeue(&table);
+        q.dequeue();
         assert_eq!(q.len(), 1);
     }
 }

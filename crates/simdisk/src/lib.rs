@@ -28,5 +28,5 @@ pub mod disk;
 pub mod iosched;
 
 pub use cache::{BufferCache, CacheOutcome};
-pub use disk::{Completion, DiskParams, DiskRequest, ReqId, SimDisk};
+pub use disk::{Completion, DiskRequest, ReqId, SimDisk};
 pub use iosched::{FifoIoSched, IoSched, QueuedRequest, ShareIoSched};

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rescon::{Attributes, ContainerId, ContainerTable};
 use simcore::Nanos;
-use simdisk::{BufferCache, DiskParams, DiskRequest, FifoIoSched, IoSched, ShareIoSched, SimDisk};
+use simdisk::{BufferCache, DiskRequest, FifoIoSched, IoSched, ShareIoSched, SimDisk};
 
 /// An abstract disk-side operation.
 #[derive(Clone, Debug)]
@@ -44,7 +44,7 @@ fn run_ops(ops: &[Op], sched: Box<dyn IoSched>) {
     let mut table = ContainerTable::new();
     let containers = build_containers(&mut table);
     let mut live = containers.clone();
-    let mut disk = SimDisk::new(DiskParams::fast(), sched);
+    let mut disk = SimDisk::new(sched);
     let mut now = Nanos::ZERO;
 
     for op in ops {

@@ -605,33 +605,26 @@ impl NetStack {
         Some(Packet::new(flow, PacketKind::Fin))
     }
 
-    /// Closes a listening socket; queued connections are reset.
-    pub fn close_listen(&mut self, listener: SockId) -> Vec<Packet> {
-        let (port, queued) = match self.sockets.get_mut(listener) {
-            Some(Socket {
-                kind: SocketKind::Listen(ls),
-                ..
-            }) => (ls.port, std::mem::take(&mut ls.accept_queue)),
-            _ => return Vec::new(),
+    /// Closes a listening socket: it leaves its port's listeners and the
+    /// socket table, with its half-open connections. The caller first
+    /// drains the accept queue ([`NetStack::accept`]) and closes each
+    /// queued connection like an accepted one.
+    pub fn close_listen(&mut self, listener: SockId) {
+        let Some(Socket {
+            kind: SocketKind::Listen(ls),
+            ..
+        }) = self.sockets.get(listener)
+        else {
+            return;
         };
-        let mut out = Vec::new();
-        for conn in queued {
-            if let Some(Socket {
-                kind: SocketKind::Conn(cs),
-                ..
-            }) = self.sockets.get(conn)
-            {
-                let flow = cs.flow;
-                out.push(Packet::new(flow, PacketKind::Rst));
-                self.conn_by_flow.remove(&flow);
-                self.sockets.remove(conn);
-            }
-        }
-        if let Some(v) = self.listeners_by_port.get_mut(&port) {
+        debug_assert!(
+            ls.accept_queue.is_empty(),
+            "listener closed with queued connections"
+        );
+        if let Some(v) = self.listeners_by_port.get_mut(&ls.port) {
             v.retain(|&l| l != listener);
         }
         self.sockets.remove(listener);
-        out
     }
 
     /// Returns listener drop counters `(syn_drops, accept_drops)`.
@@ -941,14 +934,22 @@ mod tests {
     }
 
     #[test]
-    fn close_listen_resets_queued_connections() {
+    fn close_listen_removes_the_listener() {
         let (mut s, l) = stack_with_listener();
-        let f = flow(1, 80);
-        let _conn = establish(&mut s, f, Nanos::ZERO);
-        let rsts = s.close_listen(l);
-        assert_eq!(rsts.len(), 1);
-        assert_eq!(rsts[0].kind, PacketKind::Rst);
-        assert_eq!(s.socket_count(), 0);
+        let conn = establish(&mut s, flow(1, 80), Nanos::ZERO);
+        assert_eq!(s.accept(l), Some(conn));
+        s.close_listen(l);
+        assert!(s.socket(l).is_none());
+        assert_eq!(
+            s.classify(&Packet::new(flow(2, 80), PacketKind::Syn)),
+            Demux::NoMatch
+        );
+        // The accepted connection outlives its listener.
+        assert_eq!(s.socket_count(), 1);
+        assert_eq!(
+            s.classify(&Packet::new(flow(1, 80), PacketKind::Data { bytes: 1 })),
+            Demux::Conn(conn)
+        );
     }
 
     #[test]

@@ -7,282 +7,193 @@
 //!   connection → **338 µs of CPU per request**;
 //! - 9487 requests/s with persistent connections → **105 µs per request**.
 //!
-//! The defaults below decompose those totals into per-operation costs with
-//! plausible early-demultiplexing / protocol / syscall / user-level splits
-//! (the paper does not publish a breakdown; the *totals* are what the
-//! experiments depend on, and the baseline-throughput integration test
+//! The constants below decompose those totals into per-operation costs
+//! with plausible early-demultiplexing / protocol / syscall / user-level
+//! splits (the paper does not publish a breakdown; the *totals* are what
+//! the experiments depend on, and the baseline-throughput integration test
 //! pins both totals to within a few percent).
 //!
+//! Persistent-request total: `INTR_DEMUX + DATA_RX + event wake (≈
+//! EVENT_API_BASE + EVENT_API_PER_EVENT) + READ_SYSCALL + user work (≈47
+//! µs, charged by the application) + WRITE_SYSCALL + DATA_TX + demux of
+//! the request ACK` ≈ 105 µs. Connection setup/teardown adds ≈ 233 µs
+//! (SYN + SYN-ACK + establish + accept + FIN exchange + close + fd churn),
+//! for 338 µs total.
+//!
 //! Container-primitive costs are taken directly from Table 1 of the paper.
+//! The simulator models this one machine, so the costs are constants.
 
 use simcore::Nanos;
+use simnet::PacketKind;
 
 /// Microsecond helper for readable constants.
 const fn us(n: u64) -> Nanos {
     Nanos::from_micros(n)
 }
 
-/// Per-operation CPU costs charged by the simulated kernel.
-#[derive(Clone, Debug)]
-pub struct CostModel {
-    // --- Interrupt-level costs ---
-    /// Early demultiplex + packet-filter per received packet (always at
-    /// interrupt level, in every discipline).
-    pub intr_demux: Nanos,
-    /// Context-switch overhead, charged as uncounted system overhead.
-    pub ctx_switch: Nanos,
+// --- Interrupt-level costs ---
 
-    // --- Protocol processing (interrupt level or kernel thread) ---
-    /// TCP/IP receive processing of a SYN (PCB lookup, queue insert).
-    pub syn_proc: Nanos,
-    /// Transmit path of the SYN-ACK.
-    pub synack_tx: Nanos,
-    /// Receive processing of the handshake-completing ACK, including PCB
-    /// allocation and accept-queue insertion.
-    pub establish_proc: Nanos,
-    /// Receive processing of a data segment.
-    pub data_rx: Nanos,
-    /// Transmit path of a data segment (copy + checksum of ≤ MSS bytes).
-    pub data_tx: Nanos,
-    /// Receive processing of a FIN or RST.
-    pub fin_rx: Nanos,
-    /// Transmit path of a FIN, including PCB teardown scheduling.
-    pub fin_tx: Nanos,
+/// Early demultiplex + packet-filter per received packet (always at
+/// interrupt level, in every discipline).
+pub const INTR_DEMUX: Nanos = Nanos::from_nanos(3_900);
+/// Context-switch overhead, charged as uncounted system overhead.
+pub const CTX_SWITCH: Nanos = us(3);
 
-    // --- Socket syscalls ---
-    /// `accept()` including fd allocation.
-    pub accept_syscall: Nanos,
-    /// `read()` from a socket.
-    pub read_syscall: Nanos,
-    /// `write()` base cost (per-packet `data_tx` comes on top).
-    pub write_syscall: Nanos,
-    /// `close()` of a connection, including fd and PCB release.
-    pub close_syscall: Nanos,
-    /// Creating a listening socket.
-    pub listen_syscall: Nanos,
+// --- Protocol processing (interrupt level or kernel thread) ---
 
-    // --- Event delivery ---
-    /// Fixed cost of a `select()` call.
-    pub select_base: Nanos,
-    /// Per-descriptor scan cost of `select()` (the linear term of §5.5).
-    pub select_per_fd: Nanos,
-    /// Fixed cost of a scalable-event-API wait/dequeue.
-    pub event_api_base: Nanos,
-    /// Per-event delivery cost of the scalable event API.
-    pub event_api_per_event: Nanos,
+/// TCP/IP receive processing of a SYN (PCB lookup, queue insert).
+pub const SYN_PROC: Nanos = us(54);
+/// Transmit path of the SYN-ACK.
+pub const SYNACK_TX: Nanos = us(24);
+/// Receive processing of the handshake-completing ACK, including PCB
+/// allocation and accept-queue insertion.
+pub const ESTABLISH_PROC: Nanos = us(58);
+/// Receive processing of a data segment.
+pub const DATA_RX: Nanos = us(17);
+/// Transmit path of a data segment (copy + checksum of ≤ MSS bytes).
+pub const DATA_TX: Nanos = us(24);
+/// Receive processing of a FIN or RST.
+pub const FIN_RX: Nanos = us(12);
+/// Transmit path of a FIN, including PCB teardown scheduling.
+pub const FIN_TX: Nanos = us(28);
 
-    // --- Process machinery ---
-    /// `fork()`/`exec()` of a CGI process.
-    pub fork: Nanos,
-    /// Process teardown.
-    pub exit: Nanos,
+// --- Socket syscalls ---
 
-    // --- Container primitives (Table 1 of the paper) ---
-    /// Create a resource container: 2.36 µs.
-    pub rc_create: Nanos,
-    /// Destroy a resource container: 2.10 µs.
-    pub rc_destroy: Nanos,
-    /// Change a thread's resource binding: 1.04 µs.
-    pub rc_bind: Nanos,
-    /// Obtain container resource usage: 2.04 µs.
-    pub rc_usage: Nanos,
-    /// Set/get container attributes: 2.10 µs.
-    pub rc_attrs: Nanos,
-    /// Move a container between processes: 3.15 µs.
-    pub rc_pass: Nanos,
-    /// Obtain a handle for an existing container: 1.90 µs.
-    pub rc_handle: Nanos,
+/// `accept()` including fd allocation.
+pub const ACCEPT_SYSCALL: Nanos = us(28);
+/// `read()` from a socket.
+pub const READ_SYSCALL: Nanos = us(6);
+/// `write()` base cost (per-packet `DATA_TX` comes on top).
+pub const WRITE_SYSCALL: Nanos = us(7);
+/// `close()` of a connection, including fd and PCB release.
+pub const CLOSE_SYSCALL: Nanos = us(36);
+/// Creating a listening socket.
+pub const LISTEN_SYSCALL: Nanos = us(25);
 
-    // --- File I/O ---
-    /// Interrupt-level handling of a disk completion (the disk interrupt
-    /// itself; the request's *service time* is disk time, charged to the
-    /// owning container by `simdisk`, not CPU).
-    pub disk_intr: Nanos,
-    /// CPU cost of copying file data to the application, per KiB; paid on
-    /// buffer-cache hits and on miss completions alike.
-    pub file_copy_per_kb: Nanos,
+// --- Event delivery ---
 
-    // --- Link model ---
-    /// One-way wire+switch latency between client and server.
-    pub link_latency: Nanos,
+/// Fixed cost of a `select()` call.
+pub const SELECT_BASE: Nanos = us(6);
+/// Per-descriptor scan cost of `select()` (the linear term of §5.5).
+pub const SELECT_PER_FD: Nanos = Nanos::from_nanos(2_000);
+/// Fixed cost of a scalable-event-API wait/dequeue.
+pub const EVENT_API_BASE: Nanos = us(3);
+/// Per-event delivery cost of the scalable event API.
+pub const EVENT_API_PER_EVENT: Nanos = us(1);
+
+// --- Process machinery ---
+
+/// `fork()`/`exec()` of a CGI process.
+pub const FORK: Nanos = us(400);
+/// Process teardown.
+pub const EXIT: Nanos = us(150);
+
+// --- Container primitives (Table 1 of the paper) ---
+
+/// Create a resource container: 2.36 µs.
+pub const RC_CREATE: Nanos = Nanos::from_nanos(2_360);
+/// Destroy a resource container: 2.10 µs.
+pub const RC_DESTROY: Nanos = Nanos::from_nanos(2_100);
+/// Change a thread's resource binding: 1.04 µs.
+pub const RC_BIND: Nanos = Nanos::from_nanos(1_040);
+/// Obtain container resource usage: 2.04 µs.
+pub const RC_USAGE: Nanos = Nanos::from_nanos(2_040);
+/// Set/get container attributes: 2.10 µs.
+pub const RC_ATTRS: Nanos = Nanos::from_nanos(2_100);
+/// Move a container between processes: 3.15 µs.
+pub const RC_PASS: Nanos = Nanos::from_nanos(3_150);
+/// Obtain a handle for an existing container: 1.90 µs.
+pub const RC_HANDLE: Nanos = Nanos::from_nanos(1_900);
+
+// --- File I/O ---
+
+/// Interrupt-level handling of a disk completion (the disk interrupt
+/// itself; the request's *service time* is disk time, charged to the
+/// owning container by `simdisk`, not CPU).
+pub const DISK_INTR: Nanos = us(10);
+/// CPU cost of copying file data to the application, per KiB; paid on
+/// buffer-cache hits and on miss completions alike.
+pub const FILE_COPY_PER_KB: Nanos = us(3);
+
+// --- Link model ---
+
+/// One-way wire+switch latency between client and server.
+pub const LINK_LATENCY: Nanos = us(40);
+
+/// Cost of one `select()` scan over `n` descriptors.
+pub fn select_scan(n: usize) -> Nanos {
+    SELECT_BASE + SELECT_PER_FD * n as u64
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        Self::alpha_500mhz()
+/// Cost of delivering `n` events through the scalable event API.
+pub fn event_delivery(n: usize) -> Nanos {
+    EVENT_API_BASE + EVENT_API_PER_EVENT * n as u64
+}
+
+/// CPU cost of copying `bytes` of file data to the application
+/// (rounded up to whole KiB).
+pub fn file_copy(bytes: u64) -> Nanos {
+    FILE_COPY_PER_KB * bytes.div_ceil(1024).max(1)
+}
+
+/// Protocol-processing cost of a received packet by kind.
+pub fn rx_cost(kind: PacketKind) -> Nanos {
+    match kind {
+        PacketKind::Syn => SYN_PROC,
+        PacketKind::Ack => ESTABLISH_PROC,
+        PacketKind::Data { .. } => DATA_RX,
+        PacketKind::Fin | PacketKind::Rst => FIN_RX,
+        PacketKind::SynAck => DATA_RX,
     }
 }
 
-impl CostModel {
-    /// The calibrated model for the paper's 500 MHz Alpha server.
-    ///
-    /// Persistent-request total:
-    /// `intr_demux + data_rx + event wake (≈ event_api_base +
-    /// per_event) + read + user work (≈47 µs, charged by the
-    /// application) + write_base + data_tx + demux of the request ACK`
-    /// ≈ 105 µs.
-    ///
-    /// Connection setup/teardown adds ≈ 233 µs (SYN + SYN-ACK + establish
-    /// + accept + FIN exchange + close + fd churn), for 338 µs total.
-    pub fn alpha_500mhz() -> Self {
-        CostModel {
-            intr_demux: Nanos::from_nanos(3_900),
-            ctx_switch: us(3),
-            syn_proc: us(54),
-            synack_tx: us(24),
-            establish_proc: us(58),
-            data_rx: us(17),
-            data_tx: us(24),
-            fin_rx: us(12),
-            fin_tx: us(28),
-            accept_syscall: us(28),
-            read_syscall: us(6),
-            write_syscall: us(7),
-            close_syscall: us(36),
-            listen_syscall: us(25),
-            select_base: us(6),
-            select_per_fd: Nanos::from_nanos(2_000),
-            event_api_base: us(3),
-            event_api_per_event: us(1),
-            fork: us(400),
-            exit: us(150),
-            rc_create: Nanos::from_nanos(2_360),
-            rc_destroy: Nanos::from_nanos(2_100),
-            rc_bind: Nanos::from_nanos(1_040),
-            rc_usage: Nanos::from_nanos(2_040),
-            rc_attrs: Nanos::from_nanos(2_100),
-            rc_pass: Nanos::from_nanos(3_150),
-            rc_handle: Nanos::from_nanos(1_900),
-            disk_intr: us(10),
-            file_copy_per_kb: us(3),
-            link_latency: us(40),
-        }
-    }
-
-    /// A uniformly cheap model for fast unit tests (every cost 1 µs,
-    /// select scan 100 ns/fd, zero link latency).
-    pub fn fast() -> Self {
-        let one = us(1);
-        CostModel {
-            intr_demux: one,
-            ctx_switch: Nanos::ZERO,
-            syn_proc: one,
-            synack_tx: one,
-            establish_proc: one,
-            data_rx: one,
-            data_tx: one,
-            fin_rx: one,
-            fin_tx: one,
-            accept_syscall: one,
-            read_syscall: one,
-            write_syscall: one,
-            close_syscall: one,
-            listen_syscall: one,
-            select_base: one,
-            select_per_fd: Nanos::from_nanos(100),
-            event_api_base: one,
-            event_api_per_event: Nanos::from_nanos(100),
-            fork: us(10),
-            exit: us(2),
-            rc_create: one,
-            rc_destroy: one,
-            rc_bind: one,
-            rc_usage: one,
-            rc_attrs: one,
-            rc_pass: one,
-            rc_handle: one,
-            disk_intr: one,
-            file_copy_per_kb: Nanos::from_nanos(100),
-            link_latency: Nanos::ZERO,
-        }
-    }
-
-    /// Cost of one `select()` scan over `n` descriptors.
-    pub fn select_scan(&self, n: usize) -> Nanos {
-        self.select_base + self.select_per_fd * n as u64
-    }
-
-    /// Cost of delivering `n` events through the scalable event API.
-    pub fn event_delivery(&self, n: usize) -> Nanos {
-        self.event_api_base + self.event_api_per_event * n as u64
-    }
-
-    /// CPU cost of copying `bytes` of file data to the application
-    /// (rounded up to whole KiB).
-    pub fn file_copy(&self, bytes: u64) -> Nanos {
-        self.file_copy_per_kb * bytes.div_ceil(1024).max(1)
-    }
-
-    /// Protocol-processing cost of a received packet by kind.
-    pub fn rx_cost(&self, kind: simnet::PacketKind) -> Nanos {
-        match kind {
-            simnet::PacketKind::Syn => self.syn_proc,
-            simnet::PacketKind::Ack => self.establish_proc,
-            simnet::PacketKind::Data { .. } => self.data_rx,
-            simnet::PacketKind::Fin | simnet::PacketKind::Rst => self.fin_rx,
-            simnet::PacketKind::SynAck => self.data_rx,
-        }
-    }
-
-    /// Transmit cost of an outgoing packet by kind.
-    pub fn tx_cost(&self, kind: simnet::PacketKind) -> Nanos {
-        match kind {
-            simnet::PacketKind::SynAck => self.synack_tx,
-            simnet::PacketKind::Data { .. } => self.data_tx,
-            simnet::PacketKind::Fin => self.fin_tx,
-            simnet::PacketKind::Rst => self.fin_tx,
-            simnet::PacketKind::Syn | simnet::PacketKind::Ack => self.synack_tx,
-        }
+/// Transmit cost of an outgoing packet by kind.
+pub fn tx_cost(kind: PacketKind) -> Nanos {
+    match kind {
+        PacketKind::SynAck => SYNACK_TX,
+        PacketKind::Data { .. } => DATA_TX,
+        PacketKind::Fin => FIN_TX,
+        PacketKind::Rst => FIN_TX,
+        PacketKind::Syn | PacketKind::Ack => SYNACK_TX,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::PacketKind;
 
     #[test]
     fn select_scan_is_linear() {
-        let m = CostModel::alpha_500mhz();
-        let c0 = m.select_scan(0);
-        let c10 = m.select_scan(10);
-        let c20 = m.select_scan(20);
+        let c0 = select_scan(0);
+        let c10 = select_scan(10);
+        let c20 = select_scan(20);
         assert_eq!(c20 - c10, c10 - c0);
-        assert_eq!(c0, m.select_base);
+        assert_eq!(c0, SELECT_BASE);
     }
 
     #[test]
     fn event_delivery_much_cheaper_than_select_at_scale() {
-        let m = CostModel::alpha_500mhz();
-        assert!(m.event_delivery(2) < m.select_scan(100));
+        assert!(event_delivery(2) < select_scan(100));
     }
 
     #[test]
     fn table1_values_match_paper() {
-        let m = CostModel::alpha_500mhz();
-        assert_eq!(m.rc_create, Nanos::from_nanos(2_360));
-        assert_eq!(m.rc_destroy, Nanos::from_nanos(2_100));
-        assert_eq!(m.rc_bind, Nanos::from_nanos(1_040));
-        assert_eq!(m.rc_usage, Nanos::from_nanos(2_040));
-        assert_eq!(m.rc_attrs, Nanos::from_nanos(2_100));
-        assert_eq!(m.rc_pass, Nanos::from_nanos(3_150));
-        assert_eq!(m.rc_handle, Nanos::from_nanos(1_900));
+        assert_eq!(RC_CREATE, Nanos::from_nanos(2_360));
+        assert_eq!(RC_DESTROY, Nanos::from_nanos(2_100));
+        assert_eq!(RC_BIND, Nanos::from_nanos(1_040));
+        assert_eq!(RC_USAGE, Nanos::from_nanos(2_040));
+        assert_eq!(RC_ATTRS, Nanos::from_nanos(2_100));
+        assert_eq!(RC_PASS, Nanos::from_nanos(3_150));
+        assert_eq!(RC_HANDLE, Nanos::from_nanos(1_900));
     }
 
     #[test]
     fn container_primitives_are_negligible_vs_request() {
         // §5.4: "all such operations have costs much smaller than that of a
         // single HTTP transaction".
-        let m = CostModel::alpha_500mhz();
         let per_request = Nanos::from_micros(105);
         for c in [
-            m.rc_create,
-            m.rc_destroy,
-            m.rc_bind,
-            m.rc_usage,
-            m.rc_attrs,
-            m.rc_pass,
-            m.rc_handle,
+            RC_CREATE, RC_DESTROY, RC_BIND, RC_USAGE, RC_ATTRS, RC_PASS, RC_HANDLE,
         ] {
             assert!(c * 10 < per_request);
         }
@@ -290,7 +201,6 @@ mod tests {
 
     #[test]
     fn rx_tx_costs_cover_all_kinds() {
-        let m = CostModel::fast();
         for k in [
             PacketKind::Syn,
             PacketKind::SynAck,
@@ -299,8 +209,8 @@ mod tests {
             PacketKind::Fin,
             PacketKind::Rst,
         ] {
-            assert!(!m.rx_cost(k).is_zero());
-            assert!(!m.tx_cost(k).is_zero());
+            assert!(!rx_cost(k).is_zero());
+            assert!(!tx_cost(k).is_zero());
         }
     }
 }

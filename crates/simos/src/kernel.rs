@@ -23,7 +23,7 @@
 //! # Interrupt level
 //!
 //! Packet arrival always costs an early-demultiplex charge at interrupt
-//! level (`CostModel::intr_demux`), paid before any scheduled work —
+//! level (`cost::INTR_DEMUX`), paid before any scheduled work —
 //! modelling hardware/software interrupts having "strictly higher priority
 //! than any user-level code" (§3.2). Under [`NetDiscipline::Interrupt`]
 //! the *entire* protocol processing also runs there, charged to no
@@ -42,14 +42,14 @@ use simcore::fault::{DiskFault, FaultCounts, FaultInjector, FaultPlan, NetFault}
 use simcore::span::{self, Outcome, Phase};
 use simcore::trace::{self, TraceEventKind, NO_CONTAINER};
 use simcore::{EventQueue, Nanos, SpanRef};
-use simdisk::{BufferCache, DiskParams, DiskRequest, ReqId, SimDisk};
+use simdisk::{BufferCache, DiskRequest, ReqId, SimDisk};
 use simnet::{
     CidrFilter, Demux, Dispatch, LinkParams, LinkSched, NetDiscipline, NetEvent, NetStack, Packet,
     PendingQueues, QdiscKind, SockId, Socket,
 };
 
 use crate::app::{AppEvent, AppHandler};
-use crate::cost::CostModel;
+use crate::cost;
 use crate::ids::Pid;
 use crate::mem::{self, MemAccountant, MemFailure, MemParams};
 use crate::process::Process;
@@ -122,7 +122,8 @@ impl Default for NetConfig {
 }
 
 /// Disk-plane configuration: request ordering and the accounted buffer
-/// cache. The physical cost model is `DiskParams::default()`.
+/// cache. The disk's physical model is fixed (`simdisk`'s `SEEK`,
+/// `ROTATION` and `TRANSFER_RATE` constants).
 #[derive(Clone, Debug)]
 pub struct DiskConfig {
     /// Disk request ordering discipline.
@@ -177,12 +178,6 @@ pub struct KernelConfig {
     pub disk: DiskConfig,
     /// CPU-plane knobs (policy, ncpus, prune interval).
     pub sched: SchedConfig,
-    /// Per-operation CPU costs.
-    pub cost: CostModel,
-    /// Whether the container API is available to applications. When
-    /// `false` the kernel still accounts internally to per-process default
-    /// containers, but applications see the classic UNIX interface.
-    pub containers_enabled: bool,
     /// Seeded fault-injection schedule; `None` (the default) injects
     /// nothing and leaves every run byte-identical to a fault-free build.
     pub fault: Option<FaultPlan>,
@@ -204,8 +199,6 @@ impl KernelConfig {
             net: NetConfig::default(),
             disk: DiskConfig::default(),
             sched: SchedConfig::default(),
-            cost: CostModel::default(),
-            containers_enabled: false,
             fault: None,
             mem: None,
         }
@@ -225,7 +218,6 @@ impl KernelConfig {
         let mut cfg = Self::unmodified();
         cfg.net.discipline = NetDiscipline::Container;
         cfg.sched.policy = SchedPolicyKind::MultiLevel;
-        cfg.containers_enabled = true;
         cfg.sched.prune_interval = Nanos::from_secs(1);
         cfg.disk.sched = DiskSchedKind::Share;
         cfg
@@ -243,6 +235,14 @@ impl KernelConfig {
     pub fn with_ncpus(mut self, n: u32) -> Self {
         self.sched.ncpus = n.max(1);
         self
+    }
+
+    /// Whether the container API is available to applications: only under
+    /// the container network discipline. Otherwise the kernel still
+    /// accounts internally to per-process default containers, but
+    /// applications see the classic UNIX interface.
+    pub fn containers_enabled(&self) -> bool {
+        self.net.discipline == NetDiscipline::Container
     }
 
     /// Installs a fault-injection plan (builder style).
@@ -486,7 +486,7 @@ impl Kernel {
         // All three planes are built by the rcpolicy registry, so boot
         // and mid-run swaps construct policies identically.
         let scheduler = rcpolicy::build_cpu(cfg.sched.policy, cfg.sched.ncpus);
-        let disk = SimDisk::new(DiskParams::default(), rcpolicy::build_disk(cfg.disk.sched));
+        let disk = SimDisk::new(rcpolicy::build_disk(cfg.disk.sched));
         let disk_cache = BufferCache::new(cfg.disk.buffer_cache_bytes);
         let mut k = Kernel {
             containers: ContainerTable::new(),
@@ -920,8 +920,8 @@ impl Kernel {
                     self.stats.ctx_switches += 1;
                     let cs = &mut self.cpus[cpu];
                     cs.stats.ctx_switches += 1;
-                    cs.overhead_deficit += self.cfg.cost.ctx_switch;
-                    cs.switch_deficit += self.cfg.cost.ctx_switch;
+                    cs.overhead_deficit += cost::CTX_SWITCH;
+                    cs.switch_deficit += cost::CTX_SWITCH;
                     cs.last_task = Some(pick.task);
                 }
                 let Some(th) = self.threads.get_mut(pick.task) else {
@@ -1315,7 +1315,7 @@ impl Kernel {
         let completions = self.disk.advance(self.clock, &mut self.containers);
         for c in completions {
             let cpu = (c.intr_cpu as usize).min(self.cpus.len() - 1);
-            self.cpus[cpu].overhead_deficit += self.cfg.cost.disk_intr;
+            self.cpus[cpu].overhead_deficit += cost::DISK_INTR;
             let Some(w) = self.disk_waiters.remove(&c.req) else {
                 continue;
             };
@@ -1346,7 +1346,7 @@ impl Kernel {
             self.deliver_oob(
                 w.task,
                 WorkItem {
-                    cost: self.cfg.cost.file_copy(delivered),
+                    cost: cost::file_copy(delivered),
                     op: Op::Upcall(AppEvent::FileRead {
                         tag: w.tag,
                         bytes: delivered,
@@ -1379,7 +1379,7 @@ impl Kernel {
         for a in actions.drain(..) {
             match a {
                 WorldAction::SendPacket { pkt, delay } => {
-                    let at = self.clock + delay + self.cfg.cost.link_latency;
+                    let at = self.clock + delay + cost::LINK_LATENCY;
                     self.events.schedule(at, KernelEvent::PacketIn(pkt));
                 }
                 WorldAction::SetTimer { tag, delay } => {
@@ -1442,7 +1442,7 @@ impl Kernel {
         }
         self.stats.pkts_in += 1;
         let cpu = simnet::rss_cpu(&pkt.flow, self.cfg.sched.ncpus) as usize;
-        self.cpus[cpu].overhead_deficit += self.cfg.cost.intr_demux;
+        self.cpus[cpu].overhead_deficit += cost::INTR_DEMUX;
         let demux = self.stack.classify(&pkt);
         let sock = match demux {
             Demux::Conn(s) | Demux::Listen(s) => Some(s),
@@ -1563,14 +1563,14 @@ impl Kernel {
     /// transmit it causes are interrupt work there, and wakeups happen
     /// immediately.
     fn process_at_interrupt(&mut self, demux: Demux, pkt: Packet, cpu: usize) {
-        self.cpus[cpu].overhead_deficit += self.cfg.cost.rx_cost(pkt.kind);
+        self.cpus[cpu].overhead_deficit += cost::rx_cost(pkt.kind);
         let mut evs = std::mem::take(&mut self.net_buf);
         self.stack
             .handle_classified(demux, pkt, self.clock, &mut evs);
         for ev in evs.drain(..) {
             match ev {
                 NetEvent::PacketOut(p) => {
-                    self.cpus[cpu].overhead_deficit += self.cfg.cost.tx_cost(p.kind);
+                    self.cpus[cpu].overhead_deficit += cost::tx_cost(p.kind);
                     self.transmit(p);
                 }
                 other => self.apply_wakeup_event(other),
@@ -1704,7 +1704,7 @@ impl Kernel {
                         container: principal.as_u64(),
                     });
                 }
-                let cost = self.cfg.cost.rx_cost(pkt.kind);
+                let cost = cost::rx_cost(pkt.kind);
                 let psp = pkt.span;
                 if let Some(th) = self.threads.get_mut(ktid) {
                     th.push_work(WorkItem {
@@ -1769,7 +1769,7 @@ impl Kernel {
         for ev in evs.drain(..) {
             match ev {
                 NetEvent::PacketOut(p) => {
-                    let cost = self.cfg.cost.tx_cost(p.kind);
+                    let cost = cost::tx_cost(p.kind);
                     if let Some(th) = self.threads.get_mut(ktid) {
                         th.push_work(WorkItem {
                             cost,
@@ -1911,21 +1911,20 @@ impl Kernel {
     /// readiness re-check it completes, costed as the syscall it stands
     /// for, or the timer's upcall.
     fn wake_work(&self, pid: Pid, wait: &WaitFor) -> WorkItem {
-        let cm = &self.cfg.cost;
         let (cost, op) = match wait {
             WaitFor::Select { socks } => (
-                cm.select_scan(socks.len()),
+                cost::select_scan(socks.len()),
                 Op::DeliverSelect {
                     socks: socks.clone(),
                 },
             ),
-            WaitFor::Readable(s) => (cm.read_syscall, Op::DeliverSelect { socks: vec![*s] }),
-            WaitFor::Acceptable(l) => (cm.accept_syscall, Op::DeliverSelect { socks: vec![*l] }),
+            WaitFor::Readable(s) => (cost::READ_SYSCALL, Op::DeliverSelect { socks: vec![*s] }),
+            WaitFor::Acceptable(l) => (cost::ACCEPT_SYSCALL, Op::DeliverSelect { socks: vec![*l] }),
             WaitFor::Event => {
                 let qlen = self.processes.get(pid).map_or(0, |p| p.event_queue.len());
-                (cm.event_delivery(qlen), Op::DeliverEvents)
+                (cost::event_delivery(qlen), Op::DeliverEvents)
             }
-            WaitFor::Writable(s) => (cm.write_syscall, Op::DeliverWritable { sock: *s }),
+            WaitFor::Writable(s) => (cost::WRITE_SYSCALL, Op::DeliverWritable { sock: *s }),
             WaitFor::Timer { tag } => (
                 Nanos::from_micros(1),
                 Op::Upcall(AppEvent::Timer { tag: *tag }),
@@ -1962,7 +1961,7 @@ impl Kernel {
             return;
         };
         let item = WorkItem {
-            cost: self.cfg.cost.event_api_base,
+            cost: cost::EVENT_API_BASE,
             op: Op::Upcall(ev),
             charge_to: None,
             kernel_mode: true,
@@ -2074,7 +2073,7 @@ impl Kernel {
                 if events.is_empty() {
                     self.block_or_defer(task, WaitFor::Event);
                 } else {
-                    if self.cfg.containers_enabled {
+                    if self.cfg.containers_enabled() {
                         // §5.5: the kernel delivers events in container
                         // priority order.
                         let mut keyed: Vec<(u32, usize, SockId)> = events
@@ -2278,10 +2277,7 @@ impl Kernel {
             self.close_conn(conn);
         }
         let bound = self.stack.container_of(sock);
-        let tx_owner = self.tx_principal(sock);
-        for rst in self.stack.close_listen(sock) {
-            self.transmit_from(rst, tx_owner);
-        }
+        self.stack.close_listen(sock);
         if let Some(c) = bound {
             let _ = self.containers.unbind_socket(c);
         }
@@ -2653,7 +2649,7 @@ impl Kernel {
             self.stats.pkts_out += 1;
             let sp = pkt.span;
             self.events.schedule(
-                self.clock + self.cfg.cost.link_latency,
+                self.clock + cost::LINK_LATENCY,
                 KernelEvent::PacketToWorld(pkt),
             );
             // No finite link: the packet leaves instantly, so the span
@@ -2806,7 +2802,7 @@ impl Kernel {
         self.stats.pkts_out += 1;
         let sp = pkt.span;
         self.events.schedule(
-            self.clock + self.cfg.cost.link_latency,
+            self.clock + cost::LINK_LATENCY,
             KernelEvent::PacketToWorld(pkt),
         );
         self.span_tx_pkt_done(sp, true);
@@ -2923,10 +2919,6 @@ impl Kernel {
         self.clock
     }
 
-    pub(crate) fn cost_model(&self) -> &CostModel {
-        &self.cfg.cost
-    }
-
     pub(crate) fn thread_mut(&mut self, t: TaskId) -> Option<&mut Thread> {
         self.threads.get_mut(t)
     }
@@ -2977,9 +2969,7 @@ impl Kernel {
     /// name of the detached policy.
     pub fn set_disk_policy(&mut self, kind: DiskSchedKind) -> &'static str {
         let now = self.clock;
-        let from = self
-            .disk
-            .replace_sched(rcpolicy::build_disk(kind), &self.containers);
+        let from = self.disk.replace_sched(rcpolicy::build_disk(kind));
         self.cfg.disk.sched = kind;
         trace::emit_at(now, || TraceEventKind::PolicySwap {
             plane: "disk",

@@ -9,7 +9,7 @@
 //!   usage, thread resource binding, scheduler-binding reset, socket
 //!   binding, descriptor passing) plus sockets, `select()`, and the
 //!   scalable event API of [Banga/Druschel/Mogul '98] used in Figure 11.
-//! - **A cost model** ([`CostModel`]) calibrated against §5.3: ~338 µs of
+//! - **A cost model** ([`cost`]) calibrated against §5.3: ~338 µs of
 //!   CPU per non-persistent HTTP request and ~105 µs per persistent
 //!   request on the paper's 500 MHz Alpha.
 //! - **Three network-processing disciplines** (§3.2, §4.7): classic eager
@@ -45,7 +45,6 @@ pub mod thread;
 pub mod world;
 
 pub use app::{AppEvent, AppHandler};
-pub use cost::CostModel;
 pub use ids::Pid;
 pub use kernel::{
     DiskConfig, DiskSchedKind, Kernel, KernelConfig, NetConfig, NodeYield, SchedConfig,

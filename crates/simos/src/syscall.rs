@@ -18,6 +18,7 @@ use simcore::{Nanos, SpanRef};
 use simnet::{CidrFilter, SockId};
 
 use crate::app::AppHandler;
+use crate::cost;
 use crate::ids::Pid;
 use crate::kernel::Kernel;
 use crate::thread::{Op, WaitFor, WorkItem};
@@ -113,7 +114,7 @@ impl<'a> SysCtx<'a> {
     /// Whether the kernel exposes the container API (§4) — `false` on the
     /// unmodified and LRP baselines.
     pub fn containers_enabled(&self) -> bool {
-        self.k.cfg.containers_enabled
+        self.k.cfg.containers_enabled()
     }
 
     /// Emits a paired syscall enter/exit trace record. Simulated syscalls
@@ -175,8 +176,7 @@ impl<'a> SysCtx<'a> {
     /// initially bound to the process's default container.
     pub fn listen(&mut self, spec: ListenSpec) -> SockId {
         self.trace_sys("listen");
-        let cost = self.k.cost_model().listen_syscall;
-        self.charge(cost);
+        self.charge(cost::LISTEN_SYSCALL);
         self.k.setup_listen(self.pid, spec)
     }
 
@@ -184,8 +184,7 @@ impl<'a> SysCtx<'a> {
     /// inherits the listener's container binding.
     pub fn accept(&mut self, listener: SockId) -> Option<SockId> {
         self.trace_sys("accept");
-        let cost = self.k.cost_model().accept_syscall;
-        self.charge(cost);
+        self.charge(cost::ACCEPT_SYSCALL);
         let conn = self.k.stack.accept(listener)?;
         self.k.register_socket(conn, self.pid);
         if span::enabled() {
@@ -215,8 +214,7 @@ impl<'a> SysCtx<'a> {
             Some(simnet::SocketKind::Conn(_)) => {}
             _ => return Err(SysError::BadSocket),
         }
-        let cost = self.k.cost_model().read_syscall;
-        self.charge(cost);
+        self.charge(cost::READ_SYSCALL);
         Ok(self.k.stack.read(sock))
     }
 
@@ -258,10 +256,6 @@ impl<'a> SysCtx<'a> {
             Some(simnet::SocketKind::Conn(_)) => {}
             _ => return Err(SysError::BadSocket),
         }
-        let (write_cost, tx_cost) = {
-            let cm = self.k.cost_model();
-            (cm.write_syscall, cm.data_tx)
-        };
         let accepted = bytes.min(self.k.tx_headroom(sock));
         let pkts = self.k.stack.send(sock, accepted);
         if pkts.is_empty() {
@@ -272,7 +266,7 @@ impl<'a> SysCtx<'a> {
         if sp != 0 {
             self.k.span_tx_queued(sp, pkts.len() as u32);
         }
-        let cost = write_cost + tx_cost * pkts.len() as u64;
+        let cost = cost::WRITE_SYSCALL + cost::DATA_TX * pkts.len() as u64;
         self.push(cost, Op::Transmit { pkts });
         Ok(accepted)
     }
@@ -282,8 +276,7 @@ impl<'a> SysCtx<'a> {
     /// wake is immediate (everything is always writable).
     pub fn send_wait(&mut self, sock: SockId) {
         self.trace_sys("send_wait");
-        let cost = self.k.cost_model().write_syscall;
-        self.push(cost, Op::Block(WaitFor::Writable(sock)));
+        self.push(cost::WRITE_SYSCALL, Op::Block(WaitFor::Writable(sock)));
     }
 
     /// Whether `sock` can accept send bytes without queueing past its
@@ -316,11 +309,7 @@ impl<'a> SysCtx<'a> {
         if self.k.stack.socket(sock).is_none() {
             return Err(SysError::BadSocket);
         }
-        let cost = {
-            let cm = self.k.cost_model();
-            cm.close_syscall + cm.fin_tx
-        };
-        self.push(cost, Op::CloseSock { sock });
+        self.push(cost::CLOSE_SYSCALL + cost::FIN_TX, Op::CloseSock { sock });
         Ok(())
     }
 
@@ -328,14 +317,13 @@ impl<'a> SysCtx<'a> {
     /// drains. The scan cost is linear in the interest-set size (§5.5).
     pub fn select_wait(&mut self, socks: Vec<SockId>) {
         self.trace_sys("select");
-        let cost = self.k.cost_model().select_scan(socks.len());
-        self.push(cost, Op::Block(WaitFor::Select { socks }));
+        let scan = cost::select_scan(socks.len());
+        self.push(scan, Op::Block(WaitFor::Select { socks }));
     }
 
     /// Registers a socket with the scalable event API (§5.5).
     pub fn event_register(&mut self, sock: SockId) {
-        let cost = self.k.cost_model().event_api_base;
-        self.charge(cost);
+        self.charge(cost::EVENT_API_BASE);
         if let Some(p) = self.k.process_mut(self.pid) {
             if !p.event_interest.contains(&sock) {
                 p.event_interest.push(sock);
@@ -356,8 +344,7 @@ impl<'a> SysCtx<'a> {
     /// batch). Without a finite link sockets are always writable, so the
     /// notification fires immediately.
     pub fn event_register_writable(&mut self, sock: SockId) {
-        let cost = self.k.cost_model().event_api_base;
-        self.charge(cost);
+        self.charge(cost::EVENT_API_BASE);
         let writable = self.k.sock_writable(sock);
         if let Some(p) = self.k.process_mut(self.pid) {
             if !p.event_interest_w.contains(&sock) {
@@ -374,8 +361,7 @@ impl<'a> SysCtx<'a> {
     /// the natural bookend to [`SysCtx::event_register_writable`] once a
     /// backpressured response has drained.
     pub fn event_deregister_writable(&mut self, sock: SockId) {
-        let cost = self.k.cost_model().event_api_base;
-        self.charge(cost);
+        self.charge(cost::EVENT_API_BASE);
         if let Some(p) = self.k.process_mut(self.pid) {
             p.event_interest_w.retain(|&s| s != sock);
         }
@@ -385,8 +371,7 @@ impl<'a> SysCtx<'a> {
     /// write interest and drops any queued-but-undelivered events for it.
     /// The socket stays open; it simply delivers no further events.
     pub fn event_deregister(&mut self, sock: SockId) {
-        let cost = self.k.cost_model().event_api_base;
-        self.charge(cost);
+        self.charge(cost::EVENT_API_BASE);
         if let Some(p) = self.k.process_mut(self.pid) {
             p.event_interest.retain(|&s| s != sock);
             p.event_interest_w.retain(|&s| s != sock);
@@ -397,21 +382,21 @@ impl<'a> SysCtx<'a> {
     /// Blocks on the scalable event API once queued work drains.
     pub fn event_wait(&mut self) {
         self.trace_sys("event_wait");
-        let cost = self.k.cost_model().event_api_base;
-        self.push(cost, Op::Block(WaitFor::Event));
+        self.push(cost::EVENT_API_BASE, Op::Block(WaitFor::Event));
     }
 
     /// Blocks until `sock` is readable (blocking `read()` pattern of
     /// thread-per-connection servers).
     pub fn read_wait(&mut self, sock: SockId) {
-        let cost = self.k.cost_model().read_syscall;
-        self.push(cost, Op::Block(WaitFor::Readable(sock)));
+        self.push(cost::READ_SYSCALL, Op::Block(WaitFor::Readable(sock)));
     }
 
     /// Blocks until `listener` has an acceptable connection.
     pub fn accept_wait(&mut self, listener: SockId) {
-        let cost = self.k.cost_model().accept_syscall;
-        self.push(cost, Op::Block(WaitFor::Acceptable(listener)));
+        self.push(
+            cost::ACCEPT_SYSCALL,
+            Op::Block(WaitFor::Acceptable(listener)),
+        );
     }
 
     /// Sleeps until `deadline`, then receives `AppEvent::Timer { tag }`.
@@ -464,11 +449,7 @@ impl<'a> SysCtx<'a> {
     /// binding), extending the paper's accounting to disk bandwidth (§7).
     pub fn read_file(&mut self, file: u64, bytes: u64, tag: u64, charge_to: Option<ContainerId>) {
         self.trace_sys("read_file");
-        let (read_cost, copy_cost) = {
-            let cm = self.k.cost_model();
-            (cm.read_syscall, cm.file_copy(bytes))
-        };
-        self.charge(read_cost);
+        self.charge(cost::READ_SYSCALL);
         let principal = charge_to
             .or_else(|| self.current_binding())
             .unwrap_or_else(|| self.k.containers.root());
@@ -476,7 +457,7 @@ impl<'a> SysCtx<'a> {
             if let Some(th) = self.k.thread_mut(self.thread) {
                 let span = SpanRef::of(th.cur_span);
                 th.push_work(WorkItem {
-                    cost: copy_cost,
+                    cost: cost::file_copy(bytes),
                     op: Op::Upcall(crate::app::AppEvent::FileRead {
                         tag,
                         bytes,
@@ -508,8 +489,7 @@ impl<'a> SysCtx<'a> {
     /// process exits with its last thread.
     pub fn exit(&mut self) {
         self.trace_sys("exit");
-        let cost = self.k.cost_model().exit;
-        self.push(cost, Op::Exit);
+        self.push(cost::EXIT, Op::Exit);
     }
 
     /// Reserves `bytes` of pinned kernel memory on behalf of the calling
@@ -522,8 +502,7 @@ impl<'a> SysCtx<'a> {
     /// after reclaim and OOM, returns [`SysError::NoMem`].
     pub fn kmem_reserve(&mut self, bytes: u64) -> Result<(), SysError> {
         self.trace_sys("kmem_reserve");
-        let cost = self.k.cost_model().rc_usage;
-        self.charge(cost);
+        self.charge(cost::RC_USAGE);
         let reclaimed_before = self.k.mem_acct().map(|m| m.reclaimed_bytes).unwrap_or(0);
         let ok = self.k.kmem_reserve(self.pid, bytes);
         // With a non-zero reclaim cost configured, page stealing that
@@ -571,8 +550,7 @@ impl<'a> SysCtx<'a> {
     /// kernel (silently capped at the amount actually held).
     pub fn kmem_release(&mut self, bytes: u64) {
         self.trace_sys("kmem_release");
-        let cost = self.k.cost_model().rc_usage;
-        self.charge(cost);
+        self.charge(cost::RC_USAGE);
         self.k.kmem_release(self.pid, bytes);
     }
 
@@ -638,8 +616,7 @@ impl<'a> SysCtx<'a> {
     ) -> Result<ContainerFd, RcError> {
         self.require_containers()?;
         self.trace_sys("rc_create");
-        let cost = self.k.cost_model().rc_create;
-        self.charge(cost);
+        self.charge(cost::RC_CREATE);
         let parent_id = match parent {
             Some(fd) => Some(self.resolve_fd(fd)?),
             None => None,
@@ -664,8 +641,7 @@ impl<'a> SysCtx<'a> {
     /// handle for existing container").
     pub fn open_container(&mut self, id: ContainerId) -> Result<ContainerFd, RcError> {
         self.require_containers()?;
-        let cost = self.k.cost_model().rc_handle;
-        self.charge(cost);
+        self.charge(cost::RC_HANDLE);
         let containers = &mut self.k.containers;
         containers.add_descriptor_ref(id)?;
         let p = self.k.process_mut(self.pid).ok_or(RcError::NotFound)?;
@@ -676,8 +652,7 @@ impl<'a> SysCtx<'a> {
     pub fn close_container(&mut self, fd: ContainerFd) -> Result<bool, RcError> {
         self.require_containers()?;
         self.trace_sys("rc_release");
-        let cost = self.k.cost_model().rc_destroy;
-        self.charge(cost);
+        self.charge(cost::RC_DESTROY);
         let p = self.k.process_mut(self.pid).ok_or(RcError::NotFound)?;
         let id = p.containers.forget(fd)?;
         self.k.containers.drop_descriptor_ref(id)
@@ -690,8 +665,7 @@ impl<'a> SysCtx<'a> {
         parent: Option<ContainerFd>,
     ) -> Result<(), RcError> {
         self.require_containers()?;
-        let cost = self.k.cost_model().rc_attrs;
-        self.charge(cost);
+        self.charge(cost::RC_ATTRS);
         let id = self.resolve_fd(fd)?;
         let parent_id = match parent {
             Some(p) => Some(self.resolve_fd(p)?),
@@ -707,8 +681,7 @@ impl<'a> SysCtx<'a> {
         attrs: Attributes,
     ) -> Result<(), RcError> {
         self.require_containers()?;
-        let cost = self.k.cost_model().rc_attrs;
-        self.charge(cost);
+        self.charge(cost::RC_ATTRS);
         let id = self.resolve_fd(fd)?;
         self.k.containers.set_attrs(id, attrs)
     }
@@ -716,8 +689,7 @@ impl<'a> SysCtx<'a> {
     /// Reads a container's attributes.
     pub fn container_attrs(&mut self, fd: ContainerFd) -> Result<Attributes, RcError> {
         self.require_containers()?;
-        let cost = self.k.cost_model().rc_attrs;
-        self.charge(cost);
+        self.charge(cost::RC_ATTRS);
         let id = self.resolve_fd(fd)?;
         self.k.containers.attrs(id).cloned()
     }
@@ -726,8 +698,7 @@ impl<'a> SysCtx<'a> {
     pub fn container_usage(&mut self, fd: ContainerFd) -> Result<ResourceUsage, RcError> {
         self.require_containers()?;
         self.trace_sys("rc_usage");
-        let cost = self.k.cost_model().rc_usage;
-        self.charge(cost);
+        self.charge(cost::RC_USAGE);
         let id = self.resolve_fd(fd)?;
         self.k.containers.usage(id)
     }
@@ -745,8 +716,7 @@ impl<'a> SysCtx<'a> {
         let id = match c.into() {
             ContainerRef::Fd(fd) => {
                 self.trace_sys("rc_bind_thread");
-                let cost = self.k.cost_model().rc_bind;
-                self.charge(cost);
+                self.charge(cost::RC_BIND);
                 self.resolve_fd(fd)?
             }
             ContainerRef::Id(id) => id,
@@ -794,8 +764,7 @@ impl<'a> SysCtx<'a> {
         if self.current_binding() == Some(c) {
             return Ok(());
         }
-        let cost = self.k.cost_model().rc_bind;
-        self.charge(cost);
+        self.charge(cost::RC_BIND);
         self.bind_thread(c)
     }
 
@@ -841,8 +810,7 @@ impl<'a> SysCtx<'a> {
     /// Resets the thread's scheduler binding to only its current resource
     /// binding (§4.6 "Reset the scheduler binding").
     pub fn reset_scheduler_binding(&mut self) {
-        let cost = self.k.cost_model().rc_bind;
-        self.charge(cost);
+        self.charge(cost::RC_BIND);
         let now = self.k.clock_now();
         let binding = {
             let Some(th) = self.k.thread_mut(self.thread) else {
@@ -866,8 +834,7 @@ impl<'a> SysCtx<'a> {
         let id = match c.into() {
             ContainerRef::Fd(fd) => {
                 self.trace_sys("rc_bind_socket");
-                let cost = self.k.cost_model().rc_bind;
-                self.charge(cost);
+                self.charge(cost::RC_BIND);
                 self.resolve_fd(fd)?
             }
             ContainerRef::Id(id) => id,
@@ -885,8 +852,7 @@ impl<'a> SysCtx<'a> {
     /// between processes"); the sender retains access.
     pub fn pass_container(&mut self, fd: ContainerFd, to: Pid) -> Result<ContainerFd, RcError> {
         self.require_containers()?;
-        let cost = self.k.cost_model().rc_pass;
-        self.charge(cost);
+        self.charge(cost::RC_PASS);
         let id = self.resolve_fd(fd)?;
         self.k.containers.add_descriptor_ref(id)?;
         let recv = self.k.process_mut(to).ok_or(RcError::NotFound)?;
@@ -908,16 +874,14 @@ impl<'a> SysCtx<'a> {
         attrs: Attributes,
     ) -> Pid {
         self.trace_sys("fork");
-        let cost = self.k.cost_model().fork;
-        self.charge(cost);
+        self.charge(cost::FORK);
         self.k
             .spawn_process(handler, name, container_parent, attrs, Some(self.pid))
     }
 
     /// Creates an extra thread in the calling process.
     pub fn spawn_thread(&mut self) -> Option<TaskId> {
-        let cost = self.k.cost_model().fork / 4;
-        self.charge(cost);
+        self.charge(cost::FORK / 4);
         self.k.spawn_thread(self.pid)
     }
 }

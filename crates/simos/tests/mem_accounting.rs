@@ -198,6 +198,77 @@ fn process_exit_releases_connections_and_stacks() {
 }
 
 #[test]
+fn closing_a_listener_closes_its_queued_connection() {
+    const CLOSE_AT: Nanos = Nanos::from_millis(5);
+    /// Listens, never accepts, and closes the listener at `CLOSE_AT`.
+    struct ListenThenClose(Rc<RefCell<Option<SockId>>>);
+    impl AppHandler for ListenThenClose {
+        fn on_event(&mut self, sys: &mut SysCtx<'_>, _t: TaskId, ev: AppEvent) {
+            match ev {
+                AppEvent::Start => {
+                    *self.0.borrow_mut() = Some(sys.listen(ListenSpec::port(80)));
+                    sys.sleep_until(CLOSE_AT, 1);
+                }
+                AppEvent::Timer { tag: 1 } => {
+                    let l = self.0.borrow().expect("listening");
+                    sys.close(l).expect("a live listener closes");
+                    sys.sleep_until(Nanos::MAX, 2);
+                }
+                _ => {}
+            }
+        }
+    }
+    /// Completes one handshake on `flow(0)` and counts the FINs and RSTs
+    /// the server sends on it.
+    #[derive(Default)]
+    struct Peer {
+        fins: u32,
+        rsts: u32,
+    }
+    impl World for Peer {
+        fn on_packet(&mut self, pkt: Packet, _n: Nanos, a: &mut Vec<WorldAction>) {
+            assert_eq!(pkt.flow, flow(0));
+            match pkt.kind {
+                PacketKind::SynAck => a.push(WorldAction::SendPacket {
+                    pkt: Packet::new(pkt.flow, PacketKind::Ack),
+                    delay: Nanos::ZERO,
+                }),
+                PacketKind::Fin => self.fins += 1,
+                PacketKind::Rst => self.rsts += 1,
+                _ => {}
+            }
+        }
+        fn on_timer(&mut self, _tag: u64, _n: Nanos, a: &mut Vec<WorldAction>) {
+            a.push(WorldAction::SendPacket {
+                pkt: Packet::new(flow(0), PacketKind::Syn),
+                delay: Nanos::ZERO,
+            });
+        }
+    }
+    let listener = Rc::new(RefCell::new(None));
+    let mut k = mem_kernel();
+    k.spawn_process(
+        Box::new(ListenThenClose(listener.clone())),
+        "srv",
+        None,
+        Attributes::time_shared(10),
+        None,
+    );
+    k.arm_world_timer(0, Nanos::from_micros(10));
+    let mut peer = Peer::default();
+    // Before the close the connection waits in the accept queue, charged.
+    k.run(&mut peer, CLOSE_AT - Nanos::from_millis(1));
+    let l = listener.borrow().expect("server started");
+    assert_eq!(k.stack.accept_queue_len(l), 1);
+    assert_eq!(conn_bytes(&k), (SOCKBUF, PCB));
+    k.run(&mut peer, Nanos::from_millis(20));
+    assert_eq!((peer.fins, peer.rsts), (1, 0), "one FIN, no RST");
+    assert_eq!(conn_bytes(&k), (0, 0), "listener close leaked memory");
+    assert_eq!(k.stack.socket_count(), 0);
+    k.containers.check_invariants();
+}
+
+#[test]
 fn memory_unconfigured_kernel_reports_no_accountant() {
     let k = Kernel::new(KernelConfig::resource_containers());
     assert!(k.mem_acct().is_none());

@@ -14,7 +14,7 @@ use sched::TaskId;
 use simcore::Nanos;
 use simnet::{FlowKey, IpAddr, Packet, PacketKind, SockId};
 use simos::{
-    AppEvent, AppHandler, CostModel, Kernel, KernelConfig, ListenSpec, QdiscKind, SysCtx, World,
+    cost, AppEvent, AppHandler, Kernel, KernelConfig, ListenSpec, QdiscKind, SysCtx, World,
     WorldAction,
 };
 
@@ -190,7 +190,6 @@ fn run_case(kind: Kind, ready: bool) -> (Log, Nanos) {
 
 #[test]
 fn each_wait_kind_wakes_with_its_upcall_and_syscall_cost() {
-    let cm = CostModel::default();
     // The timer upcall that issues the wait is 1 µs of kernel work.
     let timer_upcall = Nanos::from_micros(1);
     for kind in [
@@ -221,11 +220,11 @@ fn each_wait_kind_wakes_with_its_upcall_and_syscall_cost() {
             let requests = if ready { CLIENTS } else { 1 };
             let sent = log.conns.iter().copied().take(requests).collect::<Vec<_>>();
             let (expected, wake_cost) = match kind {
-                Kind::Select => (Woke::Select(sent), cm.select_scan(CLIENTS)),
-                Kind::Readable => (Woke::Select(vec![log.conns[0]]), cm.read_syscall),
-                Kind::Acceptable => (Woke::Select(vec![listener]), cm.accept_syscall),
-                Kind::Event => (Woke::Events(sent), cm.event_delivery(requests)),
-                Kind::Writable => (Woke::Writable(log.conns[0]), cm.write_syscall),
+                Kind::Select => (Woke::Select(sent), cost::select_scan(CLIENTS)),
+                Kind::Readable => (Woke::Select(vec![log.conns[0]]), cost::READ_SYSCALL),
+                Kind::Acceptable => (Woke::Select(vec![listener]), cost::ACCEPT_SYSCALL),
+                Kind::Event => (Woke::Events(sent), cost::event_delivery(requests)),
+                Kind::Writable => (Woke::Writable(log.conns[0]), cost::WRITE_SYSCALL),
             };
             assert_eq!(*upcall, expected, "{case}");
             assert_eq!(charged, timer_upcall + wake_cost, "{case}");

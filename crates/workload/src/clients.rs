@@ -48,8 +48,6 @@ pub struct ClientSpec {
     pub timeout: Option<Nanos>,
     /// When the client starts.
     pub start_at: Nanos,
-    /// Requests per connection for persistent clients (None = unlimited).
-    pub requests_per_conn: Option<u32>,
     /// Base retry backoff after an abandoned or refused request: the k-th
     /// consecutive failure waits `backoff * 2^min(k, 6)` before retrying
     /// (zero = classic S-Client immediate retry).
@@ -69,7 +67,6 @@ impl ClientSpec {
             think: Nanos::ZERO,
             timeout: None,
             start_at: Nanos::from_micros(10),
-            requests_per_conn: None,
             backoff: Nanos::ZERO,
         }
     }
@@ -112,8 +109,9 @@ struct ClientState {
     /// by comparing against it.
     req_seq: u64,
     started_at: Nanos,
-    /// Requests sent on the current connection (persistent mode).
-    on_conn: u32,
+    /// The current connection completed its handshake (a persistent
+    /// client's next request reuses it).
+    connected: bool,
     /// Waiting for a response right now.
     in_flight: bool,
     /// Offset into the client's document cycle.
@@ -162,7 +160,7 @@ impl HttpClients {
                 next_port: 999,
                 req_seq: 0,
                 started_at: Nanos::ZERO,
-                on_conn: 0,
+                connected: false,
                 in_flight: false,
                 doc_off: 0,
                 retries: 0,
@@ -261,7 +259,7 @@ impl HttpClients {
         }
         st.req_seq += 1;
         st.started_at = now;
-        st.on_conn = 0;
+        st.connected = false;
         st.in_flight = true;
         actions.push(WorldAction::SendPacket {
             pkt: Packet::new(self.flow(i), PacketKind::Syn),
@@ -275,7 +273,6 @@ impl HttpClients {
         let st = &mut self.states[i];
         st.req_seq += 1;
         st.started_at = now;
-        st.on_conn += 1;
         st.in_flight = true;
         self.send_request(i, now, actions);
         self.arm_timeout(i, actions);
@@ -331,7 +328,7 @@ impl HttpClients {
         let st = &mut self.states[i];
         st.in_flight = false;
         // Reconnect from scratch once the backoff expires.
-        st.on_conn = 0;
+        st.connected = false;
         let k = st.retries.min(6);
         st.retries += 1;
         actions.push(WorldAction::SetTimer {
@@ -352,30 +349,17 @@ impl HttpClients {
     /// After a completed response, either reuse the connection, think, or
     /// reconnect.
     fn after_response(&mut self, i: usize, now: Nanos, actions: &mut Vec<WorldAction>) {
-        let spec = self.specs[i].clone();
         self.states[i].in_flight = false;
-        let think = spec.think;
-        if spec.kind == ReqKind::StaticKeepAlive
-            && spec
-                .requests_per_conn
-                .map(|m| self.states[i].on_conn < m)
-                .unwrap_or(true)
-        {
-            if think.is_zero() {
-                self.next_request(i, now, actions);
-            } else {
-                actions.push(WorldAction::SetTimer {
-                    tag: i as u64 * TAGS_PER_CLIENT + TAG_START,
-                    delay: think,
-                });
-            }
-        } else if think.is_zero() {
-            self.new_connection(i, now, actions);
-        } else {
+        let think = self.specs[i].think;
+        if !think.is_zero() {
             actions.push(WorldAction::SetTimer {
                 tag: i as u64 * TAGS_PER_CLIENT + TAG_START,
                 delay: think,
             });
+        } else if self.specs[i].kind == ReqKind::StaticKeepAlive {
+            self.next_request(i, now, actions);
+        } else {
+            self.new_connection(i, now, actions);
         }
     }
 }
@@ -393,7 +377,7 @@ impl World for HttpClients {
                 if !self.states[i].in_flight {
                     return; // Duplicate SYN-ACK after we gave up.
                 }
-                self.states[i].on_conn = 1;
+                self.states[i].connected = true;
                 actions.push(WorldAction::SendPacket {
                     pkt: Packet::new(pkt.flow, PacketKind::Ack),
                     delay: Nanos::ZERO,
@@ -426,7 +410,7 @@ impl World for HttpClients {
         }
         match tag % TAGS_PER_CLIENT {
             TAG_START if !self.states[i].in_flight => {
-                if self.states[i].on_conn > 0 && self.specs[i].kind == ReqKind::StaticKeepAlive {
+                if self.states[i].connected && self.specs[i].kind == ReqKind::StaticKeepAlive {
                     self.next_request(i, now, actions);
                 } else {
                     self.new_connection(i, now, actions);
@@ -511,19 +495,6 @@ mod tests {
         );
         let done = c.metrics.class(0).completed;
         assert!((50..=110).contains(&done), "done = {done}");
-    }
-
-    #[test]
-    fn requests_per_conn_bounds_persistent_connections() {
-        let c = run_clients(
-            vec![ClientSpec {
-                kind: ReqKind::StaticKeepAlive,
-                requests_per_conn: Some(5),
-                ..ClientSpec::staticloop(IpAddr::new(10, 0, 0, 1), 0)
-            }],
-            1,
-        );
-        assert!(c.metrics.class(0).completed > 500);
     }
 
     #[test]

@@ -30,8 +30,8 @@ use httpsim::stats::shared_stats;
 use httpsim::ThreadPoolServer;
 use rescon::Attributes;
 use simcluster::{
-    Action, Frontend, GlobalShare, LaneSpec, NodeId, NodeSpec, Orchestrator, OrchestratorConfig,
-    TenantRoute, TenantShare, World,
+    Action, Frontend, GlobalShare, LaneSpec, NodeId, NodeSpec, Orchestrator, TenantRoute,
+    TenantShare, World,
 };
 use simcore::Nanos;
 use simnet::{CidrFilter, IpAddr, Packet};
@@ -50,8 +50,6 @@ const INITIAL_REPLICAS: [usize; 2] = [usize::MAX, 2];
 const POOL_SIZE: u32 = 8;
 /// Control epoch: share rebalance and orchestrator cadence.
 const EPOCH: Nanos = Nanos::from_secs(1);
-/// Proportional gain of the global share balancer.
-const GAIN: f64 = 0.8;
 
 /// Parameters of the cluster tenant experiment.
 #[derive(Clone, Debug)]
@@ -322,11 +320,9 @@ fn run_cluster_tenants_inner(
                 target: configured[t],
             })
             .collect(),
-        GAIN,
     );
     let targets = shares.targets();
     let mut orch = Orchestrator::new(
-        OrchestratorConfig::default(),
         (0..nt)
             .map(|t| (0..initial[t] as u32).map(NodeId).collect())
             .collect(),

@@ -15,6 +15,11 @@ use crate::clients::HttpClients;
 
 /// The flooder's one timer tag, far above any client's tags.
 const FLOOD_TAG: u64 = 1 << 40;
+/// SYNs sent per timer tick (batching keeps the event count sane at high
+/// rates).
+const BURST: u32 = 8;
+/// When the flood starts.
+const START_AT: Nanos = Nanos::from_millis(1);
 
 /// An open-loop SYN generator.
 pub struct SynFlood {
@@ -24,13 +29,8 @@ pub struct SynFlood {
     pub hosts: u32,
     /// Aggregate SYN rate (SYNs per second); 0 disables the flood.
     pub rate_per_sec: f64,
-    /// SYNs sent per timer tick (batching keeps the event count sane at
-    /// high rates).
-    pub burst: u32,
     /// Destination port.
     pub port: u16,
-    /// When the flood starts.
-    pub start_at: Nanos,
     next_host: u32,
     next_port: u16,
     /// Total SYNs sent.
@@ -44,9 +44,7 @@ impl SynFlood {
             base,
             hosts: hosts.max(1),
             rate_per_sec,
-            burst: 8,
             port,
-            start_at: Nanos::from_millis(1),
             next_host: 0,
             next_port: 10_000,
             sent: 0,
@@ -56,12 +54,12 @@ impl SynFlood {
     /// Arms the flood-start timer.
     pub fn arm(&self, k: &mut simos::Kernel) {
         if self.rate_per_sec > 0.0 {
-            k.arm_world_timer(FLOOD_TAG, self.start_at);
+            k.arm_world_timer(FLOOD_TAG, START_AT);
         }
     }
 
     fn interval(&self) -> Nanos {
-        Nanos::from_micros_f64(self.burst as f64 / self.rate_per_sec * 1e6)
+        Nanos::from_micros_f64(BURST as f64 / self.rate_per_sec * 1e6)
     }
 
     fn next_addr(&mut self) -> IpAddr {
@@ -80,7 +78,7 @@ impl World for SynFlood {
         if self.rate_per_sec <= 0.0 {
             return;
         }
-        for _ in 0..self.burst {
+        for _ in 0..BURST {
             let src = self.next_addr();
             self.next_port = self.next_port.wrapping_add(1).max(1024);
             self.sent += 1;

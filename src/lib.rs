@@ -69,11 +69,11 @@ pub mod prelude {
     pub use rctrace::{chrome_trace_json, metrics_json, TraceConfig, TraceSession};
     pub use rescon::{Attributes, ContainerTable, SchedPolicy, SchedulerBinding};
     pub use simcluster::{
-        Frontend, GlobalShare, Lane, LaneSpec, NodeId, NodeSpec, Orchestrator, OrchestratorConfig,
-        TenantRoute, TenantShare, World as ClusterWorld, FRONTEND,
+        Frontend, GlobalShare, Lane, LaneSpec, NodeId, NodeSpec, Orchestrator, TenantRoute,
+        TenantShare, World as ClusterWorld, FRONTEND,
     };
     pub use simcore::Nanos;
-    pub use simdisk::{BufferCache, DiskParams, FifoIoSched, ShareIoSched, SimDisk};
+    pub use simdisk::{BufferCache, FifoIoSched, ShareIoSched, SimDisk};
     pub use simnet::{CidrFilter, IpAddr, NetDiscipline};
     pub use simos::{
         AppEvent, AppHandler, DiskConfig, DiskSchedKind, Kernel, KernelConfig, ListenSpec,

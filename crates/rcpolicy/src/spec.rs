@@ -3,13 +3,13 @@
 //! A CPU *schedule* spec names an initial policy and zero or more mid-run
 //! swaps: `"decay"`, `"edf"`, `"decay->edf@2s"`,
 //! `"ml->stride@500ms->edf@4s"`. Durations accept `ns`, `us`, `ms`, and
-//! `s` suffixes (a bare number means nanoseconds). Disk and link specs
-//! are single policy names.
+//! `s` suffixes (a bare number means nanoseconds). A link spec is a
+//! single qdisc name.
 
 use simcore::Nanos;
 use simnet::QdiscKind;
 
-use crate::registry::{CpuPolicyKind, DiskPolicyKind};
+use crate::registry::CpuPolicyKind;
 
 /// A CPU policy schedule: the boot policy plus timed mid-run swaps,
 /// sorted by swap time.
@@ -46,15 +46,6 @@ pub fn parse_cpu(s: &str) -> Option<CpuPolicyKind> {
             let seed = s.strip_prefix("lottery:")?;
             Some(CpuPolicyKind::Lottery(seed.parse().ok()?))
         }
-    }
-}
-
-/// Parses a disk policy name: `fifo` or `share`.
-pub fn parse_disk(s: &str) -> Option<DiskPolicyKind> {
-    match s {
-        "fifo" => Some(DiskPolicyKind::Fifo),
-        "share" => Some(DiskPolicyKind::Share),
-        _ => None,
     }
 }
 
@@ -124,9 +115,7 @@ mod tests {
     }
 
     #[test]
-    fn disk_and_link_names_parse() {
-        assert_eq!(parse_disk("share"), Some(DiskPolicyKind::Share));
-        assert_eq!(parse_disk("wfq"), None);
+    fn link_names_parse() {
         assert_eq!(parse_link("wfq"), Some(QdiscKind::Wfq));
         assert_eq!(parse_link("share"), None);
     }

@@ -490,19 +490,12 @@ fn emit_session(
                     ),
                 ));
             }
-            TraceEventKind::PolicySwap { plane, from, to } => {
-                // Pin the instant to the plane's own device/CPU track so
-                // the swap is visible where its effect is.
-                let pid = match plane {
-                    "disk" => disk_pid,
-                    "link" => link_pid,
-                    _ => cpu_pid0,
-                };
+            TraceEventKind::PolicySwap { from, to } => {
                 evs.push(instant(
-                    pid,
+                    cpu_pid0,
                     at,
                     "policy",
-                    &format!("{plane} policy {from} -> {to}"),
+                    &format!("cpu policy {from} -> {to}"),
                 ));
             }
             _ => {}

@@ -221,18 +221,17 @@ pub fn record_latency(container: u64, latency: Nanos, at: Nanos, request: u64) {
     });
 }
 
-/// Records one mid-run policy swap (`plane` is `"cpu"`/`"disk"`/
-/// `"link"`). Feeds the `policy` section of the metrics dump: swap
-/// history plus per-policy-epoch attribution. Kept separate from the
-/// `PolicySwap` trace event so ring eviction cannot lose control-plane
-/// history. No-op without a session.
-pub fn record_policy_swap(at: Nanos, plane: &'static str, from: &'static str, to: &'static str) {
+/// Records one mid-run CPU policy swap. Feeds the `policy` section of
+/// the metrics dump: swap history plus per-policy-epoch attribution.
+/// Kept separate from the `PolicySwap` trace event so ring eviction
+/// cannot lose control-plane history. No-op without a session.
+pub fn record_policy_swap(at: Nanos, from: &'static str, to: &'static str) {
     if !active() {
         return;
     }
     METRICS.with(|m| {
         if let Some(m) = m.borrow_mut().as_mut() {
-            m.policy_swaps.push((at, plane, from, to));
+            m.policy_swaps.push((at, from, to));
         }
     });
 }

@@ -274,11 +274,11 @@ pub struct Metrics {
     /// Registered latency objectives and their online monitoring state
     /// (empty unless [`crate::register_slos`] was called).
     pub slos: Vec<SloState>,
-    /// Mid-run policy swaps as `(at, plane, from, to)`, in order of
+    /// Mid-run CPU policy swaps as `(at, from, to)`, in order of
     /// application. Recorded directly (not scraped from the trace ring)
     /// so a long run cannot evict them; empty for swap-free runs, which
     /// keeps the `policy` metrics section gated off.
-    pub policy_swaps: Vec<(Nanos, &'static str, &'static str, &'static str)>,
+    pub policy_swaps: Vec<(Nanos, &'static str, &'static str)>,
 }
 
 impl Metrics {
@@ -557,12 +557,7 @@ pub fn metrics_json(session: &TraceSession) -> String {
     // read from the metrics collector, not the trace ring: ring
     // eviction on a long run must not lose control-plane history.
     if !m.policy_swaps.is_empty() {
-        let swaps: Vec<(Nanos, &str, &str, &str)> = m
-            .policy_swaps
-            .iter()
-            .map(|&(at, plane, from, to)| (at, plane, from, to))
-            .collect();
-        write_policy(&mut out, m, g.end, &swaps);
+        write_policy(&mut out, m, g.end);
     }
     out.push_str(",\"containers\":[");
     for (i, (&id, series)) in m.containers.iter().enumerate() {
@@ -721,43 +716,31 @@ pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// Renders the `"spans"` section: global span counters plus, per
-/// container, outcome counts, end-to-end quantiles, per-phase totals and
-/// quantiles, and the p99 blame verdict (which phase dominates the
-/// slowest 1% of requests). Latency statistics cover *completed* spans
-/// only; dropped/aborted/unfinished requests appear in the outcome
-/// counts but would skew the blame breakdown.
 /// Renders the `policy` section of the metrics dump: the list of mid-run
-/// policy swaps plus per-policy-epoch attribution. Epoch boundaries are
-/// the swap instants; each epoch lists the active policy per plane (for
-/// planes whose policy is known from the swap stream — a plane that
-/// never swapped has no name in the trace) and per-container CPU/disk
-/// charge deltas over the epoch, computed from the sampled cumulative
-/// series at sample resolution (a swap landing between two samples
-/// attributes the straddling interval to the epoch of the earlier
-/// sample).
-fn write_policy(out: &mut String, m: &Metrics, end: Nanos, swaps: &[(Nanos, &str, &str, &str)]) {
+/// CPU policy swaps plus per-policy-epoch attribution. Epoch boundaries
+/// are the swap instants; each epoch names the CPU policy active in it
+/// and lists per-container CPU/disk charge deltas over the epoch,
+/// computed from the sampled cumulative series at sample resolution (a
+/// swap landing between two samples attributes the straddling interval
+/// to the epoch of the earlier sample).
+fn write_policy(out: &mut String, m: &Metrics, end: Nanos) {
+    let swaps = &m.policy_swaps;
     out.push_str(",\"policy\":{\"swaps\":[");
-    for (i, (at, plane, from, to)) in swaps.iter().enumerate() {
+    for (i, (at, from, to)) in swaps.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "{{\"at_ns\":{},\"plane\":{},\"from\":{},\"to\":{}}}",
+            "{{\"at_ns\":{},\"plane\":\"cpu\",\"from\":{},\"to\":{}}}",
             at.as_nanos(),
-            quote(plane),
             quote(from),
             quote(to)
         );
     }
     out.push_str("],\"epochs\":[");
-    // Current policy per plane, seeded from each plane's first swap's
-    // `from` side so epoch 0 is labeled correctly.
-    let mut current: BTreeMap<&str, &str> = BTreeMap::new();
-    for &(_, plane, from, _) in swaps {
-        current.entry(plane).or_insert(from);
-    }
+    // The first swap's `from` side labels epoch 0.
+    let mut current = swaps[0].1;
     // Epoch boundaries: distinct swap times (trace order is time order),
     // closed by the run end.
     let mut bounds: Vec<Nanos> = Vec::with_capacity(swaps.len() + 2);
@@ -789,13 +772,11 @@ fn write_policy(out: &mut String, m: &Metrics, end: Nanos, swaps: &[(Nanos, &str
         }
         let _ = write!(
             out,
-            "{{\"start_ns\":{},\"end_ns\":{}",
+            "{{\"start_ns\":{},\"end_ns\":{},\"cpu\":{}",
             start.as_nanos(),
-            stop.as_nanos()
+            stop.as_nanos(),
+            quote(current)
         );
-        for (plane, name) in &current {
-            let _ = write!(out, ",{}:{}", quote(plane), quote(name));
-        }
         out.push_str(",\"containers\":[");
         let mut first = true;
         for (&id, series) in &m.containers {
@@ -819,16 +800,22 @@ fn write_policy(out: &mut String, m: &Metrics, end: Nanos, swaps: &[(Nanos, &str
         }
         out.push_str("]}");
         // Apply every swap at this epoch's close so the next epoch
-        // carries the attached policies.
-        for &(at, plane, _, to) in swaps {
+        // carries the attached policy.
+        for &(at, _, to) in swaps {
             if at == stop {
-                current.insert(plane, to);
+                current = to;
             }
         }
     }
     out.push_str("]}");
 }
 
+/// Renders the `"spans"` section: global span counters plus, per
+/// container, outcome counts, end-to-end quantiles, per-phase totals and
+/// quantiles, and the p99 blame verdict (which phase dominates the
+/// slowest 1% of requests). Latency statistics cover *completed* spans
+/// only; dropped/aborted/unfinished requests appear in the outcome
+/// counts but would skew the blame breakdown.
 fn write_spans(out: &mut String, m: &Metrics, spans: &SpanBuffer) {
     let _ = write!(
         out,

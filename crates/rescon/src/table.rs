@@ -667,12 +667,6 @@ impl ContainerTable {
         Ok(())
     }
 
-    /// Increments the syscall counter of a container.
-    pub fn charge_syscall(&mut self, id: ContainerId) -> Result<()> {
-        self.get_mut(id)?.usage.syscalls += 1;
-        Ok(())
-    }
-
     /// Charges untagged ([`MemClass::Other`]) memory to a container,
     /// enforcing the memory limits of the container and every ancestor
     /// against their subtree totals.

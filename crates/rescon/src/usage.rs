@@ -179,33 +179,6 @@ impl ResourceUsage {
         self.disk_reads += 1;
         self.disk_bytes += bytes;
     }
-
-    /// Folds another usage record into this one (used when a destroyed
-    /// child's residual usage is rolled into its parent).
-    pub fn absorb(&mut self, other: &ResourceUsage) {
-        self.cpu += other.cpu;
-        self.kernel_cpu += other.kernel_cpu;
-        self.pkts_rx += other.pkts_rx;
-        self.pkts_tx += other.pkts_tx;
-        self.bytes_rx += other.bytes_rx;
-        self.bytes_tx += other.bytes_tx;
-        self.tx_time += other.tx_time;
-        self.mem_bytes += other.mem_bytes;
-        for (mine, theirs) in self.mem_by_class.iter_mut().zip(other.mem_by_class.iter()) {
-            *mine += theirs;
-        }
-        self.mem_peak = self.mem_peak.max(self.mem_bytes);
-        self.disk_time += other.disk_time;
-        self.disk_reads += other.disk_reads;
-        self.disk_bytes += other.disk_bytes;
-        self.sockets += other.sockets;
-        self.syscalls += other.syscalls;
-    }
-
-    /// Returns the user-mode CPU time (total minus kernel).
-    pub fn user_cpu(&self) -> Nanos {
-        self.cpu.saturating_sub(self.kernel_cpu)
-    }
 }
 
 #[cfg(test)]
@@ -219,7 +192,6 @@ mod tests {
         u.charge_cpu(Nanos::from_micros(40), true);
         assert_eq!(u.cpu, Nanos::from_micros(140));
         assert_eq!(u.kernel_cpu, Nanos::from_micros(40));
-        assert_eq!(u.user_cpu(), Nanos::from_micros(100));
     }
 
     #[test]
@@ -278,24 +250,5 @@ mod tests {
         ] {
             assert!(!c.reclaimable(), "{c:?} must be pinned");
         }
-    }
-
-    #[test]
-    fn absorb_sums_everything() {
-        let mut a = ResourceUsage::new();
-        a.charge_cpu(Nanos::from_micros(10), true);
-        a.charge_rx(1);
-        let mut b = ResourceUsage::new();
-        b.charge_cpu(Nanos::from_micros(5), false);
-        b.charge_tx(2);
-        b.charge_tx_time(Nanos::from_micros(7));
-        b.syscalls = 3;
-        a.absorb(&b);
-        assert_eq!(a.cpu, Nanos::from_micros(15));
-        assert_eq!(a.kernel_cpu, Nanos::from_micros(10));
-        assert_eq!(a.pkts_rx, 1);
-        assert_eq!(a.pkts_tx, 1);
-        assert_eq!(a.tx_time, Nanos::from_micros(7));
-        assert_eq!(a.syscalls, 3);
     }
 }

@@ -130,9 +130,6 @@ pub trait CoreScheduler {
     /// If every runnable task is throttled by a CPU limit, returns the
     /// earliest time at which one becomes eligible again; otherwise `None`.
     fn next_release_time(&mut self, table: &ContainerTable, now: Nanos) -> Option<Nanos>;
-
-    /// A short policy name for reports.
-    fn name(&self) -> &'static str;
 }
 
 #[cfg(test)]

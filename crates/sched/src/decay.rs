@@ -279,10 +279,6 @@ impl CoreScheduler for DecayUsageScheduler {
     fn next_release_time(&mut self, _table: &ContainerTable, _now: Nanos) -> Option<Nanos> {
         None
     }
-
-    fn name(&self) -> &'static str {
-        "decay-usage"
-    }
 }
 
 #[cfg(test)]

@@ -210,10 +210,6 @@ impl CoreScheduler for EdfScheduler {
     fn next_release_time(&mut self, _table: &ContainerTable, _now: Nanos) -> Option<Nanos> {
         None
     }
-
-    fn name(&self) -> &'static str {
-        "edf"
-    }
 }
 
 #[cfg(test)]

@@ -141,10 +141,6 @@ impl CoreScheduler for LotteryScheduler {
     fn next_release_time(&mut self, _table: &ContainerTable, _now: Nanos) -> Option<Nanos> {
         None
     }
-
-    fn name(&self) -> &'static str {
-        "lottery"
-    }
 }
 
 #[cfg(test)]

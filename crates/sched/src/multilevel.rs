@@ -654,10 +654,6 @@ impl CoreScheduler for MultiLevelScheduler {
         }
         earliest
     }
-
-    fn name(&self) -> &'static str {
-        "multilevel-rc"
-    }
 }
 
 #[cfg(test)]

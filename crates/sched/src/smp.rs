@@ -160,11 +160,6 @@ impl PerCpu {
         self.cores.len() as u32
     }
 
-    /// A short policy name for reports.
-    pub fn name(&self) -> &'static str {
-        self.cores[0].name()
-    }
-
     /// Exports every registered task as a policy-neutral
     /// [`TaskSnapshot`], in ascending task id order so the replay order
     /// on import is deterministic.
@@ -250,9 +245,8 @@ mod tests {
     }
 
     #[test]
-    fn ncpus_and_name_reflect_cores() {
+    fn ncpus_reflects_cores() {
         let (pc, _, _) = two_cpu();
         assert_eq!(pc.ncpus(), 2);
-        assert_eq!(pc.name(), "stride");
     }
 }

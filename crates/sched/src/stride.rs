@@ -160,10 +160,6 @@ impl CoreScheduler for StrideScheduler {
     fn next_release_time(&mut self, _table: &ContainerTable, _now: Nanos) -> Option<Nanos> {
         None
     }
-
-    fn name(&self) -> &'static str {
-        "stride"
-    }
 }
 
 #[cfg(test)]

@@ -537,8 +537,4 @@ impl CoreScheduler for RefMultiLevel {
         }
         earliest
     }
-
-    fn name(&self) -> &'static str {
-        "multilevel-rc"
-    }
 }

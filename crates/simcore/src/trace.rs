@@ -362,11 +362,9 @@ pub enum TraceEventKind {
         /// Extra transmission delay.
         delay: Nanos,
     },
-    /// A scheduling policy was hot-swapped on one resource plane, with
-    /// all in-flight state drained through a policy-neutral snapshot.
+    /// The CPU scheduling policy was hot-swapped, its tasks carried
+    /// across as policy-neutral snapshots.
     PolicySwap {
-        /// The resource plane: `"cpu"`, `"disk"`, or `"link"`.
-        plane: &'static str,
         /// Name of the detached policy.
         from: &'static str,
         /// Name of the attached policy.

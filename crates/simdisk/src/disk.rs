@@ -282,34 +282,9 @@ impl SimDisk {
         self.completed
     }
 
-    /// Requests waiting in the queue (excluding the in-flight one).
-    pub fn queue_len(&self) -> usize {
-        self.sched.len()
-    }
-
     /// Whether a request is currently being served.
     pub fn busy(&self) -> bool {
         self.inflight.is_some()
-    }
-
-    /// The queue discipline's name (`"fifo"` or `"share"`).
-    pub fn sched_name(&self) -> &'static str {
-        self.sched.name()
-    }
-
-    /// Swaps the queue discipline mid-run, draining every queued request
-    /// from the old discipline into the new one in arrival order. The
-    /// in-flight request is untouched: disk service is non-preemptive and
-    /// its finish time is already fixed, so it completes (and charges)
-    /// under the device, not the discipline. Returns the name of the
-    /// discipline that was replaced.
-    pub fn replace_sched(&mut self, mut sched: Box<dyn IoSched>) -> &'static str {
-        let old = self.sched.name();
-        for req in self.sched.drain() {
-            sched.enqueue(req);
-        }
-        self.sched = sched;
-        old
     }
 }
 
@@ -337,43 +312,6 @@ mod tests {
         let first = service(1, 4096, None);
         let next = service(1, 4096, Some(1));
         assert_eq!(first - next, SEEK + ROTATION);
-    }
-
-    #[test]
-    fn replace_sched_preserves_queue_and_inflight() {
-        let mut table = ContainerTable::new();
-        let c = table.create(None, Attributes::fixed_share(0.5)).unwrap();
-        let mut disk = SimDisk::new(Box::new(ShareIoSched::new()));
-        for i in 0..4 {
-            disk.submit(
-                DiskRequest {
-                    file: i,
-                    bytes: 4096,
-                    charge_to: c,
-                    intr_cpu: 0,
-                    span: 0,
-                },
-                &table,
-                Nanos::ZERO,
-            );
-        }
-        assert!(disk.busy());
-        assert_eq!(disk.queue_len(), 3);
-        let finish = disk.next_completion_time().unwrap();
-        let old = disk.replace_sched(Box::new(FifoIoSched::new()));
-        assert_eq!(old, "share");
-        assert_eq!(disk.sched_name(), "fifo");
-        // Queue intact, in-flight untouched.
-        assert_eq!(disk.queue_len(), 3);
-        assert_eq!(disk.next_completion_time(), Some(finish));
-        let done = drain(&mut disk, &mut table);
-        assert_eq!(done.len(), 4);
-        // Everything still completes in arrival order and charges conserve.
-        assert_eq!(
-            done.iter().map(|d| d.req.0).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-        assert_eq!(table.usage(c).unwrap().disk_time, disk.total_busy());
     }
 
     #[test]

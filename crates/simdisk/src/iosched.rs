@@ -54,21 +54,10 @@ pub trait IoSched {
     /// Number of queued (not yet dispatched) requests.
     fn len(&self) -> usize;
 
-    /// Removes and returns every queued request in arrival order (device
-    /// request ids are assigned monotonically, so sorting by id recovers
-    /// arrival order even when a discipline scatters requests across
-    /// per-container queues). Used by mid-run policy swaps: the detaching
-    /// discipline drains here and the replacement re-enqueues. Discipline
-    /// ledgers (virtual time, passes) do not cross the swap.
-    fn drain(&mut self) -> Vec<QueuedRequest>;
-
     /// Whether the queue is empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Discipline name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Arrival-order dispatch: the unmodified-kernel baseline.
@@ -115,14 +104,6 @@ impl IoSched for FifoIoSched {
 
     fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    fn drain(&mut self) -> Vec<QueuedRequest> {
-        self.queue.drain(..).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "fifo"
     }
 }
 
@@ -218,24 +199,6 @@ impl IoSched for ShareIoSched {
     fn len(&self) -> usize {
         self.queued
     }
-
-    fn drain(&mut self) -> Vec<QueuedRequest> {
-        let mut out: Vec<QueuedRequest> = self
-            .queues
-            .values_mut()
-            .flat_map(|q| q.queue.drain(..))
-            .collect();
-        out.sort_by_key(|r| r.id);
-        self.queued = 0;
-        // Passes are deliberately dropped with the queues: the next
-        // discipline starts a fresh ledger for everyone at once.
-        self.queues.clear();
-        out
-    }
-
-    fn name(&self) -> &'static str {
-        "share"
-    }
 }
 
 #[cfg(test)]
@@ -326,31 +289,6 @@ mod tests {
             next_id += 1;
         }
         assert!((40..=60).contains(&b_served), "b_served = {b_served}");
-    }
-
-    #[test]
-    fn drain_recovers_arrival_order_across_disciplines() {
-        let mut table = ContainerTable::new();
-        let a = table.create(None, Attributes::fixed_share(0.7)).unwrap();
-        let b = table.create(None, Attributes::fixed_share(0.3)).unwrap();
-        let mut fifo = FifoIoSched::new();
-        let mut share = ShareIoSched::new();
-        // Interleaved arrivals from two containers.
-        for i in 0..6 {
-            let owner = if i % 2 == 0 { a } else { b };
-            fifo.enqueue(req(i, owner));
-            share.enqueue(req(i, owner));
-        }
-        let fd = fifo.drain();
-        let sd = share.drain();
-        assert_eq!(fd, sd);
-        assert_eq!(
-            fd.iter().map(|r| r.id.0).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4, 5]
-        );
-        assert!(fifo.is_empty());
-        assert!(share.is_empty());
-        assert_eq!(share.len(), 0);
     }
 
     #[test]

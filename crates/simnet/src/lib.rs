@@ -38,4 +38,4 @@ pub use discipline::NetDiscipline;
 pub use packet::{rss_cpu, FlowKey, Packet, PacketKind};
 pub use queues::PendingQueues;
 pub use stack::{ConnState, Demux, NetEvent, NetStack, SockId, Socket, SocketKind};
-pub use txsched::{Dispatch, FifoLink, LinkParams, LinkSched, QdiscKind, TxSnapshot, WfqLink};
+pub use txsched::{Dispatch, FifoLink, LinkParams, LinkSched, QdiscKind, WfqLink};

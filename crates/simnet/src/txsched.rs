@@ -79,28 +79,6 @@ struct QueuedPkt {
     pkt: Packet,
     owner: u64,
     wire: Nanos,
-    /// The full class chain the packet was enqueued under, kept so a
-    /// mid-run discipline swap can replay the packet into the new
-    /// discipline with its hierarchy intact.
-    path: Vec<(u64, u32)>,
-    /// Per-discipline arrival sequence number; recovers global arrival
-    /// order when draining a discipline that scatters packets across
-    /// per-class queues.
-    seq: u64,
-}
-
-/// A queued packet exported from a [`LinkSched`] by [`LinkSched::drain`]:
-/// the policy-neutral state a mid-run qdisc swap carries across — what
-/// the kernel enqueued (class chain, packet, wire time) and nothing the
-/// discipline invented (passes, virtual times).
-#[derive(Clone, Debug)]
-pub struct TxSnapshot {
-    /// The owning class chain, root first (see [`TxPath`]).
-    pub path: Vec<(u64, u32)>,
-    /// The queued packet.
-    pub pkt: Packet,
-    /// Time the packet will occupy the wire.
-    pub wire: Nanos,
 }
 
 /// Outcome of asking the discipline for the next packet.
@@ -123,8 +101,6 @@ pub enum Dispatch {
 ///
 /// Implementations must be deterministic functions of the call sequence.
 pub trait LinkSched {
-    /// Short stable name for reports ("fifo" / "wfq").
-    fn name(&self) -> &'static str;
     /// Queues a packet owned by the last class of `path`, which lists the
     /// owning class's chain from the hierarchy root (weights and parents
     /// are re-read on every enqueue, so attribute changes and reparents
@@ -132,21 +108,12 @@ pub trait LinkSched {
     fn enqueue(&mut self, path: &TxPath, pkt: Packet, wire: Nanos);
     /// Picks the next packet to put on the wire.
     fn dispatch(&mut self) -> Dispatch;
-    /// Number of packets currently queued.
-    fn queued_pkts(&self) -> usize;
-    /// Removes and returns every queued packet in arrival order, as
-    /// policy-neutral [`TxSnapshot`]s. Used by mid-run qdisc swaps: the
-    /// detaching discipline drains here and the replacement re-enqueues
-    /// each snapshot in order. Discipline ledgers (virtual times, passes)
-    /// do not cross the swap.
-    fn drain(&mut self) -> Vec<TxSnapshot>;
 }
 
 /// The baseline: one queue, arrival order, weights ignored.
 #[derive(Default)]
 pub struct FifoLink {
     queue: VecDeque<QueuedPkt>,
-    next_seq: u64,
 }
 
 impl FifoLink {
@@ -157,21 +124,9 @@ impl FifoLink {
 }
 
 impl LinkSched for FifoLink {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
     fn enqueue(&mut self, path: &TxPath, pkt: Packet, wire: Nanos) {
         let owner = path.last().map_or(0, |&(id, _)| id);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push_back(QueuedPkt {
-            pkt,
-            owner,
-            wire,
-            path: path.to_vec(),
-            seq,
-        });
+        self.queue.push_back(QueuedPkt { pkt, owner, wire });
     }
 
     fn dispatch(&mut self) -> Dispatch {
@@ -183,21 +138,6 @@ impl LinkSched for FifoLink {
             },
             None => Dispatch::Idle,
         }
-    }
-
-    fn queued_pkts(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn drain(&mut self) -> Vec<TxSnapshot> {
-        self.queue
-            .drain(..)
-            .map(|q| TxSnapshot {
-                path: q.path,
-                pkt: q.pkt,
-                wire: q.wire,
-            })
-            .collect()
     }
 }
 
@@ -230,8 +170,6 @@ impl Class {
 pub struct WfqLink {
     classes: BTreeMap<u64, Class>,
     root: Option<u64>,
-    queued: usize,
-    next_seq: u64,
 }
 
 impl Default for WfqLink {
@@ -246,8 +184,6 @@ impl WfqLink {
         WfqLink {
             classes: BTreeMap::new(),
             root: None,
-            queued: 0,
-            next_seq: 0,
         }
     }
 
@@ -356,10 +292,6 @@ impl WfqLink {
 }
 
 impl LinkSched for WfqLink {
-    fn name(&self) -> &'static str {
-        "wfq"
-    }
-
     fn enqueue(&mut self, path: &TxPath, pkt: Packet, wire: Nanos) {
         assert!(!path.is_empty(), "empty tx path");
         // Materialize / refresh the chain of classes.
@@ -372,16 +304,12 @@ impl LinkSched for WfqLink {
             self.root = Some(path[0].0);
         }
         let leaf = path.last().expect("nonempty").0;
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let leaf_class = self.classes.get_mut(&leaf).expect("live class");
         let was_empty = leaf_class.queue.is_empty();
         leaf_class.queue.push_back(QueuedPkt {
             pkt,
             owner: leaf,
             wire,
-            path: path.to_vec(),
-            seq,
         });
         if was_empty {
             let vtime = self.classes[&leaf].vtime;
@@ -389,7 +317,6 @@ impl LinkSched for WfqLink {
             c.self_pass = c.self_pass.max(vtime);
         }
         self.activate_up(leaf);
-        self.queued += 1;
     }
 
     fn dispatch(&mut self) -> Dispatch {
@@ -405,7 +332,6 @@ impl LinkSched for WfqLink {
             .queue
             .pop_front()
             .expect("picked class has a packet");
-        self.queued -= 1;
         let wire_ns = q.wire.as_nanos() as f64;
         // Advance virtual time along the chosen path: at each node, the
         // selected candidate's pass becomes the node's vtime, then
@@ -431,32 +357,6 @@ impl LinkSched for WfqLink {
             owner: q.owner,
             wire: q.wire,
         }
-    }
-
-    fn queued_pkts(&self) -> usize {
-        self.queued
-    }
-
-    fn drain(&mut self) -> Vec<TxSnapshot> {
-        let mut pkts: Vec<QueuedPkt> = self
-            .classes
-            .values_mut()
-            .flat_map(|c| c.queue.drain(..))
-            .collect();
-        pkts.sort_by_key(|q| q.seq);
-        // Everything else — classes, passes, virtual times — dies with
-        // this instance: the replacement discipline
-        // rebuilds its tree from the replayed paths with fresh ledgers.
-        self.classes.clear();
-        self.root = None;
-        self.queued = 0;
-        pkts.into_iter()
-            .map(|q| TxSnapshot {
-                path: q.path,
-                pkt: q.pkt,
-                wire: q.wire,
-            })
-            .collect()
     }
 }
 
@@ -510,7 +410,6 @@ mod tests {
         for owner in [7u64, 3, 7, 5] {
             f.enqueue(&[(1, 1), (owner, 1)], pkt(100), Nanos::from_micros(10));
         }
-        assert_eq!(f.queued_pkts(), 4);
         let mut order = Vec::new();
         while let Dispatch::Start { owner, .. } = f.dispatch() {
             order.push(owner);
@@ -598,55 +497,10 @@ mod tests {
         w.enqueue(&[(1, 1), (2, 1), (5, 1)], pkt(100), wire);
         w.enqueue(&[(1, 1), (3, 1), (5, 1)], pkt(100), wire);
         assert_eq!(serve(&mut w, 2), BTreeMap::from([(5, 2)]));
-        assert_eq!(w.queued_pkts(), 0);
         assert!(matches!(w.dispatch(), Dispatch::Idle));
         // The old parent is free to compete again.
         w.enqueue(&[(1, 1), (2, 1), (6, 1)], pkt(100), wire);
         assert_eq!(drain(&mut w), BTreeMap::from([(6, wire)]));
-    }
-
-    #[test]
-    fn drain_recovers_arrival_order_and_replays_into_fresh_discipline() {
-        let wire = Nanos::from_micros(10);
-        let mut w = WfqLink::new();
-        // Interleave three classes with distinct packet sizes so the
-        // replayed order is checkable.
-        for i in 0..12u32 {
-            let owner = 10 + (i as u64 % 3);
-            w.enqueue(&[(1, 1), (owner, 1)], pkt(100 + i), wire);
-        }
-        let snaps = w.drain();
-        assert_eq!(snaps.len(), 12);
-        assert_eq!(w.queued_pkts(), 0);
-        assert!(matches!(w.dispatch(), Dispatch::Idle));
-        // Arrival order recovered despite per-class scatter.
-        for (i, s) in snaps.iter().enumerate() {
-            assert_eq!(s.path.last().unwrap().0, 10 + (i as u64 % 3));
-        }
-        // Replay into a fresh FIFO: identical arrival order comes out.
-        let mut f = FifoLink::new();
-        for s in &snaps {
-            f.enqueue(&s.path, s.pkt, s.wire);
-        }
-        let mut order = Vec::new();
-        while let Dispatch::Start { owner, .. } = f.dispatch() {
-            order.push(owner);
-        }
-        assert_eq!(
-            order,
-            snaps
-                .iter()
-                .map(|s| s.path.last().unwrap().0)
-                .collect::<Vec<_>>()
-        );
-        // Replay into a fresh WFQ: still serves everything.
-        let mut w2 = WfqLink::new();
-        for s in snaps {
-            w2.enqueue(&s.path, s.pkt, s.wire);
-        }
-        assert_eq!(w2.queued_pkts(), 12);
-        let served = drain(&mut w2);
-        assert_eq!(served.len(), 3);
     }
 
     #[test]

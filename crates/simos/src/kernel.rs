@@ -106,7 +106,7 @@ pub struct NetConfig {
     pub syn_budget: usize,
     /// Finite-bandwidth transmit link model. `None` (the default) keeps
     /// the classic infinite-bandwidth wire: packets leave after
-    /// `cost.link_latency` with no queueing, no transmit charging, and no
+    /// [`cost::LINK_LATENCY`] with no queueing, no transmit charging, and no
     /// backpressure, leaving existing runs byte-identical.
     pub link: Option<LinkParams>,
 }
@@ -484,7 +484,7 @@ impl Kernel {
     pub fn new(mut cfg: KernelConfig) -> Self {
         cfg.sched.ncpus = cfg.sched.ncpus.max(1);
         // All three planes are built by the rcpolicy registry, so boot
-        // and mid-run swaps construct policies identically.
+        // and a mid-run CPU swap construct policies identically.
         let scheduler = rcpolicy::build_cpu(cfg.sched.policy, cfg.sched.ncpus);
         let disk = SimDisk::new(rcpolicy::build_disk(cfg.disk.sched));
         let disk_cache = BufferCache::new(cfg.disk.buffer_cache_bytes);
@@ -2824,24 +2824,24 @@ impl Kernel {
         for (tid, item) in wakes {
             self.wake(tid, item);
         }
-        let pids: Vec<Pid> = self.processes.keys().collect();
-        for pid in pids {
-            let interested: Vec<SockId> = self
-                .processes
-                .get(pid)
-                .map(|p| p.event_interest_w.clone())
-                .unwrap_or_default();
-            let mut queued = false;
-            for s in interested {
-                if self.tx_principal(s).as_u64() == owner && self.sock_writable(s) {
-                    if let Some(p) = self.processes.get_mut(pid) {
-                        queued |= p.queue_writable_event(s);
-                    }
-                }
+        // Queue every ready event before waking anyone: queueing reads no
+        // thread state and a wake changes no socket's writability, so each
+        // waiter still sees its own full queue.
+        let ready: Vec<(Pid, SockId)> = self
+            .processes
+            .iter()
+            .flat_map(|(pid, p)| p.event_interest_w.iter().map(move |&s| (pid, s)))
+            .filter(|&(_, s)| self.tx_principal(s).as_u64() == owner && self.sock_writable(s))
+            .collect();
+        let mut queued: Vec<Pid> = Vec::new();
+        for (pid, s) in ready {
+            let p = self.processes.get_mut(pid).expect("live process");
+            if p.queue_writable_event(s) && queued.last() != Some(&pid) {
+                queued.push(pid);
             }
-            if queued {
-                self.wake_event_waiter(pid);
-            }
+        }
+        for pid in queued {
+            self.wake_event_waiter(pid);
         }
     }
 
@@ -2950,61 +2950,12 @@ impl Kernel {
         let now = self.clock;
         let mut fresh = rcpolicy::build_cpu(kind, self.cfg.sched.ncpus);
         fresh.import_tasks(&self.scheduler.export_tasks(), now);
-        let from = std::mem::replace(&mut self.scheduler, fresh).name();
-        let to = self.scheduler.name();
-        self.cfg.sched.policy = kind;
-        trace::emit_at(now, || TraceEventKind::PolicySwap {
-            plane: "cpu",
-            from,
-            to,
-        });
-        rctrace::record_policy_swap(now, "cpu", from, to);
+        self.scheduler = fresh;
+        let from = std::mem::replace(&mut self.cfg.sched.policy, kind).name();
+        let to = kind.name();
+        trace::emit_at(now, || TraceEventKind::PolicySwap { from, to });
+        rctrace::record_policy_swap(now, from, to);
         from
-    }
-
-    /// Hot-swaps the disk request-ordering policy, draining queued
-    /// requests from the old discipline into the new one in arrival
-    /// order. The in-flight request is untouched (disk service is
-    /// non-preemptive; its finish time is already fixed). Returns the
-    /// name of the detached policy.
-    pub fn set_disk_policy(&mut self, kind: DiskSchedKind) -> &'static str {
-        let now = self.clock;
-        let from = self.disk.replace_sched(rcpolicy::build_disk(kind));
-        self.cfg.disk.sched = kind;
-        trace::emit_at(now, || TraceEventKind::PolicySwap {
-            plane: "disk",
-            from,
-            to: kind.name(),
-        });
-        rctrace::record_policy_swap(now, "disk", from, kind.name());
-        from
-    }
-
-    /// Hot-swaps the link queueing discipline, draining queued packets —
-    /// with their class chains — from the old qdisc into the new one in
-    /// arrival order. The packet on the wire is untouched (its completion
-    /// is already scheduled); passes and virtual times start fresh.
-    /// Returns the detached policy's name, or `None` when no finite link
-    /// is configured (the swap is then a no-op).
-    pub fn set_link_policy(&mut self, qdisc: QdiscKind) -> Option<&'static str> {
-        let link = self.link.as_mut()?;
-        let now = self.clock;
-        let mut fresh = rcpolicy::build_link(qdisc);
-        for s in link.drain() {
-            fresh.enqueue(&s.path, s.pkt, s.wire);
-        }
-        let from = std::mem::replace(link, fresh).name();
-        let to = link.name();
-        if let Some(p) = self.cfg.net.link.as_mut() {
-            p.qdisc = qdisc;
-        }
-        trace::emit_at(now, || TraceEventKind::PolicySwap {
-            plane: "link",
-            from,
-            to,
-        });
-        rctrace::record_policy_swap(now, "link", from, to);
-        Some(from)
     }
 
     pub(crate) fn reassign_socket(&mut self, sock: SockId, from: Pid, to: Pid) {

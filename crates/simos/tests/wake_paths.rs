@@ -4,7 +4,10 @@
 //! condition already holds as it blocks, and once when the condition
 //! becomes true later. Either way the kernel must deliver the right upcall
 //! and charge the thread's container the kernel CPU of the wake: the
-//! re-check the thread runs, costed as the syscall it completes.
+//! re-check the thread runs, costed as the syscall it completes. The
+//! event API is covered for read readiness and for writable interest,
+//! whose later wake comes from the process half of the kernel's
+//! writability wake on a wire completion.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -39,6 +42,8 @@ enum Kind {
     Acceptable,
     Event,
     Writable,
+    /// `event_wait` with writable interest registered on a connection.
+    EventWritable,
 }
 
 /// A wake upcall as the server saw it.
@@ -92,7 +97,7 @@ impl AppHandler for Server {
                     Kind::Readable => sys.read_wait(log.conns[0]),
                     Kind::Acceptable => sys.accept_wait(log.listener.expect("listening")),
                     Kind::Event => sys.event_wait(),
-                    Kind::Writable => {
+                    Kind::Writable | Kind::EventWritable => {
                         if !self.ready {
                             // Fill the container's socket buffer: the slow
                             // link holds every byte for milliseconds.
@@ -100,7 +105,12 @@ impl AppHandler for Server {
                             assert_eq!(sent, Ok(SOCKBUF_LIMIT));
                             assert!(!sys.sock_writable(log.conns[0]));
                         }
-                        sys.send_wait(log.conns[0]);
+                        if self.kind == Kind::Writable {
+                            sys.send_wait(log.conns[0]);
+                        } else {
+                            sys.event_register_writable(log.conns[0]);
+                            sys.event_wait();
+                        }
                     }
                 }
                 return;
@@ -148,7 +158,7 @@ impl World for Clients {
 fn run_case(kind: Kind, ready: bool) -> (Log, Nanos) {
     let mut cfg = KernelConfig::unmodified();
     let mut attrs = Attributes::time_shared(10);
-    if kind == Kind::Writable {
+    if matches!(kind, Kind::Writable | Kind::EventWritable) {
         // 1 Mb/s: one full segment occupies the wire for ~12 ms.
         cfg = cfg.with_link(1_000_000, QdiscKind::Fifo);
         attrs = attrs.with_sockbuf_limit(SOCKBUF_LIMIT);
@@ -198,6 +208,7 @@ fn each_wait_kind_wakes_with_its_upcall_and_syscall_cost() {
         Kind::Acceptable,
         Kind::Event,
         Kind::Writable,
+        Kind::EventWritable,
     ] {
         for ready in [true, false] {
             let (log, charged) = run_case(kind, ready);
@@ -225,6 +236,11 @@ fn each_wait_kind_wakes_with_its_upcall_and_syscall_cost() {
                 Kind::Acceptable => (Woke::Select(vec![listener]), cost::ACCEPT_SYSCALL),
                 Kind::Event => (Woke::Events(sent), cost::event_delivery(requests)),
                 Kind::Writable => (Woke::Writable(log.conns[0]), cost::WRITE_SYSCALL),
+                // Registering the interest is one more event-API call.
+                Kind::EventWritable => (
+                    Woke::Events(vec![log.conns[0]]),
+                    cost::EVENT_API_BASE + cost::event_delivery(1),
+                ),
             };
             assert_eq!(*upcall, expected, "{case}");
             assert_eq!(charged, timer_upcall + wake_cost, "{case}");

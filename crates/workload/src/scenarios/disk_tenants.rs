@@ -148,7 +148,7 @@ pub fn run_disk_tenants(params: DiskTenantsParams) -> DiskTenantsResult {
 
     let share_sum: f64 = SHARES.iter().sum();
     DiskTenantsResult {
-        sched: k.disk.sched_name().to_string(),
+        sched: params.sched.name().to_string(),
         configured: SHARES.iter().map(|s| s / share_sum).collect(),
         disk_fractions: deltas.iter().map(|&d| d.ratio(total)).collect(),
         utilization: busy.ratio(window.duration()),

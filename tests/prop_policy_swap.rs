@@ -1,17 +1,17 @@
 //! Property tests for the `rcpolicy` hot-swap plane: random workloads
-//! with random mid-run policy swaps — CPU, disk, and link, at random
-//! virtual times — must stay deterministic and keep every conservation
-//! law the no-swap kernel guarantees. Accounting lives *below* the
-//! policy objects (the container table and device totals), so replacing
-//! a policy mid-run must never create, destroy, or re-attribute a
-//! nanosecond that was already charged.
+//! with random mid-run CPU policy swaps at random virtual times must
+//! stay deterministic and keep every conservation law the no-swap kernel
+//! guarantees. Accounting lives *below* the policy objects (the
+//! container table and device totals), so replacing a policy mid-run
+//! must never create, destroy, or re-attribute a nanosecond that was
+//! already charged.
 
 use proptest::prelude::*;
 use resource_containers::prelude::*;
 
 use httpsim::stats::shared_stats;
 use simcore::Nanos;
-use simos::{DiskSchedKind, SchedPolicyKind};
+use simos::SchedPolicyKind;
 
 /// A compact description of a random workload.
 #[derive(Clone, Debug)]
@@ -29,13 +29,12 @@ fn mix_strategy() -> impl Strategy<Value = Mix> {
     })
 }
 
-/// One mid-run swap: (virtual time in ms, plane selector, policy
-/// selector). Planes cycle cpu/disk/link; the policy index picks from
-/// that plane's registry.
-type SwapSpec = (u64, u8, u8);
+/// One mid-run CPU swap: (virtual time in ms, index into
+/// [`CPU_KINDS`]).
+type SwapSpec = (u64, u8);
 
 fn swaps_strategy() -> impl Strategy<Value = Vec<SwapSpec>> {
-    proptest::collection::vec((10u64..390, 0u8..3, 0u8..5), 0..6)
+    proptest::collection::vec((10u64..390, 0u8..5), 0..6)
 }
 
 const CPU_KINDS: [SchedPolicyKind; 5] = [
@@ -45,8 +44,6 @@ const CPU_KINDS: [SchedPolicyKind; 5] = [
     SchedPolicyKind::Lottery(7),
     SchedPolicyKind::Edf,
 ];
-const DISK_KINDS: [DiskSchedKind; 2] = [DiskSchedKind::Fifo, DiskSchedKind::Share];
-const LINK_KINDS: [QdiscKind; 2] = [QdiscKind::Fifo, QdiscKind::Wfq];
 
 /// What one swapped run produced, for determinism and conservation
 /// checks.
@@ -60,8 +57,8 @@ struct SwapRun {
 }
 
 /// Runs `mix` on a two-CPU kernel with a disk-backed server and a
-/// finite WFQ link, applying `swaps` at their virtual times through the
-/// kernel's policy-swap entry points.
+/// finite WFQ link, applying `swaps` at their virtual times through
+/// `Kernel::set_cpu_policy`.
 fn run_swapped(mix: &Mix, swaps: &[SwapSpec]) -> SwapRun {
     rctrace::start(TraceConfig {
         ring_capacity: 1 << 16,
@@ -107,19 +104,9 @@ fn run_swapped(mix: &Mix, swaps: &[SwapSpec]) -> SwapRun {
     let mut schedule: Vec<SwapSpec> = swaps.to_vec();
     schedule.sort();
     let mut applied = 0;
-    for &(at_ms, plane, kind) in &schedule {
+    for &(at_ms, kind) in &schedule {
         k.run(&mut clients, Nanos::from_millis(at_ms));
-        match plane % 3 {
-            0 => {
-                k.set_cpu_policy(CPU_KINDS[kind as usize % CPU_KINDS.len()]);
-            }
-            1 => {
-                k.set_disk_policy(DISK_KINDS[kind as usize % DISK_KINDS.len()]);
-            }
-            _ => {
-                k.set_link_policy(LINK_KINDS[kind as usize % LINK_KINDS.len()]);
-            }
-        }
+        k.set_cpu_policy(CPU_KINDS[kind as usize % CPU_KINDS.len()]);
         applied += 1;
     }
     k.run(&mut clients, end);
@@ -174,8 +161,8 @@ fn rcbench_parse(metrics: &str) -> rcbench::json::Value {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Hot-swapping any scheduler on any plane at any virtual time is
-    /// part of the determinism contract: same mix + same swap schedule,
+    /// Hot-swapping any CPU scheduler at any virtual time is part of the
+    /// determinism contract: same mix + same swap schedule,
     /// byte-identical artifacts — and CPU, disk, and link accounting
     /// all stay conserved across the swaps.
     #[test]
@@ -197,19 +184,18 @@ proptest! {
         prop_assert_eq!(a.metrics, b.metrics, "swapped metrics dump not byte-identical");
     }
 
-    /// A swap schedule that re-attaches the *currently running* kind on
-    /// every plane is still a real swap (fresh policy state attaches via
-    /// export/import), and the workload must not notice: requests are
-    /// served and every ledger still balances.
+    /// Re-attaching the *currently running* CPU policy is still a real
+    /// swap (fresh policy state attaches via export/import), and the
+    /// workload must not notice: requests are served and every ledger
+    /// still balances.
     #[test]
     fn identity_swaps_preserve_service_and_conservation(
         mix in mix_strategy(),
         at_ms in 50u64..350,
     ) {
-        // The boot policies of a resource-containers kernel.
-        let swaps = vec![(at_ms, 0u8, 0u8), (at_ms, 1u8, 1u8), (at_ms, 2u8, 1u8)];
-        let r = run_swapped(&mix, &swaps);
-        prop_assert_eq!(r.swaps_applied, 3);
+        // MultiLevel, the boot policy of a resource-containers kernel.
+        let r = run_swapped(&mix, &[(at_ms, 1)]);
+        prop_assert_eq!(r.swaps_applied, 1);
         prop_assert!(r.served > 0, "identity swaps starved the workload for {mix:?}");
         prop_assert!(r.cpu_conserved);
         let (disk_ok, tx_ok) = conservation_from_metrics(&r.metrics);
@@ -219,7 +205,8 @@ proptest! {
 
 /// The gated metrics section: a run with at least one swap carries a
 /// `policy` section recording it; the swaps array matches what was
-/// applied, in order.
+/// applied, in order, and the chrome trace marks each swap on the CPU
+/// track.
 #[test]
 fn swap_runs_export_policy_section() {
     let mix = Mix {
@@ -232,7 +219,9 @@ fn swap_runs_export_policy_section() {
         !plain.metrics.contains("\"policy\":"),
         "no-swap run must not grow a policy section"
     );
-    let swapped = run_swapped(&mix, &[(100, 0, 4), (200, 2, 0)]);
+    // Late enough that the trace ring, which keeps only the newest
+    // records, still holds the first swap's instant.
+    let swapped = run_swapped(&mix, &[(250, 4), (320, 2)]);
     let v = rcbench_parse(&swapped.metrics);
     let swaps = v
         .get("policy")
@@ -240,8 +229,11 @@ fn swap_runs_export_policy_section() {
         .and_then(|s| s.as_array())
         .expect("policy.swaps array present");
     assert_eq!(swaps.len(), 2);
+    for s in swaps {
+        assert_eq!(s.get("plane").and_then(|v| v.as_str()), Some("cpu"));
+    }
     assert_eq!(swaps[0].get("to").and_then(|v| v.as_str()), Some("edf"));
-    assert_eq!(swaps[1].get("plane").and_then(|v| v.as_str()), Some("link"));
+    assert_eq!(swaps[1].get("to").and_then(|v| v.as_str()), Some("stride"));
     let epochs = v
         .get("policy")
         .and_then(|p| p.get("epochs"))
@@ -251,5 +243,9 @@ fn swap_runs_export_policy_section() {
         epochs.len(),
         3,
         "two swaps partition the run into three epochs"
+    );
+    assert!(
+        swapped.chrome.contains("cpu policy multilevel-rc -> edf"),
+        "chrome trace must mark the swap on the CPU track"
     );
 }

@@ -5,7 +5,9 @@
 //! - **pid 1 "cpu"** — one `X` (complete) slice per scheduled run, derived
 //!   from the [`CtxSwitch`](simcore::trace::TraceEventKind::CtxSwitch)
 //!   stream: each slice spans from one switch to the next and is named
-//!   after the running task, with the charged container in `args`.
+//!   after the running task, with the charged container in `args`. An
+//!   instant marks each CPU policy swap, taken from the metrics' swap
+//!   history, which ring eviction cannot shorten.
 //! - **pid 2 "disk"** — one `X` slice per disk request service period
 //!   (`DiskStart` carries the exact service time; the disk is
 //!   non-preemptive, so start + service is the completion).
@@ -490,19 +492,21 @@ fn emit_session(
                     ),
                 ));
             }
-            TraceEventKind::PolicySwap { from, to } => {
-                evs.push(instant(
-                    cpu_pid0,
-                    at,
-                    "policy",
-                    &format!("cpu policy {from} -> {to}"),
-                ));
-            }
             _ => {}
         }
     }
     for (cpu, (start, task, cont)) in open {
         close_slice(evs, cpu, start, end_ns.max(start), task, cont);
+    }
+    // Policy swaps come from the metrics, which keep every one: the ring
+    // may have evicted the oldest.
+    for &(at, from, to) in &session.metrics.policy_swaps {
+        evs.push(instant(
+            cpu_pid0,
+            at.as_nanos(),
+            "policy",
+            &format!("cpu policy {from} -> {to}"),
+        ));
     }
 
     // Counter tracks from the sampled metrics timelines.

@@ -111,8 +111,6 @@ pub struct ResourceUsage {
     pub disk_bytes: u64,
     /// Sockets currently bound to this container.
     pub sockets: u64,
-    /// Container-related system calls performed against this container.
-    pub syscalls: u64,
 }
 
 impl ResourceUsage {

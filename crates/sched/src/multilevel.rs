@@ -32,12 +32,15 @@
 //! [`epoch`](ContainerTable::epoch) and the binding are unchanged.
 //! Unlimited time-shared siblings share one cache entry. A fixed-share
 //! child has work when a runnable task's chain passes through it with no
-//! exhausted bucket between, and decayed usages are summed only to break
-//! a tie on priority.
+//! exhausted bucket between. A tie on priority is settled by the lowest id
+//! among tasks with equal bindings, else by time-invariant usage keys when
+//! they separate the candidates by a wide margin, and only otherwise by
+//! summing decayed usages (DESIGN §19).
 //!
 //! Per-container scheduling state (stride passes, virtual time, limit
-//! bucket, decayed usage) sits in a table indexed by the container's arena
-//! slot; a dead id's usage outlives the reuse of its slot.
+//! bucket, decayed usage and its key) sits in a table indexed by the
+//! container's arena slot; a dead id's usage outlives the reuse of its
+//! slot.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -55,6 +58,59 @@ use crate::usage_decay::UsageDecay;
 const QUANTUM: Nanos = Nanos::from_millis(1);
 /// The half-life of a container's decayed usage.
 const HALF_LIFE: Nanos = Nanos::from_millis(500);
+
+// Usage keys (DESIGN §19). A key decides a tie only while no exponent
+// leaves ±`KEY_SAFE_HALVES` and no nonzero usage is below `KEY_MIN_USAGE`,
+// so that every term of both sums is a normal float, and only for
+// bindings shorter than `KEY_MAX_BINDING`, for which `KEY_MARGIN` exceeds
+// twice the two sums' relative rounding bounds.
+
+/// Half-lives a key's or a usage's exponent may span.
+const KEY_SAFE_HALVES: u64 = 900;
+/// Half-lives after which a charge moves the reference instant to itself.
+const KEY_REBASE_HALVES: u64 = 256;
+/// The smallest nonzero usage, in CPU seconds, a key stands for.
+const KEY_MIN_USAGE: f64 = 1e-30;
+/// The longest binding whose key sum a key decision trusts.
+const KEY_MAX_BINDING: usize = 1 << 20;
+/// How far, relatively, the runner-up's key sum must exceed the leader's.
+const KEY_MARGIN: f64 = 1e-9;
+
+/// A container's decayed usage and its tie key.
+#[derive(Debug)]
+struct Usage {
+    decay: UsageDecay,
+    /// `value · 2^((last − t0) / HALF_LIFE)`: the usage as of any instant
+    /// `now`, times `2^((now − t0) / HALF_LIFE)`, where `t0` is the slot
+    /// table's reference instant. Rewritten at every charge and rebase.
+    key: f64,
+    /// The key stands for the usage at instants before this one.
+    key_expiry: Nanos,
+}
+
+impl Usage {
+    fn new() -> Self {
+        Usage {
+            decay: UsageDecay::new(HALF_LIFE),
+            key: 0.0,
+            key_expiry: Nanos::MAX,
+        }
+    }
+
+    fn rekey(&mut self, t0: Nanos) {
+        let (value, last) = self.decay.raw();
+        (self.key, self.key_expiry) = if value == 0.0 {
+            (0.0, Nanos::MAX)
+        } else if value < KEY_MIN_USAGE {
+            (0.0, Nanos::ZERO)
+        } else {
+            let delta = last.as_nanos() as i128 - t0.as_nanos() as i128;
+            let halves = delta as f64 / HALF_LIFE.as_nanos() as f64;
+            let expiry = last.saturating_add(HALF_LIFE * KEY_SAFE_HALVES);
+            (value * halves.exp2(), expiry)
+        };
+    }
+}
 
 /// A live container of a task's scheduler binding, as the table stood at
 /// the task's cache epoch, or a group of unlimited time-shared siblings.
@@ -171,7 +227,7 @@ struct SlotRec {
     /// Token bucket, made when a pick or charge first finds a CPU limit.
     bucket: Option<TokenBucket>,
     /// Decayed CPU usage, made at the first charge.
-    usage: Option<UsageDecay>,
+    usage: Option<Usage>,
     /// The table epoch `fs_children` describes.
     fs_epoch: Option<u64>,
     /// Fixed-share children in child order (at the root, then the floating
@@ -189,7 +245,11 @@ struct SlotRec {
 #[derive(Debug, Default)]
 struct SlotTable {
     recs: Vec<Option<SlotRec>>,
-    retired: HashMap<ContainerId, UsageDecay>,
+    retired: HashMap<ContainerId, Usage>,
+    /// The reference instant of every usage key.
+    t0: Nanos,
+    /// The latest instant a charge ended.
+    latest: Nanos,
 }
 
 impl SlotTable {
@@ -233,16 +293,48 @@ impl SlotTable {
         })
     }
 
-    /// The decayed usage of `c` at `now`, dead ids included.
-    fn usage(&self, c: ContainerId, now: Nanos) -> f64 {
+    /// The usage record of `c`, dead ids included.
+    fn usage_of(&self, c: ContainerId) -> Option<&Usage> {
         // Ids that share a slot order by generation: a newer holder
         // retired `c`'s usage.
-        let u = match self.recs.get(c.slot() as usize) {
+        match self.recs.get(c.slot() as usize) {
             Some(Some(r)) if r.id == c => r.usage.as_ref(),
             Some(Some(r)) if r.id > c => self.retired.get(&c),
             _ => None,
-        };
-        u.map_or(0.0, |u| u.peek(now))
+        }
+    }
+
+    /// The decayed usage of `c` at `now`, dead ids included.
+    fn usage(&self, c: ContainerId, now: Nanos) -> f64 {
+        self.usage_of(c).map_or(0.0, |u| u.decay.peek(now))
+    }
+
+    /// The usage key of `c` and the instant it expires, dead ids included.
+    fn key(&self, c: ContainerId) -> (f64, Nanos) {
+        self.usage_of(c)
+            .map_or((0.0, Nanos::MAX), |u| (u.key, u.key_expiry))
+    }
+
+    /// Adds `dt` of CPU ending at `now` to live container `c`'s decayed
+    /// usage and rewrites its key, first moving the reference instant to
+    /// `now` (and rewriting every key) once it lags too far behind.
+    fn charge_usage(&mut self, c: ContainerId, dt: Nanos, now: Nanos) {
+        self.latest = self.latest.max(now);
+        if now.saturating_sub(self.t0) > HALF_LIFE * KEY_REBASE_HALVES {
+            self.t0 = now;
+            let live = self
+                .recs
+                .iter_mut()
+                .flatten()
+                .filter_map(|r| r.usage.as_mut());
+            for u in live.chain(self.retired.values_mut()) {
+                u.rekey(now);
+            }
+        }
+        let t0 = self.t0;
+        let u = self.claim(c).usage.get_or_insert_with(Usage::new);
+        u.decay.charge(dt, now);
+        u.rekey(t0);
     }
 }
 
@@ -347,13 +439,20 @@ impl MultiLevelScheduler {
         }
     }
 
+    fn binding(&self, task: TaskId) -> &[ContainerId] {
+        &self
+            .tasks
+            .get(task)
+            .expect("candidate is registered")
+            .binding
+    }
+
     /// Combined decayed usage of the task's scheduler binding (§4.3).
     fn task_combined_usage(&self, task: TaskId, now: Nanos) -> f64 {
-        let binding = match self.tasks.get(task) {
-            Some(t) => &t.binding,
-            None => return 0.0,
-        };
-        binding.iter().map(|&c| self.slots.usage(c, now)).sum()
+        self.binding(task)
+            .iter()
+            .map(|&c| self.slots.usage(c, now))
+            .sum()
     }
 
     /// Picks among the pool members `self.pool[base..]`: strict priority
@@ -361,12 +460,67 @@ impl MultiLevelScheduler {
     fn pick_from_pool(&self, base: usize, now: Nanos) -> Option<TaskId> {
         let pool = &self.pool[base..];
         let top = pool.iter().map(|&(_, prio)| prio).max()?;
-        let mut level = pool.iter().filter(|&&(_, prio)| prio == top);
-        if level.clone().count() == 1 {
-            return level.next().map(|&(t, _)| t);
+        let level = pool
+            .iter()
+            .filter(move |&&(_, prio)| prio == top)
+            .map(|&(t, _)| t);
+        let first = level.clone().next()?;
+        // Equal bindings sum to bit-equal usages, so the lowest id wins.
+        if level
+            .clone()
+            .all(|t| t == first || self.binding(t) == self.binding(first))
+        {
+            return level.min();
         }
+        if let Some(t) = self.tie_by_keys(level.clone(), now) {
+            debug_assert_eq!(
+                t,
+                self.tie_by_usage(level, now),
+                "usage keys misjudged a tie at {now:?}"
+            );
+            return Some(t);
+        }
+        Some(self.tie_by_usage(level, now))
+    }
+
+    /// The tie's winner by usage keys: `None` unless every key stands for
+    /// its usage at `now` and the lowest key sum beats every other by
+    /// `KEY_MARGIN`, so the exact sums order the same way (DESIGN §19).
+    fn tie_by_keys(&self, level: impl Iterator<Item = TaskId>, now: Nanos) -> Option<TaskId> {
+        if self.slots.latest > now {
+            return None;
+        }
+        let mut lead: Option<(f64, TaskId)> = None;
+        let mut runner_up = f64::INFINITY;
+        for t in level {
+            let binding = self.binding(t);
+            if binding.len() >= KEY_MAX_BINDING {
+                return None;
+            }
+            let mut sum = 0.0;
+            for &c in binding {
+                let (key, expiry) = self.slots.key(c);
+                if now >= expiry {
+                    return None;
+                }
+                sum += key;
+            }
+            match lead {
+                Some((l, _)) if sum >= l => runner_up = runner_up.min(sum),
+                _ => {
+                    runner_up = lead.map_or(runner_up, |(l, _)| runner_up.min(l));
+                    lead = Some((sum, t));
+                }
+            }
+        }
+        let (sum, t) = lead?;
+        (runner_up > sum * (1.0 + KEY_MARGIN)).then_some(t)
+    }
+
+    /// The tie's winner by combined decayed usage, then lowest id.
+    fn tie_by_usage(&self, level: impl Iterator<Item = TaskId>, now: Nanos) -> TaskId {
         level
-            .map(|&(t, _)| (self.task_combined_usage(t, now), t))
+            .map(|t| (self.task_combined_usage(t, now), t))
             .reduce(|best, (usage, t)| {
                 if usage < best.0 || (usage == best.0 && t < best.1) {
                     (usage, t)
@@ -375,6 +529,7 @@ impl MultiLevelScheduler {
                 }
             })
             .map(|(_, t)| t)
+            .expect("a tie has candidates")
     }
 
     /// Recursive pick at a fixed-share node.
@@ -594,11 +749,7 @@ impl CoreScheduler for MultiLevelScheduler {
         let dt_sec = dt.as_secs_f64();
         // The kernel charges the table first, so `container` is live and
         // may claim its slot.
-        self.slots
-            .claim(container)
-            .usage
-            .get_or_insert_with(|| UsageDecay::new(HALF_LIFE))
-            .charge(dt, now);
+        self.slots.charge_usage(container, dt, now);
 
         // Walk the chain from the charged container to the root, advancing
         // stride passes and draining limit buckets.

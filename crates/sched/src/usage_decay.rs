@@ -88,6 +88,11 @@ impl UsageDecay {
         self.value
     }
 
+    /// Returns the stored value and the instant it was last decayed to.
+    pub(crate) fn raw(&self) -> (f64, Nanos) {
+        (self.value, self.last)
+    }
+
     /// Returns the decayed usage without updating the decay timestamp.
     pub fn peek(&self, now: Nanos) -> f64 {
         if now <= self.last {

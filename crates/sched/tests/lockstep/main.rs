@@ -226,6 +226,161 @@ fn throttled_sibling_stops_lending_its_priority() {
     s.assert_usages(&[low, limited, other], now);
 }
 
+/// A permuted binding is not an equal one: its usages are summed in
+/// another order, which can differ in the last bit. In binding order,
+/// 0.1 + 0.2 + 0.3 s sums to one ulp above 0.6, and 0.3 + 0.2 + 0.1 s to
+/// exactly 0.6, so the higher id wins.
+#[test]
+fn permuted_binding_sums_in_its_own_order() {
+    let mut table = ContainerTable::new();
+    let a = ts(&mut table, None, 10);
+    let b = ts(&mut table, None, 10);
+    let c = ts(&mut table, None, 10);
+    let mut s = Lockstep::new();
+    let zero = Nanos::ZERO;
+    s.both(|s| s.add_task(TaskId(1), &[a, b, c], zero));
+    s.both(|s| s.add_task(TaskId(2), &[c, b, a], zero));
+    let now = Nanos::from_secs(1);
+    for (id, ms) in [(a, 100), (b, 200), (c, 300)] {
+        s.both(|s| s.charge(TaskId(0), id, Nanos::from_millis(ms), &table, now));
+    }
+    let sum = |binding: &[ContainerId]| -> f64 {
+        binding
+            .iter()
+            .map(|&id| s.rewrite.container_usage(id, now))
+            .sum()
+    };
+    assert!(sum(&[a, b, c]) > sum(&[c, b, a]));
+    s.both(|s| s.set_runnable(TaskId(1), true, now));
+    s.both(|s| s.set_runnable(TaskId(2), true, now));
+    assert_eq!(s.pick(&table, now).map(|p| p.task), Some(TaskId(2)));
+    s.assert_usages(&[a, b, c], now);
+}
+
+/// Two distinct bindings with bit-equal combined usage tie exactly: the
+/// lower id wins, whichever task became runnable first.
+#[test]
+fn distinct_bindings_with_equal_usage_go_to_the_lower_id() {
+    let mut table = ContainerTable::new();
+    let a = ts(&mut table, None, 10);
+    let idle = ts(&mut table, None, 10);
+    let b = ts(&mut table, None, 10);
+    let mut s = Lockstep::new();
+    let zero = Nanos::ZERO;
+    s.both(|s| s.add_task(TaskId(1), &[a, idle], zero));
+    s.both(|s| s.add_task(TaskId(2), &[b], zero));
+    let now = Nanos::from_millis(3);
+    s.both(|s| s.charge(TaskId(1), a, Nanos::from_millis(2), &table, now));
+    s.both(|s| s.charge(TaskId(2), b, Nanos::from_millis(2), &table, now));
+    s.both(|s| s.set_runnable(TaskId(2), true, now));
+    s.both(|s| s.set_runnable(TaskId(1), true, now));
+    for later in [now, now + Nanos::from_millis(700)] {
+        assert_eq!(s.pick(&table, later).map(|p| p.task), Some(TaskId(1)));
+    }
+    s.assert_usages(&[a, idle, b], now);
+}
+
+/// A charge 128 s (256 half-lives) after the scheduler's reference
+/// instant moves that instant and rewrites every usage key, a dead id's
+/// included. A container charged once long before still weighs almost
+/// nothing in the tie that follows; a key left against the old instant
+/// would make it outweigh a fresh 1 ms.
+#[test]
+fn tie_after_a_rebase_weighs_keys_written_before_it() {
+    for retire in [false, true] {
+        let mut table = ContainerTable::new();
+        let old = ts(&mut table, None, 10);
+        let fresh = ts(&mut table, None, 10);
+        let busy = ts(&mut table, None, 10);
+        let mut s = Lockstep::new();
+        let zero = Nanos::ZERO;
+        s.both(|s| s.add_task(TaskId(1), &[fresh, old], zero));
+        s.both(|s| s.add_task(TaskId(2), &[busy], zero));
+        let early = Nanos::from_secs(1);
+        s.both(|s| s.charge(TaskId(1), old, Nanos::from_millis(10), &table, early));
+        let mut ids = vec![old, fresh, busy];
+        if retire {
+            assert!(table.drop_descriptor_ref(old).unwrap());
+            let heir = ts(&mut table, None, 10);
+            assert_eq!(heir.slot(), old.slot());
+            s.both(|s| s.charge(TaskId(0), heir, Nanos::from_millis(1), &table, early));
+            ids.push(heir);
+        }
+        let late = Nanos::from_secs(129);
+        s.both(|s| s.charge(TaskId(2), busy, Nanos::from_millis(1), &table, late));
+        s.both(|s| s.set_runnable(TaskId(1), true, late));
+        s.both(|s| s.set_runnable(TaskId(2), true, late));
+        assert_eq!(
+            s.pick(&table, late).map(|p| p.task),
+            Some(TaskId(1)),
+            "retired: {retire}"
+        );
+        s.assert_usages(&ids, late);
+    }
+}
+
+/// Usage keys stand in for usages only while every term of both sums is
+/// a normal float. At 550 s, 1 ms charged at 1 ms has decayed through
+/// 1,100 half-lives to exactly zero, as has 1.01 ms, so the two tie and
+/// the lower id wins; their keys, written against the reference instant
+/// a charge at 387 s set, are still normal and 1% apart.
+#[test]
+fn usage_decayed_past_the_float_range_ties_exactly() {
+    let mut table = ContainerTable::new();
+    let heavier = ts(&mut table, None, 10);
+    let lighter = ts(&mut table, None, 10);
+    let clock = ts(&mut table, None, 10);
+    let mut s = Lockstep::new();
+    let zero = Nanos::ZERO;
+    s.both(|s| s.add_task(TaskId(1), &[heavier], zero));
+    s.both(|s| s.add_task(TaskId(2), &[lighter], zero));
+    let early = Nanos::from_millis(1);
+    s.both(|s| s.charge(TaskId(1), heavier, Nanos::from_micros(1010), &table, early));
+    s.both(|s| s.charge(TaskId(2), lighter, Nanos::from_micros(1000), &table, early));
+    // Each charge lands more than 256 half-lives after the last reference
+    // instant, so each moves it.
+    for secs in [129, 258, 387] {
+        let at = Nanos::from_secs(secs);
+        s.both(|s| s.charge(TaskId(0), clock, Nanos::from_micros(1), &table, at));
+    }
+    let now = Nanos::from_secs(550);
+    assert_eq!(s.rewrite.container_usage(lighter, now), 0.0);
+    s.both(|s| s.set_runnable(TaskId(2), true, now));
+    s.both(|s| s.set_runnable(TaskId(1), true, now));
+    assert_eq!(s.pick(&table, now).map(|p| p.task), Some(TaskId(1)));
+    s.assert_usages(&[heavier, lighter, clock], now);
+}
+
+/// A usage charged after the pick's instant is read undecayed, not grown
+/// back to that instant: 1 ms charged at 10 s outweighs nothing at 9 s
+/// but 1.5 ms charged at 9 s.
+#[test]
+fn usage_charged_after_the_pick_reads_undecayed() {
+    let mut table = ContainerTable::new();
+    let later = ts(&mut table, None, 10);
+    let now_charged = ts(&mut table, None, 10);
+    let mut s = Lockstep::new();
+    let zero = Nanos::ZERO;
+    s.both(|s| s.add_task(TaskId(1), &[later], zero));
+    s.both(|s| s.add_task(TaskId(2), &[now_charged], zero));
+    let now = Nanos::from_secs(9);
+    let ten = Nanos::from_secs(10);
+    s.both(|s| s.charge(TaskId(1), later, Nanos::from_millis(1), &table, ten));
+    s.both(|s| {
+        s.charge(
+            TaskId(2),
+            now_charged,
+            Nanos::from_micros(1500),
+            &table,
+            now,
+        )
+    });
+    s.both(|s| s.set_runnable(TaskId(1), true, now));
+    s.both(|s| s.set_runnable(TaskId(2), true, now));
+    assert_eq!(s.pick(&table, now).map(|p| p.task), Some(TaskId(1)));
+    s.assert_usages(&[later, now_charged], now);
+}
+
 /// One step of a random call sequence. Selectors index the live
 /// containers, the live fixed-share ones, or every id ever created,
 /// modulo their length.
@@ -287,6 +442,15 @@ enum Op {
     Advance {
         micros: u32,
     },
+    /// Bind `task` to `from`'s binding, reshaped by `how`, and wake it, so
+    /// that ties between equal, permuted and overlapping bindings come up.
+    ShareBinding {
+        task: u32,
+        from: u32,
+        how: Reshape,
+        sel: usize,
+        member: Member,
+    },
     /// Create two time-shared siblings under a live fixed-share node, or
     /// floating, the first CPU-limited; bind `task` to both in the given
     /// order, wake it, and charge the limited one a whole window, so its
@@ -306,6 +470,22 @@ struct Binding {
     /// Selects the live fixed-share node whose children `Sibling` names.
     parent: usize,
     members: Vec<Member>,
+}
+
+/// How `Op::ShareBinding` changes the binding it copies; `sel` picks a
+/// member or a rotation.
+#[derive(Clone, Copy, Debug)]
+enum Reshape {
+    Same,
+    /// Rotated by `sel`, or reversed where that leaves it as it was.
+    Permute,
+    /// With `member` appended.
+    Add,
+    /// Without one member, unless it is the only one.
+    Drop,
+    /// With one member moved to the front, as the kernel network thread's
+    /// binding changes when it starts a packet.
+    ToFront,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -360,14 +540,37 @@ fn attr_strategy() -> impl Strategy<Value = AttrSpec> {
 const TASKS: u32 = 8;
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    let binding = || {
-        let member = (0u8..6, any::<usize>()).prop_map(|(d, sel)| match d {
+    let member = || {
+        (0u8..6, any::<usize>()).prop_map(|(d, sel)| match d {
             0 => Member::Any(sel),
             1 | 2 => Member::Live(sel),
             _ => Member::Sibling(sel),
-        });
-        (any::<usize>(), prop::collection::vec(member, 1..13))
+        })
+    };
+    let binding = move || {
+        (any::<usize>(), prop::collection::vec(member(), 1..13))
             .prop_map(|(parent, members)| Binding { parent, members })
+    };
+    let share = move || {
+        (
+            (0..TASKS, 0..TASKS),
+            prop::sample::select(vec![
+                Reshape::Same,
+                Reshape::Permute,
+                Reshape::Add,
+                Reshape::Drop,
+                Reshape::ToFront,
+            ]),
+            any::<usize>(),
+            member(),
+        )
+            .prop_map(|((task, from), how, sel, member)| Op::ShareBinding {
+                task,
+                from,
+                how,
+                sel,
+                member,
+            })
     };
     let create = || {
         (any::<usize>(), 0u8..5, attr_strategy()).prop_map(|(p, f, attrs)| Op::Create {
@@ -421,6 +624,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         run(),
         run(),
         (0u32..8000).prop_map(|micros| Op::Advance { micros }),
+        share(),
+        share(),
         (
             (any::<usize>(), 0u8..5),
             (0u32..=20, 0u32..=20),
@@ -445,12 +650,13 @@ fn nth<T: Copy>(v: &[T], sel: usize) -> Option<T> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Random legal call sequences over random hierarchies (floating
     /// orphans, CPU limits, priority 0, multi-container bindings naming
-    /// dead ids, throttled CPU-limited siblings) give identical picks,
-    /// release times and usages.
+    /// dead ids, throttled CPU-limited siblings, tasks sharing equal,
+    /// permuted and overlapping bindings) give identical picks, release
+    /// times and usages.
     #[test]
     fn rewrite_matches_reference_in_lockstep(ops in prop::collection::vec(op_strategy(), 1..160)) {
         let mut table = ContainerTable::new();
@@ -573,6 +779,32 @@ proptest! {
                     }
                 }
                 Op::Advance { micros } => now += Nanos::from_micros(*micros as u64),
+                Op::ShareBinding { task, from, how, sel, member } => {
+                    if let Some(mut b) = bindings[*from as usize].clone() {
+                        let n = b.len();
+                        match how {
+                            Reshape::Same => {}
+                            Reshape::Permute if sel % n == 0 => b.reverse(),
+                            Reshape::Permute => b.rotate_left(sel % n),
+                            Reshape::Add => b.extend(bind(&Binding {
+                                parent: *sel,
+                                members: vec![*member],
+                            })),
+                            Reshape::Drop if n > 1 => {
+                                b.remove(sel % n);
+                            }
+                            Reshape::Drop => {}
+                            Reshape::ToFront => b[..=sel % n].rotate_right(1),
+                        }
+                        let t = TaskId(*task);
+                        if bindings[*task as usize].replace(b.clone()).is_some() {
+                            s.both(|s| s.set_binding(t, &b, now));
+                        } else {
+                            s.both(|s| s.add_task(t, &b, now));
+                        }
+                        s.both(|s| s.set_runnable(t, true, now));
+                    }
+                }
                 Op::ThrottledSibling { parent, prios, limit_pct, limited_first, task } => {
                     let ts = |priority, limit_pct| AttrSpec {
                         fixed: false,

@@ -30,7 +30,9 @@ use crate::packet::Packet;
 /// assert!(q.push(7, p));
 /// assert!(q.push(7, p));
 /// assert!(!q.push(7, p)); // over capacity: early drop
-/// assert_eq!(q.pending_principals(), vec![7]);
+/// assert_eq!(q.principals().collect::<Vec<_>>(), vec![7]);
+/// assert_eq!(q.peek_highest(|_| 1), Some(7));
+/// assert_eq!(q.pop(7), Some(p));
 /// ```
 #[derive(Clone, Debug)]
 pub struct PendingQueues<P: Ord + Copy> {
@@ -59,21 +61,9 @@ impl<P: Ord + Copy> PendingQueues<P> {
         true
     }
 
-    /// Removes and returns the oldest packet of the highest-ranked
-    /// principal, where rank is supplied by `priority` (higher value =
-    /// served first). Ties go to the smaller principal key.
-    pub fn pop_highest(&mut self, priority: impl FnMut(P) -> u32) -> Option<(P, Packet)> {
-        let p = self.peek_highest(priority)?;
-        let q = self.queues.get_mut(&p).expect("picked principal is queued");
-        let pkt = q.pop_front().expect("queued principal has a packet");
-        if q.is_empty() {
-            self.queues.remove(&p);
-        }
-        Some((p, pkt))
-    }
-
-    /// Returns the principal [`Self::pop_highest`] would serve next,
-    /// without removing anything.
+    /// Returns the highest-ranked principal with a pending packet, where
+    /// rank is supplied by `priority` (higher value = served first). Ties
+    /// go to the smaller principal key.
     pub fn peek_highest(&self, mut priority: impl FnMut(P) -> u32) -> Option<P> {
         let mut best: Option<(u32, P)> = None;
         for &p in self.queues.keys() {
@@ -85,10 +75,19 @@ impl<P: Ord + Copy> PendingQueues<P> {
         best.map(|(_, p)| p)
     }
 
-    /// Returns the principals that currently have pending packets, in key
-    /// order.
-    pub fn pending_principals(&self) -> Vec<P> {
-        self.queues.keys().copied().collect()
+    /// Removes and returns the oldest packet of `principal`.
+    pub fn pop(&mut self, principal: P) -> Option<Packet> {
+        let q = self.queues.get_mut(&principal)?;
+        let pkt = q.pop_front();
+        if q.is_empty() {
+            self.queues.remove(&principal);
+        }
+        pkt
+    }
+
+    /// The principals that have pending packets, in key order.
+    pub fn principals(&self) -> impl Iterator<Item = P> + '_ {
+        self.queues.keys().copied()
     }
 
     /// Returns `true` if nothing is pending.
@@ -110,15 +109,20 @@ mod tests {
         )
     }
 
+    /// Serves the highest-ranked principal's oldest packet.
+    fn serve(q: &mut PendingQueues<u32>, priority: impl FnMut(u32) -> u32) -> Option<u32> {
+        let p = q.peek_highest(priority)?;
+        q.pop(p).map(|_| p)
+    }
+
     #[test]
     fn fifo_within_principal() {
         let mut q: PendingQueues<u32> = PendingQueues::new(10);
         q.push(1, pkt(1));
         q.push(1, pkt(2));
-        let (_, a) = q.pop_highest(|_| 1).unwrap();
-        let (_, b) = q.pop_highest(|_| 1).unwrap();
-        assert_eq!(a, pkt(1));
-        assert_eq!(b, pkt(2));
+        assert_eq!(q.pop(1), Some(pkt(1)));
+        assert_eq!(q.pop(1), Some(pkt(2)));
+        assert_eq!(q.pop(1), None);
     }
 
     #[test]
@@ -133,10 +137,10 @@ mod tests {
             3 => 20,
             _ => 10,
         };
-        assert_eq!(q.pop_highest(prio).unwrap().0, 2);
-        assert_eq!(q.pop_highest(prio).unwrap().0, 3);
-        assert_eq!(q.pop_highest(prio).unwrap().0, 1);
-        assert!(q.pop_highest(prio).is_none());
+        assert_eq!(serve(&mut q, prio), Some(2));
+        assert_eq!(serve(&mut q, prio), Some(3));
+        assert_eq!(serve(&mut q, prio), Some(1));
+        assert_eq!(serve(&mut q, prio), None);
     }
 
     #[test]
@@ -144,7 +148,7 @@ mod tests {
         let mut q: PendingQueues<u32> = PendingQueues::new(10);
         q.push(9, pkt(9));
         q.push(4, pkt(4));
-        assert_eq!(q.pop_highest(|_| 5).unwrap().0, 4);
+        assert_eq!(q.peek_highest(|_| 5), Some(4));
     }
 
     #[test]
@@ -155,7 +159,7 @@ mod tests {
         assert!(!q.push(1, pkt(3)));
         // Another principal still has room.
         assert!(q.push(2, pkt(4)));
-        assert_eq!(q.pending_principals(), vec![1, 2]);
+        assert_eq!(q.principals().collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]
@@ -163,19 +167,20 @@ mod tests {
         let mut q: PendingQueues<u32> = PendingQueues::new(10);
         q.push(1, pkt(1));
         q.push(2, pkt(2));
-        assert_eq!(q.pop_highest(|p| p).unwrap().0, 2);
-        assert_eq!(q.pending_principals(), vec![1]);
-        assert_eq!(q.pop_highest(|p| p).unwrap().0, 1);
+        assert_eq!(serve(&mut q, |p| p), Some(2));
+        assert_eq!(q.principals().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(serve(&mut q, |p| p), Some(1));
         assert!(q.is_empty());
         assert_eq!(q.peek_highest(|p| p), None);
+        assert_eq!(q.pop(1), None);
     }
 
     #[test]
-    fn pending_principals_sorted() {
+    fn principals_sorted() {
         let mut q: PendingQueues<u32> = PendingQueues::new(10);
         q.push(5, pkt(5));
         q.push(2, pkt(2));
         q.push(8, pkt(8));
-        assert_eq!(q.pending_principals(), vec![2, 5, 8]);
+        assert_eq!(q.principals().collect::<Vec<_>>(), vec![2, 5, 8]);
     }
 }

@@ -460,6 +460,8 @@ pub struct Kernel {
     /// Reusable world-action buffer, same idea for `PacketToWorld` and
     /// `WorldTimer` events.
     world_buf: Vec<WorldAction>,
+    /// Reusable scheduler-binding buffer for the kernel network threads.
+    kthread_binding: Vec<ContainerId>,
     /// Foreign-address prefixes owned by *other* cluster nodes: a
     /// world-bound packet whose flow source matches one of these is
     /// diverted into `egress_buf` (for the cluster driver to carry over an
@@ -532,6 +534,7 @@ impl Kernel {
             spans_on: false,
             net_buf: Vec::new(),
             world_buf: Vec::new(),
+            kthread_binding: Vec::new(),
             egress_filter: None,
             egress_buf: Vec::new(),
             cfg,
@@ -1667,35 +1670,27 @@ impl Kernel {
     /// arrived (a recurring priority inversion).
     fn kthread_refill_inner(&mut self, pid: Pid, ktid: TaskId, allow_starvable: bool) {
         let containers = &self.containers;
-        let prio_of = |c: ContainerId| lent_priority(containers, c);
-        if !allow_starvable {
-            let next_is_starvable = self
-                .pending
-                .get(pid)
-                .and_then(|q| q.peek_highest(prio_of))
-                .map(|c| prio_of(c) == 0)
-                .unwrap_or(false);
-            if next_is_starvable {
-                let system_busy = self
-                    .threads
-                    .iter()
-                    .any(|(id, t)| id != ktid && t.state == ThreadState::Runnable);
-                if system_busy {
-                    // Leave the backlog queued; the idle path restarts us.
-                    if let Some(th) = self.threads.get_mut(ktid) {
-                        if !th.has_work() {
-                            th.state = ThreadState::Blocked(WaitFor::Idle);
-                            self.scheduler.set_runnable(ktid, false, self.clock);
-                        }
+        let next = self
+            .pending
+            .get(pid)
+            .and_then(|q| q.peek_highest(|c| lent_priority(containers, c)));
+        if !allow_starvable && next.is_some_and(|c| lent_priority(containers, c) == 0) {
+            let system_busy = self
+                .threads
+                .iter()
+                .any(|(id, t)| id != ktid && t.state == ThreadState::Runnable);
+            if system_busy {
+                // Leave the backlog queued; the idle path restarts us.
+                if let Some(th) = self.threads.get_mut(ktid) {
+                    if !th.has_work() {
+                        th.state = ThreadState::Blocked(WaitFor::Idle);
+                        self.scheduler.set_runnable(ktid, false, self.clock);
                     }
-                    return;
                 }
+                return;
             }
         }
-        let popped = match self.pending.get_mut(pid) {
-            Some(q) => q.pop_highest(prio_of),
-            None => None,
-        };
+        let popped = next.and_then(|c| Some((c, self.pending.get_mut(pid)?.pop(c)?)));
         match popped {
             Some((principal, pkt)) => {
                 if self.trace_on {
@@ -1731,8 +1726,12 @@ impl Kernel {
         }
     }
 
+    /// Binds the network thread to the principal of the item it runs
+    /// first and then to every pending principal, or, with neither, to
+    /// its process's default container.
     fn update_kthread_binding(&mut self, pid: Pid, ktid: TaskId) {
-        let mut binding: Vec<ContainerId> = Vec::new();
+        let binding = &mut self.kthread_binding;
+        binding.clear();
         let running = self
             .threads
             .get(ktid)
@@ -1740,18 +1739,14 @@ impl Kernel {
         binding.extend(running);
         if let Some(q) = self.pending.get(pid) {
             // The pending principals are distinct already.
-            binding.extend(
-                q.pending_principals()
-                    .into_iter()
-                    .filter(|&c| Some(c) != running),
-            );
+            binding.extend(q.principals().filter(|&c| Some(c) != running));
         }
         if binding.is_empty() {
             if let Some(p) = self.processes.get(pid) {
                 binding.push(p.default_container);
             }
         }
-        self.scheduler.set_binding(ktid, &binding, self.clock);
+        self.scheduler.set_binding(ktid, binding, self.clock);
     }
 
     // ------------------------------------------------------------------

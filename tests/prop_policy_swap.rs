@@ -54,6 +54,8 @@ struct SwapRun {
     cpu_conserved: bool,
     chrome: String,
     metrics: String,
+    /// When the oldest record the trace ring kept was emitted.
+    ring_from: Nanos,
 }
 
 /// Runs `mix` on a two-CPU kernel with a disk-backed server and a
@@ -128,6 +130,7 @@ fn run_swapped(mix: &Mix, swaps: &[SwapSpec]) -> SwapRun {
         cpu_conserved,
         chrome: chrome_trace_json(&session),
         metrics: metrics_json(&session),
+        ring_from: session.trace.events.first().map_or(Nanos::ZERO, |e| e.at),
     }
 }
 
@@ -206,7 +209,7 @@ proptest! {
 /// The gated metrics section: a run with at least one swap carries a
 /// `policy` section recording it; the swaps array matches what was
 /// applied, in order, and the chrome trace marks each swap on the CPU
-/// track.
+/// track, even one whose trace record the ring has evicted.
 #[test]
 fn swap_runs_export_policy_section() {
     let mix = Mix {
@@ -219,21 +222,29 @@ fn swap_runs_export_policy_section() {
         !plain.metrics.contains("\"policy\":"),
         "no-swap run must not grow a policy section"
     );
-    // Late enough that the trace ring, which keeps only the newest
-    // records, still holds the first swap's instant.
-    let swapped = run_swapped(&mix, &[(250, 4), (320, 2)]);
+    // The trace ring keeps only the newest records: by the end of the run
+    // it no longer holds the first swap's.
+    let swapped = run_swapped(&mix, &[(100, 0), (250, 4), (320, 2)]);
+    assert!(
+        swapped.ring_from > Nanos::from_millis(100),
+        "the ring still holds the first swap (from {:?})",
+        swapped.ring_from
+    );
     let v = rcbench_parse(&swapped.metrics);
     let swaps = v
         .get("policy")
         .and_then(|p| p.get("swaps"))
         .and_then(|s| s.as_array())
         .expect("policy.swaps array present");
-    assert_eq!(swaps.len(), 2);
+    assert_eq!(swaps.len(), 3);
     for s in swaps {
         assert_eq!(s.get("plane").and_then(|v| v.as_str()), Some("cpu"));
     }
-    assert_eq!(swaps[0].get("to").and_then(|v| v.as_str()), Some("edf"));
-    assert_eq!(swaps[1].get("to").and_then(|v| v.as_str()), Some("stride"));
+    let to: Vec<_> = swaps
+        .iter()
+        .map(|s| s.get("to").and_then(|v| v.as_str()))
+        .collect();
+    assert_eq!(to, [Some("decay-usage"), Some("edf"), Some("stride")]);
     let epochs = v
         .get("policy")
         .and_then(|p| p.get("epochs"))
@@ -241,11 +252,17 @@ fn swap_runs_export_policy_section() {
         .expect("policy.epochs array present");
     assert_eq!(
         epochs.len(),
-        3,
-        "two swaps partition the run into three epochs"
+        4,
+        "three swaps partition the run into four epochs"
     );
-    assert!(
-        swapped.chrome.contains("cpu policy multilevel-rc -> edf"),
-        "chrome trace must mark the swap on the CPU track"
-    );
+    for swap in [
+        "cpu policy multilevel-rc -> decay-usage",
+        "cpu policy decay-usage -> edf",
+        "cpu policy edf -> stride",
+    ] {
+        assert!(
+            swapped.chrome.contains(swap),
+            "chrome trace must mark `{swap}` on the CPU track"
+        );
+    }
 }

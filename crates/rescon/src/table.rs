@@ -108,8 +108,9 @@ impl Container {
 /// bind only to leaf containers.
 ///
 /// The mutators that change the hierarchy or attributes also keep an
-/// [`epoch`](ContainerTable::epoch), on which schedulers key their
-/// caches, and two values derived from the hierarchy.
+/// [`epoch`](ContainerTable::epoch) and a coarser
+/// [`reshape_epoch`](ContainerTable::reshape_epoch), on which schedulers
+/// key their caches, and two values derived from the hierarchy.
 ///
 /// # Examples
 ///
@@ -146,6 +147,10 @@ pub struct ContainerTable {
     reaped_tx: Nanos,
     /// Advanced by every successful structural or attribute change.
     epoch: u64,
+    /// Advanced by every change that moves or re-attributes a live
+    /// container: `set_parent`, `set_attrs`, and destructions that orphan
+    /// children.
+    reshape_epoch: u64,
     /// Live containers with a CPU limit.
     cpu_limited: usize,
 }
@@ -186,6 +191,7 @@ impl ContainerTable {
             reaped_disk: Nanos::ZERO,
             reaped_tx: Nanos::ZERO,
             epoch: 0,
+            reshape_epoch: 0,
             cpu_limited: 0,
         }
     }
@@ -244,6 +250,17 @@ impl ContainerTable {
     /// of ids or their attributes is valid while the epoch is unchanged.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Returns the table's reshape epoch. Every successful `set_parent`
+    /// and `set_attrs`, and every destruction that orphans children,
+    /// advances it; creation and the destruction of a childless container
+    /// do not. Between two reads that agree, every live container kept
+    /// its parent, ancestors and attributes, and only
+    /// [`destroyed_count`](ContainerTable::destroyed_count) tells whether
+    /// some of them died.
+    pub fn reshape_epoch(&self) -> u64 {
+        self.reshape_epoch
     }
 
     /// Returns the number of live containers with a CPU limit.
@@ -417,6 +434,7 @@ impl ContainerTable {
             None => self.floating.push(id),
         }
         self.epoch += 1;
+        self.reshape_epoch += 1;
         Ok(())
     }
 
@@ -531,6 +549,7 @@ impl ContainerTable {
         let (limited, fixed) = (attrs.cpu_limit.is_some(), attrs.policy.share().is_some());
         let old = std::mem::replace(&mut self.arena[id].attrs, attrs);
         self.epoch += 1;
+        self.reshape_epoch += 1;
         self.cpu_limited =
             self.cpu_limited + usize::from(limited) - usize::from(old.cpu_limit.is_some());
         if let Some(p) = parent {
@@ -906,6 +925,9 @@ impl ContainerTable {
         // CPU; the dying container's *own* history stays with its old
         // ancestors.
         let children = std::mem::take(&mut self.arena[id].children);
+        if !children.is_empty() {
+            self.reshape_epoch += 1;
+        }
         for child in children {
             let (cpu, disk, tx, mem) = {
                 let c = &self.arena[child];
@@ -1393,6 +1415,36 @@ mod tests {
         assert!(t.set_attrs(ts, Attributes::fixed_share(2.0)).is_err());
         t.charge_cpu(ts, Nanos::from_micros(3)).unwrap();
         assert!(!advanced(&t, &mut e));
+        t.check_invariants();
+    }
+
+    #[test]
+    fn only_moves_attribute_changes_and_orphaning_advance_the_reshape_epoch() {
+        let mut t = table();
+        let mut e = t.reshape_epoch();
+        let mut advanced = |t: &ContainerTable| {
+            let moved = t.reshape_epoch() > e;
+            e = t.reshape_epoch();
+            moved
+        };
+        let p = t.create(None, Attributes::fixed_share(0.5)).unwrap();
+        let leaf = t.create(Some(p), Attributes::time_shared(1)).unwrap();
+        let other = t.create(Some(p), Attributes::time_shared(1)).unwrap();
+        assert!(!advanced(&t));
+        assert!(t.drop_descriptor_ref(leaf).unwrap());
+        assert!(!advanced(&t));
+        t.set_parent(other, None).unwrap();
+        assert!(advanced(&t));
+        t.set_parent(other, Some(p)).unwrap();
+        assert!(advanced(&t));
+        t.set_attrs(other, Attributes::time_shared(7)).unwrap();
+        assert!(advanced(&t));
+        assert!(t.set_attrs(other, Attributes::fixed_share(2.0)).is_err());
+        assert!(!advanced(&t));
+        // Destroying `p` orphans `other`.
+        assert!(t.drop_descriptor_ref(p).unwrap());
+        assert!(advanced(&t));
+        assert_eq!(t.parent(other).unwrap(), None);
         t.check_invariants();
     }
 

@@ -28,9 +28,11 @@
 //! A pick visits the runnable tasks, not the container table. Each task
 //! caches, per live container of its binding, the priority that container
 //! lends it, the node whose time-share pool it joins and its ancestor
-//! chain; the cache holds while the table's
-//! [`epoch`](ContainerTable::epoch) and the binding are unchanged.
-//! Unlimited time-shared siblings share one cache entry. A fixed-share
+//! chain. Unlimited time-shared siblings share one cache entry. The cache
+//! survives creations, is patched after the destruction of a childless
+//! container and after a binding edit, and is rebuilt after anything
+//! else that moves or re-attributes a container
+//! ([`reshape_epoch`](ContainerTable::reshape_epoch)). A fixed-share
 //! child has work when a runnable task's chain passes through it with no
 //! exhausted bucket between. A tie on priority is settled by the lowest id
 //! among tasks with equal bindings, else by time-invariant usage keys when
@@ -112,8 +114,9 @@ impl Usage {
     }
 }
 
-/// A live container of a task's scheduler binding, as the table stood at
-/// the task's cache epoch, or a group of unlimited time-shared siblings.
+/// A live container of a task's scheduler binding, as the table stood when
+/// the task's cache was last synced, or a group of unlimited time-shared
+/// siblings.
 #[derive(Debug)]
 struct Bound {
     /// The priority the container lends the task (10 if fixed-share); a
@@ -127,18 +130,53 @@ struct Bound {
     path: Range<usize>,
 }
 
+/// Where a member of a task's cached binding counts.
+#[derive(Clone, Copy, Debug)]
+enum Mark {
+    /// Nowhere: the container is dead.
+    Dead,
+    /// In sibling group `group`, lending `prio`.
+    Grouped { group: u32, prio: u32 },
+    /// As an entry of its own in `MlTask::bound`.
+    Own,
+}
+
+/// The unlimited time-shared members of a task's binding with one parent.
+#[derive(Debug)]
+struct Group {
+    parent: Option<ContainerId>,
+    /// The group's entry in `MlTask::bound`.
+    entry: usize,
+}
+
+/// How many members of sibling group `group` lend priority `prio`.
+#[derive(Debug)]
+struct Lend {
+    group: u32,
+    prio: u32,
+    count: u32,
+}
+
 #[derive(Debug, Default)]
 struct MlTask {
+    /// The binding as the kernel gave it, verbatim: a tie sums its usages
+    /// in this order.
     binding: Vec<ContainerId>,
     runnable: bool,
-    /// The table epoch `bound` and `chain` describe; `None` once the
-    /// binding changed.
-    epoch: Option<u64>,
+    /// `binding` differs from the binding the cache describes.
+    edited: bool,
+    /// The table's reshape epoch and destroyed count when the cache was
+    /// last synced; `None` until it is built.
+    synced: Option<(u64, u64)>,
+    /// The binding the cache describes, each member with where it counts.
+    members: Vec<(ContainerId, Mark)>,
     bound: Vec<Bound>,
     chain: Vec<ContainerId>,
-    /// Per sibling group: the members' parent and the group's entry in
-    /// `bound`.
-    groups: Vec<(Option<ContainerId>, usize)>,
+    groups: Vec<Group>,
+    /// Per sibling group, the priorities its members lend.
+    lends: Vec<Lend>,
+    /// Where the members a patch adds count; kept to reuse its allocation.
+    added: Vec<Mark>,
     /// The highest `prio` in `bound`.
     max_prio: Option<u32>,
 }
@@ -148,54 +186,199 @@ impl MlTask {
         &self.chain[b.path.clone()]
     }
 
-    /// Rebuilds the binding cache if the table changed since it was built.
+    /// Brings the binding cache up to the table and the binding. A cache
+    /// outlives creations; after destructions of childless containers it
+    /// uncounts the members found dead, and after a binding edit it
+    /// counts the members added and uncounts those removed. Anything else
+    /// rebuilds it (DESIGN §19).
     fn refresh(&mut self, table: &ContainerTable) {
-        if self.epoch == Some(table.epoch()) {
+        let now = (table.reshape_epoch(), table.destroyed_count());
+        if !self.edited && self.synced == Some(now) {
             return;
         }
-        self.epoch = Some(table.epoch());
+        let synced = self.synced;
+        let patched = synced.is_some_and(|(reshape, destroyed)| {
+            reshape == now.0 && (destroyed == now.1 || self.sweep(table))
+        }) && (!self.edited || self.patch(table));
+        if !patched {
+            self.rebuild(table);
+        }
+        self.edited = false;
+        self.synced = Some(now);
+        self.max_prio = self.bound.iter().map(|b| b.prio).max();
+        if patched && cfg!(debug_assertions) {
+            let mut fresh = MlTask {
+                binding: self.binding.clone(),
+                ..MlTask::default()
+            };
+            fresh.refresh(table);
+            assert_eq!(self.entries(), fresh.entries(), "patched binding cache");
+            assert_eq!(self.max_prio, fresh.max_prio, "patched binding cache");
+        }
+    }
+
+    /// Builds the binding cache from scratch.
+    fn rebuild(&mut self, table: &ContainerTable) {
         self.bound.clear();
         self.chain.clear();
         self.groups.clear();
-        let root = table.root();
-        for &c in &self.binding {
-            let Ok(node) = table.container(c) else {
-                continue;
-            };
-            let (prio, fixed) = match node.attrs().policy {
-                SchedPolicy::TimeShared { priority } => (priority, false),
-                SchedPolicy::FixedShare { .. } => (10, true),
-            };
-            let parent = node.parent();
-            // An unlimited time-shared container never marks a child (its
-            // pool is its parent) and is never throttled itself, so its
-            // siblings join, mark and throttle alike: they share the first
-            // one's entry, at the highest priority among them.
-            if !fixed && c != root && node.attrs().cpu_limit.is_none() {
-                if let Some(&(_, i)) = self.groups.iter().find(|&&(p, _)| p == parent) {
-                    let b = &mut self.bound[i];
-                    b.prio = b.prio.max(prio);
-                    continue;
-                }
-                self.groups.push((parent, self.bound.len()));
-            }
-            // A time-shared container has no children (§5.1): its work
-            // joins its parent's pool, or the root's if it floats.
-            let pool = if fixed || c == root {
-                c
-            } else {
-                parent.unwrap_or(root)
-            };
-            let start = self.chain.len();
-            let mut up = Some(c);
-            while let Some(a) = up {
-                self.chain.push(a);
-                up = table.parent(a).ok().flatten();
-            }
-            let path = start..self.chain.len();
-            self.bound.push(Bound { prio, pool, path });
+        self.lends.clear();
+        self.members.clear();
+        for i in 0..self.binding.len() {
+            let c = self.binding[i];
+            let mark = self.count(table, c);
+            self.members.push((c, mark));
         }
-        self.max_prio = self.bound.iter().map(|b| b.prio).max();
+    }
+
+    /// Counts member `c` into the cache and says where it counts.
+    fn count(&mut self, table: &ContainerTable, c: ContainerId) -> Mark {
+        let Ok(node) = table.container(c) else {
+            return Mark::Dead;
+        };
+        let root = table.root();
+        let (prio, fixed) = match node.attrs().policy {
+            SchedPolicy::TimeShared { priority } => (priority, false),
+            SchedPolicy::FixedShare { .. } => (10, true),
+        };
+        let parent = node.parent();
+        // An unlimited time-shared container never marks a child (its pool
+        // is its parent) and is never throttled itself, so its siblings
+        // join, mark and throttle alike: they share the first one's entry,
+        // at the highest priority among them.
+        let mark = if !fixed && c != root && node.attrs().cpu_limit.is_none() {
+            let found = self.groups.iter().position(|g| g.parent == parent);
+            let group = found.unwrap_or(self.groups.len()) as u32;
+            match self
+                .lends
+                .iter_mut()
+                .find(|l| l.group == group && l.prio == prio)
+            {
+                Some(l) => l.count += 1,
+                None => self.lends.push(Lend {
+                    group,
+                    prio,
+                    count: 1,
+                }),
+            }
+            if let Some(g) = found {
+                let b = &mut self.bound[self.groups[g].entry];
+                b.prio = b.prio.max(prio);
+                return Mark::Grouped { group, prio };
+            }
+            self.groups.push(Group {
+                parent,
+                entry: self.bound.len(),
+            });
+            Mark::Grouped { group, prio }
+        } else {
+            Mark::Own
+        };
+        // A time-shared container has no children (§5.1): its work joins
+        // its parent's pool, or the root's if it floats.
+        let pool = if fixed || c == root {
+            c
+        } else {
+            parent.unwrap_or(root)
+        };
+        let start = self.chain.len();
+        let mut up = Some(c);
+        while let Some(a) = up {
+            self.chain.push(a);
+            up = table.parent(a).ok().flatten();
+        }
+        let path = start..self.chain.len();
+        self.bound.push(Bound { prio, pool, path });
+        mark
+    }
+
+    /// Takes a member that counted at `mark` out of the cache. Returns
+    /// `false` if that leaves the cache wrong: the member had an entry of
+    /// its own, or was the last of its group.
+    fn uncount(&mut self, mark: Mark) -> bool {
+        let Mark::Grouped { group, prio } = mark else {
+            return matches!(mark, Mark::Dead);
+        };
+        let i = self
+            .lends
+            .iter()
+            .position(|l| l.group == group && l.prio == prio)
+            .expect("a grouped member is counted");
+        self.lends[i].count -= 1;
+        if self.lends[i].count == 0 {
+            self.lends.swap_remove(i);
+            let rest = self.lends.iter().filter(|l| l.group == group);
+            let Some(top) = rest.map(|l| l.prio).max() else {
+                return false;
+            };
+            self.bound[self.groups[group as usize].entry].prio = top;
+        }
+        true
+    }
+
+    /// Uncounts the members that died since the cache was synced. Returns
+    /// `false` if the cache needs a rebuild.
+    fn sweep(&mut self, table: &ContainerTable) -> bool {
+        for i in 0..self.members.len() {
+            let (c, mark) = self.members[i];
+            if matches!(mark, Mark::Dead) || table.contains(c) {
+                continue;
+            }
+            self.members[i].1 = Mark::Dead;
+            if !self.uncount(mark) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Patches the cache from the members between the common prefix and
+    /// the common suffix of the cached binding and the new one: counts
+    /// those added first, so that a group one member leaves as another
+    /// joins is never empty, then uncounts those removed. Returns `false`
+    /// if the cache needs a rebuild.
+    fn patch(&mut self, table: &ContainerTable) -> bool {
+        let (old, new) = (&self.members, &self.binding);
+        let prefix = old.iter().zip(new).take_while(|(o, n)| o.0 == **n).count();
+        let suffix = old[prefix..]
+            .iter()
+            .rev()
+            .zip(new[prefix..].iter().rev())
+            .take_while(|(o, n)| o.0 == **n)
+            .count();
+        let removed = prefix..old.len() - suffix;
+        let added = prefix..new.len() - suffix;
+        let mut marks = std::mem::take(&mut self.added);
+        marks.clear();
+        for i in added.clone() {
+            marks.push(self.count(table, self.binding[i]));
+        }
+        let kept = removed.clone().all(|i| self.uncount(self.members[i].1));
+        if kept {
+            let added = self.binding[added].iter().copied().zip(marks.drain(..));
+            self.members.splice(removed, added);
+        }
+        self.added = marks;
+        kept
+    }
+
+    /// The cache's entries as a set: priority, pool, the member unless
+    /// the entry is a group's (whose first member is incidental), and the
+    /// ancestors.
+    fn entries(&self) -> Vec<(u32, ContainerId, Option<ContainerId>, &[ContainerId])> {
+        let mut v: Vec<_> = self
+            .bound
+            .iter()
+            .enumerate()
+            .map(|(i, b)| {
+                let chain = self.chain(b);
+                let own = !self.groups.iter().any(|g| g.entry == i);
+                (b.prio, b.pool, own.then_some(chain[0]), &chain[1..])
+            })
+            .collect();
+        v.sort_unstable();
+        v.dedup();
+        v
     }
 
     /// The numeric priority the task presents within a pool: the maximum
@@ -694,7 +877,7 @@ impl CoreScheduler for MultiLevelScheduler {
             if t.binding != binding {
                 t.binding.clear();
                 t.binding.extend_from_slice(binding);
-                t.epoch = None;
+                t.edited = true;
             }
         }
     }

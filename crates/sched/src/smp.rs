@@ -71,11 +71,16 @@ impl PerCpu {
         }
     }
 
-    /// Replaces the task's scheduler binding on its home CPU.
+    /// Replaces the task's scheduler binding on its home CPU. Every call
+    /// reaches the core, an unchanged binding included: a policy may act
+    /// on the rebind itself (EDF re-resolves its deadline at the next
+    /// pick).
     pub fn set_binding(&mut self, task: TaskId, binding: &[ContainerId], now: Nanos) {
         if let Some(meta) = self.tasks.get_mut(task) {
-            meta.binding.clear();
-            meta.binding.extend_from_slice(binding);
+            if meta.binding != binding {
+                meta.binding.clear();
+                meta.binding.extend_from_slice(binding);
+            }
             self.cores[meta.cpu as usize].set_binding(task, binding, now);
         }
     }

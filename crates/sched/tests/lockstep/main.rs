@@ -381,6 +381,134 @@ fn usage_charged_after_the_pick_reads_undecayed() {
     s.assert_usages(&[later, now_charged], now);
 }
 
+/// A binding edit that removes the only member lending its sibling
+/// group's top priority lowers the group's priority to the next member's.
+#[test]
+fn edit_removing_a_groups_only_top_member_lowers_its_priority() {
+    let mut table = ContainerTable::new();
+    let low = ts(&mut table, None, 5);
+    let top = ts(&mut table, None, 20);
+    let low2 = ts(&mut table, None, 5);
+    let mid = ts(&mut table, None, 10);
+    let mut s = Lockstep::new();
+    let zero = Nanos::ZERO;
+    s.both(|s| s.add_task(TaskId(1), &[low, top, low2], zero));
+    s.both(|s| s.add_task(TaskId(2), &[mid], zero));
+    s.both(|s| s.set_runnable(TaskId(1), true, zero));
+    s.both(|s| s.set_runnable(TaskId(2), true, zero));
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(1)));
+    s.both(|s| s.set_binding(TaskId(1), &[low, low2], zero));
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(2)));
+    // Back in at the end, and out again from the middle.
+    s.both(|s| s.set_binding(TaskId(1), &[low, low2, top], zero));
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(1)));
+    s.both(|s| s.set_binding(TaskId(1), &[low, low2], zero));
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(2)));
+    // In with another member in one edit, then out alone: each member
+    // added by one patch keeps its own priority.
+    s.both(|s| s.set_binding(TaskId(1), &[low], zero));
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(2)));
+    s.both(|s| s.set_binding(TaskId(1), &[low, top, low2], zero));
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(1)));
+    s.both(|s| s.set_binding(TaskId(1), &[low, low2], zero));
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(2)));
+    s.assert_usages(&[low, top, low2, mid], zero);
+}
+
+/// A bound container that dies between two picks, with no rebind in
+/// between, stops lending its priority at the second pick, whether it
+/// shared a sibling group, was the last of its group, or had an entry of
+/// its own (CPU-limited or fixed-share).
+#[test]
+fn bound_childless_container_destroyed_between_picks_stops_lending() {
+    let mut table = ContainerTable::new();
+    let low = ts(&mut table, None, 5);
+    let top = ts(&mut table, None, 20);
+    let alone = ts(&mut table, None, 15);
+    table.set_parent(alone, None).unwrap();
+    let limited = table
+        .create(
+            None,
+            Attributes::time_shared(18).with_cpu_limit(0.5, Nanos::from_millis(5)),
+        )
+        .unwrap();
+    let mid = ts(&mut table, None, 16);
+    let mut s = Lockstep::new();
+    let zero = Nanos::ZERO;
+    s.both(|s| s.add_task(TaskId(1), &[low, top, limited, alone], zero));
+    s.both(|s| s.add_task(TaskId(2), &[mid], zero));
+    s.both(|s| s.set_runnable(TaskId(1), true, zero));
+    s.both(|s| s.set_runnable(TaskId(2), true, zero));
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(1)));
+    // `top` shared its group with `low`.
+    assert!(table.drop_descriptor_ref(top).unwrap());
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(1)));
+    // `limited` had an entry of its own, and lent 18 to `alone`'s 15.
+    assert!(table.drop_descriptor_ref(limited).unwrap());
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(2)));
+    // `alone` was the last of its group.
+    assert!(table.drop_descriptor_ref(alone).unwrap());
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(2)));
+    assert!(table.drop_descriptor_ref(mid).unwrap());
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(1)));
+    s.assert_usages(&[low, top, alone, limited, mid], zero);
+}
+
+/// A fixed-share or CPU-limited member has a binding-cache entry of its
+/// own; an edit that adds one and a later edit that drops it again must
+/// both show in the picks.
+#[test]
+fn edit_adding_then_dropping_a_member_with_its_own_entry() {
+    let mut table = ContainerTable::new();
+    let low = ts(&mut table, None, 5);
+    let mid = ts(&mut table, None, 10);
+    let limited = table
+        .create(
+            None,
+            Attributes::time_shared(20).with_cpu_limit(0.5, Nanos::from_millis(5)),
+        )
+        .unwrap();
+    let fixed = table.create(None, Attributes::fixed_share(0.5)).unwrap();
+    let mut s = Lockstep::new();
+    let zero = Nanos::ZERO;
+    s.both(|s| s.add_task(TaskId(1), &[low], zero));
+    s.both(|s| s.add_task(TaskId(2), &[mid], zero));
+    s.both(|s| s.set_runnable(TaskId(1), true, zero));
+    s.both(|s| s.set_runnable(TaskId(2), true, zero));
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(2)));
+    for own in [limited, fixed] {
+        s.both(|s| s.set_binding(TaskId(1), &[low, own], zero));
+        assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(1)));
+        s.both(|s| s.set_binding(TaskId(1), &[low], zero));
+        assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(2)));
+    }
+    s.assert_usages(&[low, mid, limited, fixed], zero);
+}
+
+/// An edit that replaces every member of a 40-member binding, and then
+/// half of them, is patched like a short one, and the picks still agree.
+#[test]
+fn edit_replacing_every_member_of_a_long_binding() {
+    let mut table = ContainerTable::new();
+    let first: Vec<ContainerId> = (0..40).map(|i| ts(&mut table, None, i % 20)).collect();
+    let second: Vec<ContainerId> = (0..40).map(|i| ts(&mut table, None, 1 + i % 5)).collect();
+    let mid = ts(&mut table, None, 10);
+    let mut s = Lockstep::new();
+    let zero = Nanos::ZERO;
+    s.both(|s| s.add_task(TaskId(1), &first, zero));
+    s.both(|s| s.add_task(TaskId(2), &[mid], zero));
+    s.both(|s| s.set_runnable(TaskId(1), true, zero));
+    s.both(|s| s.set_runnable(TaskId(2), true, zero));
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(1)));
+    s.both(|s| s.set_binding(TaskId(1), &second, zero));
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(2)));
+    // Half of each: no common prefix or suffix, and back above 10.
+    let mixed: Vec<ContainerId> = first[20..].iter().chain(&second[..20]).copied().collect();
+    s.both(|s| s.set_binding(TaskId(1), &mixed, zero));
+    assert_eq!(s.pick(&table, zero).map(|p| p.task), Some(TaskId(1)));
+    s.assert_usages(&[first, second].concat(), zero);
+}
+
 /// One step of a random call sequence. Selectors index the live
 /// containers, the live fixed-share ones, or every id ever created,
 /// modulo their length.

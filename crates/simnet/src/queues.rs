@@ -10,14 +10,16 @@
 //! classification time, for early discard of excess traffic under overload
 //! ("excess traffic is discarded early").
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::packet::Packet;
 
 /// Bounded per-principal FIFO queues of unprocessed packets.
 ///
-/// `P` is the principal key (process id or container id). Iteration order
-/// is deterministic (`BTreeMap`).
+/// `P` is the principal key (process id or container id). The principals
+/// with pending packets sit in an ascending `Vec` beside their queues, so
+/// the kernel network thread reads them as a slice and a priority scan
+/// visits them in key order without walking a tree.
 ///
 /// # Examples
 ///
@@ -30,14 +32,16 @@ use crate::packet::Packet;
 /// assert!(q.push(7, p));
 /// assert!(q.push(7, p));
 /// assert!(!q.push(7, p)); // over capacity: early drop
-/// assert_eq!(q.principals().collect::<Vec<_>>(), vec![7]);
+/// assert_eq!(q.principals(), &[7]);
 /// assert_eq!(q.peek_highest(|_| 1), Some(7));
 /// assert_eq!(q.pop(7), Some(p));
 /// ```
 #[derive(Clone, Debug)]
 pub struct PendingQueues<P: Ord + Copy> {
-    /// Only principals with at least one pending packet have an entry.
-    queues: BTreeMap<P, VecDeque<Packet>>,
+    /// The principals with at least one pending packet, ascending.
+    principals: Vec<P>,
+    /// `queues[i]` holds `principals[i]`'s packets, oldest first.
+    queues: Vec<VecDeque<Packet>>,
     capacity: usize,
 }
 
@@ -45,7 +49,8 @@ impl<P: Ord + Copy> PendingQueues<P> {
     /// Creates queues with the given per-principal capacity.
     pub fn new(capacity: usize) -> Self {
         PendingQueues {
-            queues: BTreeMap::new(),
+            principals: Vec::new(),
+            queues: Vec::new(),
             capacity: capacity.max(1),
         }
     }
@@ -53,12 +58,19 @@ impl<P: Ord + Copy> PendingQueues<P> {
     /// Appends a packet to `principal`'s queue. Returns `false` (an early
     /// drop, which the caller bills to `principal`) if the queue is full.
     pub fn push(&mut self, principal: P, packet: Packet) -> bool {
-        let q = self.queues.entry(principal).or_default();
-        if q.len() >= self.capacity {
-            return false;
+        match self.principals.binary_search(&principal) {
+            Ok(i) if self.queues[i].len() >= self.capacity => false,
+            Ok(i) => {
+                self.queues[i].push_back(packet);
+                true
+            }
+            Err(i) => {
+                self.principals.insert(i, principal);
+                self.queues.insert(i, VecDeque::new());
+                self.queues[i].push_back(packet);
+                true
+            }
         }
-        q.push_back(packet);
-        true
     }
 
     /// Returns the highest-ranked principal with a pending packet, where
@@ -66,7 +78,7 @@ impl<P: Ord + Copy> PendingQueues<P> {
     /// go to the smaller principal key.
     pub fn peek_highest(&self, mut priority: impl FnMut(P) -> u32) -> Option<P> {
         let mut best: Option<(u32, P)> = None;
-        for &p in self.queues.keys() {
+        for &p in &self.principals {
             let rank = priority(p);
             if best.is_none_or(|(br, _)| rank > br) {
                 best = Some((rank, p));
@@ -77,22 +89,23 @@ impl<P: Ord + Copy> PendingQueues<P> {
 
     /// Removes and returns the oldest packet of `principal`.
     pub fn pop(&mut self, principal: P) -> Option<Packet> {
-        let q = self.queues.get_mut(&principal)?;
-        let pkt = q.pop_front();
-        if q.is_empty() {
-            self.queues.remove(&principal);
+        let i = self.principals.binary_search(&principal).ok()?;
+        let pkt = self.queues[i].pop_front();
+        if self.queues[i].is_empty() {
+            self.principals.remove(i);
+            self.queues.remove(i);
         }
         pkt
     }
 
-    /// The principals that have pending packets, in key order.
-    pub fn principals(&self) -> impl Iterator<Item = P> + '_ {
-        self.queues.keys().copied()
+    /// The principals that have pending packets, ascending.
+    pub fn principals(&self) -> &[P] {
+        &self.principals
     }
 
     /// Returns `true` if nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.queues.is_empty()
+        self.principals.is_empty()
     }
 }
 
@@ -159,7 +172,7 @@ mod tests {
         assert!(!q.push(1, pkt(3)));
         // Another principal still has room.
         assert!(q.push(2, pkt(4)));
-        assert_eq!(q.principals().collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(q.principals(), &[1, 2]);
     }
 
     #[test]
@@ -168,7 +181,7 @@ mod tests {
         q.push(1, pkt(1));
         q.push(2, pkt(2));
         assert_eq!(serve(&mut q, |p| p), Some(2));
-        assert_eq!(q.principals().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(q.principals(), &[1]);
         assert_eq!(serve(&mut q, |p| p), Some(1));
         assert!(q.is_empty());
         assert_eq!(q.peek_highest(|p| p), None);
@@ -181,6 +194,6 @@ mod tests {
         q.push(5, pkt(5));
         q.push(2, pkt(2));
         q.push(8, pkt(8));
-        assert_eq!(q.principals().collect::<Vec<_>>(), vec![2, 5, 8]);
+        assert_eq!(q.principals(), &[2, 5, 8]);
     }
 }

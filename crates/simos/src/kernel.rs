@@ -1738,8 +1738,15 @@ impl Kernel {
             .and_then(|th| th.queue.front().and_then(|i| i.charge_to));
         binding.extend(running);
         if let Some(q) = self.pending.get(pid) {
-            // The pending principals are distinct already.
-            binding.extend(q.principals().filter(|&c| Some(c) != running));
+            // The pending principals are distinct and sorted already.
+            let pending = q.principals();
+            match running.map(|r| pending.binary_search(&r)) {
+                Some(Ok(i)) => {
+                    binding.extend_from_slice(&pending[..i]);
+                    binding.extend_from_slice(&pending[i + 1..]);
+                }
+                _ => binding.extend_from_slice(pending),
+            }
         }
         if binding.is_empty() {
             if let Some(p) = self.processes.get(pid) {
@@ -1768,7 +1775,7 @@ impl Kernel {
                     if let Some(th) = self.threads.get_mut(ktid) {
                         th.push_work(WorkItem {
                             cost,
-                            op: Op::Transmit { pkts: vec![p] },
+                            op: Op::TransmitOne { pkt: p },
                             charge_to: principal,
                             kernel_mode: true,
                             span: SpanRef::NONE,
@@ -2092,14 +2099,10 @@ impl Kernel {
             }
             Op::Transmit { pkts } => {
                 for p in pkts {
-                    if let Demux::Conn(s) = self.stack.classify(&p) {
-                        if let Some(c) = self.stack.container_of(s) {
-                            let _ = self.containers.charge_tx(c, p.kind.payload_bytes() as u64);
-                        }
-                    }
-                    self.transmit(p);
+                    self.transmit_charged(p);
                 }
             }
+            Op::TransmitOne { pkt } => self.transmit_charged(pkt),
             Op::DeliverWritable { sock } => {
                 if self.sock_writable(sock) {
                     self.stats.upcalls += 1;
@@ -2637,6 +2640,19 @@ impl Kernel {
             self.span_tx.remove(&sp);
             span::finish(sp, self.clock, outcome);
         }
+    }
+
+    /// Bills a prepared packet's payload to its connection's container,
+    /// then transmits it (a work item's `Transmit` or `TransmitOne`).
+    fn transmit_charged(&mut self, pkt: Packet) {
+        if let Demux::Conn(s) = self.stack.classify(&pkt) {
+            if let Some(c) = self.stack.container_of(s) {
+                let _ = self
+                    .containers
+                    .charge_tx(c, pkt.kind.payload_bytes() as u64);
+            }
+        }
+        self.transmit(pkt);
     }
 
     fn transmit(&mut self, pkt: Packet) {

@@ -66,6 +66,12 @@ pub enum Op {
         /// Packets to hand to the NIC.
         pkts: Vec<Packet>,
     },
+    /// Transmit one prepared packet, as [`Op::Transmit`] does, without a
+    /// `Vec` (the kernel network thread sends one per work item).
+    TransmitOne {
+        /// The packet to hand to the NIC.
+        pkt: Packet,
+    },
     /// Re-check writability and deliver `Writable` (or re-block if the
     /// headroom was consumed again before the thread ran).
     DeliverWritable {
